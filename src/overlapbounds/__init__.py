@@ -52,7 +52,6 @@ from .series import (
     TailFunction,
     WeightSequence,
     bernoulli_numbers,
-    eval_decay,
     faulhaber_sum,
     lambert_w0,
     tail_sum,

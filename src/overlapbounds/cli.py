@@ -8,7 +8,8 @@ Subcommands
 
 Exit codes: 0 success, 1 I/O error, 2 domain/precondition error,
 3 verification failure, 64 usage error.  Flags override values from a JSON
-config file (--config); every output embeds the fully resolved
+config file (--config).  The output of bound, verify and app (except the
+files of app gc|slln|lil|segments --out) starts with the fully resolved
 configuration, so a run can be reproduced from its own header.
 """
 
@@ -17,11 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from . import bounds as bd
 from . import engine
 from .applications import glivenko, lil, mdf, rates, segments, slln
 from . import sde as sde_mod
-from .errors import DomainError, DivergenceError, InputError, OverlapBoundsError, TruncationError
+from .errors import DomainError, InputError, OverlapBoundsError, TruncationError
 from .series import (
     DecayModel,
     Explicit,
@@ -55,28 +58,6 @@ DEFAULTS = {
     "out": None,
     "deterministic": False,
 }
-
-BOUND_FORMULAS = (
-    "prop2.1",
-    "thm2.2",
-    "cor2.3.poly",
-    "cor2.3.exp",
-    "lem2.6",
-    "thm2.7",
-    "freedman.tail",
-    "thm2.9",
-    "cor2.10",
-    "ex2.12.tail",
-    "ex2.13.tail",
-    "cor3.2",
-    "cor3.4",
-    "cor3.5",
-    "thm3.16",
-    "vc.bound",
-    "sde.mdf",
-)
-
-VERIFY_FORMULAS = ("prop2.1", "thm2.2", "cor2.3.poly", "cor2.3.exp", "lem2.6", "thm2.7", "thm2.9")
 
 
 class UsageError(Exception):
@@ -118,7 +99,10 @@ def parse_weights(text: str) -> WeightSequence:
 
 def parse_tail(text: str) -> TailFunction:
     kind, _, rest = text.partition(":")
-    values = [float(v) for v in rest.split(",") if v != ""]
+    try:
+        values = [float(v) for v in rest.split(",") if v != ""]
+    except ValueError as exc:
+        raise UsageError(f"bad tail parameters {rest!r}") from exc
     if kind == "power" and len(values) == 2:
         return TailFunction.power(values[0], values[1])
     if kind == "geometric" and len(values) == 2:
@@ -130,8 +114,174 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in str(text).split(",") if v != ""]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v != ""]
+PARSERS: dict[str, Callable[[Any], Any]] = {
+    "float": float, "int": int, "decay": parse_decay, "weights": parse_weights, "tail": parse_tail
+}
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A flag a formula reads: how it is parsed and which row column it labels."""
+
+    name: str  # argparse dest and the keyword the formula's callable takes
+    kind: str = "float"  # a key of PARSERS
+    grid: bool = False  # comma-separated values, expanded in declaration order
+    column: str | None = None  # row key when it differs from the name
+    default: Any = None  # used when the flag is absent
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def parse(self, raw: Any) -> Any:
+        parse = PARSERS[self.kind]
+        try:
+            return [parse(v) for v in str(raw).split(",") if v != ""] if self.grid else parse(raw)
+        except OverlapBoundsError:
+            raise
+        except ValueError as exc:
+            raise UsageError(f"bad {self.option} value {raw!r}: {exc}") from exc
+
+    def cell(self, value: Any) -> Any:
+        if self.kind == "tail":
+            return value.label
+        return value.describe() if self.kind in ("decay", "weights") else value
+
+
+def parse_flags(formula: str, flags: Sequence[Flag], args: argparse.Namespace) -> dict[str, Any]:
+    """Each declared flag parsed once; a missing or malformed one is a UsageError."""
+    values = {}
+    for flag in flags:
+        raw = getattr(args, flag.name, None)
+        if raw is None and flag.default is None:
+            raise UsageError(f"formula {formula} needs {flag.option}")
+        values[flag.name] = flag.parse(flag.default if raw is None else raw)
+    return values
+
+
+@dataclass(frozen=True)
+class ExactOracleCheck:
+    """E[e**(rO)] of the exact Poisson-binomial law of an explicit family against the bound at its C1.
+
+    r runs over ``--r-points`` interior points of (0, |ln C1|), or of (0, 1) when C1 >= 1.
+    """
+
+    flags: tuple[Flag, ...] = (Flag("decay", "decay"), Flag("r_points", "int"))
+
+    def run(self, formula: str, bound: Callable[..., Any], values: dict, args: argparse.Namespace) -> list[dict]:
+        model, n = values["decay"], values["r_points"]
+        if not isinstance(model, Explicit):
+            raise UsageError(f"{formula} verification needs an explicit decay (exact oracle)")
+        if n < 1:
+            raise UsageError("--r-points must be >= 1")
+        dist = bd.sn_exact_distribution(model.probabilities)
+        c1 = float(sum(model.probabilities))
+        if c1 <= 0:
+            raise DomainError("the exact-oracle check needs C1 > 0")
+        top = abs(math.log(c1)) if c1 < 1 else 1.0
+        rows = []
+        for r in np.linspace(top / (n + 1), top * n / (n + 1), n):
+            exact = dist.exp_moment(float(r))
+            theoretical = bound(c1=c1, r=float(r)).value
+            ok = exact <= theoretical * (1.0 + 1e-12)
+            rows.append({"formula": formula, "r": float(r), "theoretical": theoretical, "empirical": exact,
+                         "stderr": 0.0, "pass": ok})
+        return rows
+
+
+@dataclass(frozen=True)
+class MonteCarloCheck:
+    """A simulated moment of each family against a theoretical value, with 4-standard-error slack.
+
+    ``equality`` checks an identity two-sided; otherwise the value is an upper bound.
+    """
+
+    flags: tuple[Flag, ...]
+    functional: Callable[..., dict]  # flags -> empirical_moment keyword: partial_sum_of, power or exp_rate
+    label: str  # formatted with ``family``
+    families: tuple[str, ...] = ("independent", "nested")
+    theoretical: Callable[..., float] | None = None  # None: the formula's own bound at these flags
+    equality: bool = False
+
+    def run(self, formula: str, bound: Callable[..., Any], values: dict, args: argparse.Namespace) -> list[dict]:
+        theoretical = self.theoretical(**values) if self.theoretical else bound(**values).value
+        functional = self.functional(**values)
+        rows = []
+        for family in self.families:
+            # an exponential functional needs a deeper truncation
+            exp_rate = functional.get("exp_rate", 0.0)
+            spec = engine.EventFamilySpec.from_model(family, values["decay"], float(args.tail_tolerance), exp_rate)
+            sample = engine.simulate_overlap(spec, int(args.reps), int(args.seed), int(args.threads))
+            emp = engine.empirical_moment(sample, **functional)
+            slack = 4.0 * emp.stderr
+            ok = abs(emp.estimate - theoretical) <= slack if self.equality else emp.estimate <= theoretical + slack
+            label = self.label.format(family=family)
+            rows.append({"formula": formula, "check": label, "theoretical": theoretical, "empirical": emp.estimate,
+                         "stderr": emp.stderr, "pass": ok})
+        return rows
+
+
+@dataclass(frozen=True)
+class Formula:
+    """A numbered result: its flags, its value at one grid point and, if it has one, its check."""
+
+    flags: tuple[Flag, ...]
+    compute: Callable[..., Any]  # a keyword per flag -> a BoundResult or a dict of row fields
+    check: ExactOracleCheck | MonteCarloCheck | None = None
+
+
+# The callables look functions up through their modules (bd.*, mdf.*,
+# sde_mod.*) when called, so a function patched in its module reaches the CLI.
+DECAY, WEIGHTS = Flag("decay", "decay"), Flag("weights", "weights")
+C1S, RS, PS, KS = Flag("c1", grid=True), Flag("r", grid=True), Flag("p", grid=True), Flag("k", "int", grid=True)
+MC_WEIGHTS = (DECAY, Flag("weights", "weights", default="monomial:1"))
+MC_P = (DECAY, Flag("p", default=1.0))
+
+FORMULAS: dict[str, Formula] = {
+    "prop2.1": Formula(
+        (DECAY, WEIGHTS), lambda decay, weights: bd.nested_moment_identity(weights, decay),
+        MonteCarloCheck(MC_WEIGHTS, lambda decay, weights: {"partial_sum_of": weights}, "nested equality E[S(O)]",
+                        families=("nested",), equality=True)),
+    "thm2.2": Formula(
+        (DECAY, WEIGHTS), lambda decay, weights: bd.general_moment_bound(weights, decay),
+        MonteCarloCheck(MC_WEIGHTS, lambda decay, weights: {"partial_sum_of": weights}, "E[S(O)] <= bound ({family})")),
+    "cor2.3.poly": Formula(
+        (DECAY, PS), lambda decay, p: bd.poly_moment_bound(p, decay),
+        MonteCarloCheck(MC_P, lambda decay, p: {"power": p + 1.0}, "E[O**(p+1)] <= bound ({family})")),
+    "cor2.3.exp": Formula(
+        (DECAY, PS), lambda decay, p: bd.exp_moment_bound(p, decay),
+        MonteCarloCheck(MC_P, lambda decay, p: {"exp_rate": p}, "E[e**(pO)] <= bound ({family})")),
+    "lem2.6": Formula(
+        (C1S,), lambda c1: {"value": bd.second_moment_bound(c1)},
+        MonteCarloCheck((DECAY,), lambda decay: {"power": 2.0}, "E[O**2] <= C1(1+C1)", families=("independent",),
+                        theoretical=lambda decay: bd.second_moment_bound(tail_sum(decay, 1).value))),
+    "thm2.7": Formula((C1S, RS), lambda c1, r: bd.freedman_exp_bound(r, c1), ExactOracleCheck()),
+    "freedman.tail": Formula((C1S, KS), lambda c1, k: {"value": bd.freedman_tail_bound(k, c1)}),
+    "thm2.9": Formula((C1S, RS), lambda c1, r: bd.improved_exp_bound(r, c1), ExactOracleCheck()),
+    "cor2.10": Formula((Flag("tail", "tail"), RS), lambda tail, r: bd.rate_aware_exp_bound(r, tail)),
+    "ex2.12.tail": Formula((Flag("c"), Flag("p"), KS), lambda c, p, k: {
+        "value": bd.powerlaw_tail_asymptotic(k, c, p), "minimizer": bd.powerlaw_tail_minimizer(k, c, p)}),
+    "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: {
+        "value": bd.geometric_tail_bound(k, c, b), "minimizer": bd.geometric_tail_minimizer(k, c, b)}),
+    "cor3.2": Formula((DECAY,), lambda decay: mdf.mdf_first_order(decay)),
+    "cor3.4": Formula((DECAY, PS), lambda decay, p: mdf.mdf_polynomial(p, decay)),
+    "cor3.5": Formula((DECAY, PS), lambda decay, p: mdf.mdf_exponential(p, decay)),
+    "thm3.16": Formula(
+        (Flag("rate"), Flag("bigc", column="C"), PS), lambda rate, bigc, p: mdf.ldp_mdf_bound(rate, p, bigc)),
+    "vc.bound": Formula(
+        (Flag("eps"), Flag("growth_p"), Flag("ell", "int", grid=True)),
+        lambda eps, growth_p, ell: {"value": mdf.vc_bound(ell, eps, lambda x: float(x) ** growth_p + 1.0)}),
+    "sde.mdf": Formula(
+        (Flag("kt"), Flag("ct"), Flag("t"), Flag("eps")), lambda kt, ct, t, eps: sde_mod.sde_mdf_bound(kt, ct, t, eps)),
+}
+VERIFIABLE = tuple(fid for fid, entry in FORMULAS.items() if entry.check is not None)
+
+
+def _formula_help() -> str:
+    lines = ["formulas and the flags each reads (* marks a comma-separated grid):"]
+    for fid, entry in FORMULAS.items():
+        lines.append(f"  {fid:<14}" + " ".join(f.option + "*" * f.grid for f in entry.flags))
+    return "\n".join(lines)
 
 
 def build_parser() -> _Parser:
@@ -148,9 +298,14 @@ def build_parser() -> _Parser:
         p.add_argument("--tail-tolerance", dest="tail_tolerance", type=float, default=None)
         p.add_argument("--deterministic", action="store_true", default=None)
 
-    pb = sub.add_parser("bound", help="evaluate a bound formula over parameter grids")
+    pb = sub.add_parser(
+        "bound",
+        help="evaluate a bound formula over parameter grids",
+        epilog=_formula_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     common(pb)
-    pb.add_argument("--formula", required=True)
+    pb.add_argument("--formula", required=True, help="formula id, see the list below")
     pb.add_argument("--decay", default=None)
     pb.add_argument("--weights", default=None)
     pb.add_argument("--tail", default=None, help="tail majorant for cor2.10 (power:c,p | geometric:c,b)")
@@ -164,7 +319,7 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="check a bound against its oracle or Monte Carlo")
     common(pv)
-    pv.add_argument("--formula", required=True)
+    pv.add_argument("--formula", required=True, help="one of " + ", ".join(VERIFIABLE))
     pv.add_argument("--decay", default=None)
     pv.add_argument("--weights", default=None)
     pv.add_argument("--p", type=float, default=None)
@@ -242,183 +397,44 @@ def _emit(rows: list[dict], config: dict, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _result_row(res: bd.BoundResult, params: dict) -> dict:
-    row = dict(params)
-    row.update({"formula": res.formula_id, "value": res.value, "validity": res.validity})
-    if res.minimizer is not None:
-        row["minimizer"] = res.minimizer
-    if res.closed_form is not None:
-        row["closed_form"] = res.closed_form
+def _row(formula: str, params: dict, result: bd.BoundResult | dict) -> dict:
+    row = {**params, "formula": formula}
+    if isinstance(result, dict):
+        row.update(result)
+        return row
+    row.update(value=result.value, validity=result.validity)
+    if result.minimizer is not None:
+        row["minimizer"] = result.minimizer
+    if result.closed_form is not None:
+        row["closed_form"] = result.closed_form
     return row
 
 
 def cmd_bound(args: argparse.Namespace, config: dict) -> int:
-    formula = args.formula
-    if formula not in BOUND_FORMULAS:
-        raise UsageError(f"unknown formula {formula!r}; choose from {', '.join(BOUND_FORMULAS)}")
-    rows: list[dict] = []
-
-    def need(flag: str) -> str:
-        val = getattr(args, flag.replace("-", "_"), None)
-        if val is None:
-            raise UsageError(f"formula {formula} needs --{flag}")
-        return val
-
-    if formula in ("prop2.1", "thm2.2"):
-        model = parse_decay(need("decay"))
-        weights = parse_weights(need("weights"))
-        fn = bd.nested_moment_identity if formula == "prop2.1" else bd.general_moment_bound
-        rows.append(_result_row(fn(weights, model), {"decay": model.describe(), "weights": weights.describe()}))
-    elif formula in ("cor2.3.poly", "cor2.3.exp", "cor3.4", "cor3.5"):
-        model = parse_decay(need("decay"))
-        fns = {
-            "cor2.3.poly": bd.poly_moment_bound,
-            "cor2.3.exp": bd.exp_moment_bound,
-            "cor3.4": mdf.mdf_polynomial,
-            "cor3.5": mdf.mdf_exponential,
-        }
-        for p in _float_list(need("p")):
-            rows.append(_result_row(fns[formula](p, model), {"decay": model.describe(), "p": p}))
-    elif formula == "lem2.6":
-        for c1 in _float_list(need("c1")):
-            rows.append({"formula": formula, "c1": c1, "value": bd.second_moment_bound(c1)})
-    elif formula == "thm2.7":
-        for c1 in _float_list(need("c1")):
-            for r in _float_list(need("r")):
-                rows.append(_result_row(bd.freedman_exp_bound(r, c1), {"r": r, "c1": c1}))
-    elif formula == "freedman.tail":
-        for c1 in _float_list(need("c1")):
-            for k in _int_list(need("k")):
-                rows.append({"formula": formula, "k": k, "c1": c1, "value": bd.freedman_tail_bound(k, c1)})
-    elif formula == "thm2.9":
-        for c1 in _float_list(need("c1")):
-            for r in _float_list(need("r")):
-                rows.append(_result_row(bd.improved_exp_bound(r, c1), {"r": r, "c1": c1}))
-    elif formula == "cor2.10":
-        tail = parse_tail(need("tail"))
-        for r in _float_list(need("r")):
-            rows.append(_result_row(bd.rate_aware_exp_bound(r, tail), {"r": r, "tail": tail.label}))
-    elif formula == "ex2.12.tail":
-        c, p = float(need("c")), float(need("p"))
-        for k in _int_list(need("k")):
-            rows.append({"formula": formula, "k": k, "c": c, "p": p, "value": bd.powerlaw_tail_asymptotic(k, c, p), "minimizer": bd.powerlaw_tail_minimizer(k, c, p)})
-    elif formula == "ex2.13.tail":
-        c, b = float(need("c")), float(need("b"))
-        for k in _int_list(need("k")):
-            rows.append({"formula": formula, "k": k, "c": c, "b": b, "value": bd.geometric_tail_bound(k, c, b), "minimizer": bd.geometric_tail_minimizer(k, c, b)})
-    elif formula == "cor3.2":
-        model = parse_decay(need("decay"))
-        rows.append(_result_row(mdf.mdf_first_order(model), {"decay": model.describe()}))
-    elif formula == "thm3.16":
-        rate = float(need("rate"))
-        bigc = float(need("bigc"))
-        for p in _float_list(need("p")):
-            rows.append(_result_row(mdf.ldp_mdf_bound(rate, p, bigc), {"rate": rate, "p": p, "C": bigc}))
-    elif formula == "vc.bound":
-        eps = float(need("eps"))
-        growth = lambda x: float(x) ** args.growth_p + 1.0
-        for ell in _int_list(need("ell")):
-            rows.append({"formula": formula, "ell": ell, "eps": eps, "growth_p": args.growth_p, "value": mdf.vc_bound(ell, eps, growth)})
-    elif formula == "sde.mdf":
-        if args.kt is None or args.ct is None or args.t is None or args.eps is None:
-            raise UsageError("sde.mdf needs --kt --ct --t --eps")
-        res = sde_mod.sde_mdf_bound(args.kt, args.ct, args.t, float(args.eps))
-        rows.append(_result_row(res, {"kt": args.kt, "ct": args.ct, "t": args.t, "eps": float(args.eps)}))
-
+    entry = FORMULAS.get(args.formula)
+    if entry is None:
+        raise UsageError(f"unknown formula {args.formula!r}; choose from {', '.join(FORMULAS)}")
+    values = parse_flags(args.formula, entry.flags, args)
+    grids = [values[f.name] if f.grid else [values[f.name]] for f in entry.flags]
+    rows = []
+    for point in itertools.product(*grids):
+        params = {f.column or f.name: f.cell(v) for f, v in zip(entry.flags, point)}
+        result = entry.compute(**{f.name: v for f, v in zip(entry.flags, point)})
+        rows.append(_row(args.formula, params, result))
     _emit(rows, config, args)
     return EXIT_OK
 
 
-def _verify_mc_rows(args, model, weights=None, p=None, formula="") -> tuple[list[dict], bool]:
-    reps, seed, threads = int(args.reps), int(args.seed), int(args.threads)
-    if reps < 1:
-        raise UsageError("reps must be >= 1")
-    tol = float(args.tail_tolerance)
-    rows, all_ok = [], True
-
-    def record(label: str, theoretical: float, emp: engine.EmpiricalMoment, equality=False) -> None:
-        nonlocal all_ok
-        slack = 4.0 * emp.stderr
-        ok = abs(emp.estimate - theoretical) <= slack if equality else emp.estimate <= theoretical + slack
-        all_ok &= ok
-        rows.append(
-            {
-                "formula": formula,
-                "check": label,
-                "theoretical": theoretical,
-                "empirical": emp.estimate,
-                "stderr": emp.stderr,
-                "pass": ok,
-            }
-        )
-
-    if formula == "prop2.1":
-        spec = engine.EventFamilySpec.from_model("nested", model, tol)
-        sample = engine.simulate_overlap(spec, reps, seed, threads)
-        emp = engine.empirical_moment(sample, partial_sum_of=weights)
-        record("nested equality E[S(O)]", bd.nested_moment_identity(weights, model).value, emp, equality=True)
-    elif formula == "thm2.2":
-        bound = bd.general_moment_bound(weights, model).value
-        for family in ("independent", "nested"):
-            spec = engine.EventFamilySpec.from_model(family, model, tol)
-            sample = engine.simulate_overlap(spec, reps, seed, threads)
-            emp = engine.empirical_moment(sample, partial_sum_of=weights)
-            record(f"E[S(O)] <= bound ({family})", bound, emp)
-    elif formula == "cor2.3.poly":
-        bound = bd.poly_moment_bound(p, model).value
-        for family in ("independent", "nested"):
-            spec = engine.EventFamilySpec.from_model(family, model, tol)
-            sample = engine.simulate_overlap(spec, reps, seed, threads)
-            emp = engine.empirical_moment(sample, power=p + 1.0)
-            record(f"E[O**(p+1)] <= bound ({family})", bound, emp)
-    elif formula == "cor2.3.exp":
-        bound = bd.exp_moment_bound(p, model).value
-        for family in ("independent", "nested"):
-            spec = engine.EventFamilySpec.from_model(family, model, tol, exp_rate=p)
-            sample = engine.simulate_overlap(spec, reps, seed, threads)
-            emp = engine.empirical_moment(sample, exp_rate=p)
-            record(f"E[e**(pO)] <= bound ({family})", bound, emp)
-    elif formula == "lem2.6":
-        c1 = tail_sum(model, 1).value
-        bound = bd.second_moment_bound(c1)
-        spec = engine.EventFamilySpec.from_model("independent", model, tol)
-        sample = engine.simulate_overlap(spec, reps, seed, threads)
-        record("E[O**2] <= C1(1+C1)", bound, engine.empirical_moment(sample, power=2.0))
-    return rows, all_ok
-
-
 def cmd_verify(args: argparse.Namespace, config: dict) -> int:
-    formula = args.formula
-    if formula not in VERIFY_FORMULAS:
-        raise UsageError(f"unknown verification {formula!r}; choose from {', '.join(VERIFY_FORMULAS)}")
+    if args.formula not in VERIFIABLE:
+        raise UsageError(f"unknown verification {args.formula!r}; choose from {', '.join(VERIFIABLE)}")
     if int(args.reps) < 1:
         raise UsageError("reps must be >= 1")
-    rows: list[dict] = []
-    all_ok = True
-    if formula in ("thm2.7", "thm2.9"):
-        model = parse_decay(args.decay or "")
-        if not isinstance(model, Explicit):
-            raise UsageError(f"{formula} verification needs an explicit decay (exact oracle)")
-        dist = bd.sn_exact_distribution(model.probabilities)
-        c1 = float(sum(model.probabilities))
-        if formula == "thm2.9" and c1 >= 1.0:
-            raise DomainError(f"thm2.9 requires C1 < 1 (got C1={c1})")
-        top = abs(math.log(c1)) if c1 < 1 else 1.0
-        r_grid = np.linspace(top / (args.r_points + 1), top * args.r_points / (args.r_points + 1), args.r_points)
-        for r in r_grid:
-            exact = dist.exp_moment(float(r))
-            bound = (
-                bd.improved_exp_bound(float(r), c1) if formula == "thm2.9" else bd.freedman_exp_bound(float(r), c1)
-            ).value
-            ok = exact <= bound * (1.0 + 1e-12)
-            all_ok &= ok
-            rows.append({"formula": formula, "r": float(r), "theoretical": bound, "empirical": exact, "stderr": 0.0, "pass": ok})
-    else:
-        model = parse_decay(args.decay or "")
-        weights = parse_weights(args.weights) if args.weights else WeightSequence.monomial(1.0)
-        rows, all_ok = _verify_mc_rows(args, model, weights=weights, p=args.p or 1.0, formula=formula)
+    entry = FORMULAS[args.formula]
+    values = parse_flags(args.formula, entry.check.flags, args)
+    rows = entry.check.run(args.formula, entry.compute, values, args)
     _emit(rows, config, args)
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VERIFY
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -485,11 +501,11 @@ def cmd_app(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_export(args: argparse.Namespace, config: dict) -> int:
+    if not args.out:
+        raise UsageError("export needs --out")
     model = parse_decay(args.decay)
     spec = engine.EventFamilySpec.from_model(args.family, model, float(args.tail_tolerance))
     sample = engine.simulate_overlap(spec, int(args.reps), int(args.seed), int(args.threads))
-    if not args.out:
-        raise UsageError("export needs --out")
     engine.write_sample_jsonl(sample, args.out)
     return EXIT_OK
 
@@ -499,22 +515,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = resolve_config(args)
-        if args.command == "bound":
-            return cmd_bound(args, config)
-        if args.command == "verify":
-            return cmd_verify(args, config)
-        if args.command == "app":
-            return cmd_app(args, config)
-        return cmd_export(args, config)
-    except UsageError as exc:
+        command = {"bound": cmd_bound, "verify": cmd_verify, "app": cmd_app, "export": cmd_export}[args.command]
+        return command(args, config)
+    except (UsageError, InputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, DivergenceError, TruncationError) as exc:
+    except (DomainError, TruncationError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except InputError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -132,26 +132,26 @@ class SdePath:
         return float(np.interp(t, self.times, self.values))
 
 
-def sde15_solve(problem: SdeProblem, partition: Sequence[float], seed: int) -> SdePath:
-    """Run the scheme over a partition; deterministic in (seed, partition)."""
+def _partition(partition: Sequence[float]) -> np.ndarray:
     ts = np.asarray(partition, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0):
         raise InputError("the partition must be strictly increasing with at least two nodes")
+    return ts
+
+
+def sde15_solve(problem: SdeProblem, partition: Sequence[float], seed: int) -> SdePath:
+    """Run the scheme over a partition; deterministic in (seed, partition)."""
+    ts = _partition(partition)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    y = np.array([problem.x0])
-    values = [problem.x0]
-    for i in range(len(ts) - 1):
-        dt = float(ts[i + 1] - ts[i])
-        y = sde15_step(problem, float(ts[i]), y, sample_step_inputs(rng, dt, 1))
-        values.append(float(y[0]))
-    return SdePath(ts, np.asarray(values))
+    draws = [sample_step_inputs(rng, float(dt), 1) for dt in np.diff(ts)]
+    return sde15_path_from_inputs(problem, ts, [d.dW for d in draws], [d.dZ for d in draws])
 
 
 def sde15_path_from_inputs(
     problem: SdeProblem, partition: Sequence[float], dws: np.ndarray, dzs: np.ndarray
 ) -> SdePath:
     """Scheme driven by externally supplied noise (refinement/coupling studies)."""
-    ts = np.asarray(partition, dtype=float)
+    ts = _partition(partition)
     if len(dws) != len(ts) - 1 or len(dzs) != len(ts) - 1:
         raise InputError("need one (dW, dZ) pair per partition interval")
     y = np.array([problem.x0])
@@ -211,13 +211,10 @@ def strong_error_estimate(
         def kernel(rng: np.random.Generator, start: int, m: int, n_steps=n_steps, delta=delta) -> np.ndarray:
             y = np.full(m, problem.x0)
             w = np.zeros(m)
-            sdt = math.sqrt(delta)
             for i in range(n_steps):
-                dw = rng.normal(0.0, sdt, m)
-                dw_hat = rng.normal(0.0, sdt, m)
-                dz = 0.5 * delta * (dw + dw_hat / SQRT3)
-                y = sde15_step(problem, i * delta, y, SchemeStepInputs(delta, dw, dz))
-                w += dw
+                inputs = sample_step_inputs(rng, delta, m)
+                y = sde15_step(problem, i * delta, y, inputs)
+                w += inputs.dW
             exact = problem.exact_terminal(t_end, w)
             return np.abs(exact - y)
 

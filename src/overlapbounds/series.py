@@ -408,11 +408,6 @@ class CustomTail(DecayModel):
         return f"customtail:{self.L.label}"
 
 
-def eval_decay(model: DecayModel, n: int) -> float:
-    """P(E_n) under the model, clamped into [0, 1]."""
-    return model.prob(n)
-
-
 def tail_sum(model: DecayModel, m: int) -> SeriesValue:
     """C_m = sum_{n >= m} P(E_n) with certified truncation error.
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from overlapbounds import engine
 from overlapbounds.bounds import BoundResult
 from overlapbounds.cli import (
     EXIT_DOMAIN,
@@ -87,6 +88,26 @@ class TestBoundCommand:
         assert code == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--formula", "thm2.7", "--c1", "abc", "--r", "1"],
+        ["bound", "--formula", "cor2.10", "--tail", "power:x,2", "--r", "1"],
+        ["bound", "--formula", "ex2.12.tail", "--c", "1,2", "--p", "2", "--k", "10"],
+        ["bound", "--formula", "freedman.tail", "--c1", "1", "--k", "2.5"],
+        ["export", "--family", "independent", "--decay", "geometric:1,0.5", "--reps", "10"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_is_usage_error(argv, monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.setattr(engine, "simulate_overlap", no_simulation)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 class TestVerifyCommand:
     def test_exact_oracle_pass(self, tmp_path):
         out = tmp_path / "v.csv"
@@ -102,6 +123,20 @@ class TestVerifyCommand:
             "--reps", "20000", "--seed", "5", "--out", str(out), "--deterministic",
         ])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_r_points_below_one_is_usage_error(self, points):
+        argv = ["verify", "--formula", "thm2.7", "--decay", "explicit:0.1,0.2", "--r-points", points]
+        assert main(argv) == EXIT_USAGE
+
+    def test_zero_c1_is_domain_error(self, capsys):
+        assert main(["verify", "--formula", "thm2.7", "--decay", "explicit:0,0"]) == EXIT_DOMAIN
+        assert "C1 > 0" in capsys.readouterr().err
+
+    def test_explicit_zero_p_is_checked(self, capsys):
+        argv = ["verify", "--formula", "cor2.3.poly", "--decay", "geometric:1,0.5", "--p", "0", "--reps", "100"]
+        assert main(argv) == EXIT_DOMAIN
+        assert "p > 0" in capsys.readouterr().err
 
     def test_zero_reps_usage(self):
         assert main(["verify", "--formula", "prop2.1", "--decay", "geometric:1,0.5", "--weights", "monomial:1", "--reps", "0"]) == EXIT_USAGE

@@ -1,0 +1,157 @@
+"""Golden rows of the ``bound`` and ``verify`` subcommands.
+
+Every argv below runs through ``cli.main`` with ``--format json
+--deterministic``; its exit code and its rows must equal the recorded ones
+in ``cli_golden.json``: the same row sequence, the same keys and every
+float identical bit for bit.  The set covers all formula ids, multi-value
+grids, each missing-flag case, the out-of-domain calls that exit 2 and all
+verifiable formulas at small ``--reps``.
+
+Regenerate the file from a reference checkout with
+
+    PYTHONPATH=<checkout>/src python tests/test_cli_golden.py tests/cli_golden.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from overlapbounds import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+EXPLICIT = "explicit:0.3,0.2,0.1,0.05"
+
+# one complete flag set per call; the first call of each formula is also
+# replayed once per flag with that flag left out
+BOUND_CALLS: list[tuple[str, list[tuple[str, str]]]] = [
+    ("prop2.1", [("--decay", "powerlaw:1,4"), ("--weights", "monomial:1")]),
+    ("prop2.1", [("--decay", "geometric:1,0.5"), ("--weights", "exponential:0.3")]),
+    ("prop2.1", [("--decay", EXPLICIT), ("--weights", "monomial:1")]),
+    ("thm2.2", [("--decay", "powerlaw:1,5"), ("--weights", "monomial:1")]),
+    ("thm2.2", [("--decay", "geometric:1,0.5"), ("--weights", "exponential:0.3")]),
+    ("thm2.2", [("--decay", EXPLICIT), ("--weights", "monomial:2")]),
+    ("cor2.3.poly", [("--decay", "powerlaw:1,6"), ("--p", "1,2,3")]),
+    ("cor2.3.poly", [("--decay", "geometric:1,0.5"), ("--p", "0.5,1")]),
+    ("cor2.3.exp", [("--decay", "geometric:1,0.5"), ("--p", "0.1,0.3")]),
+    ("cor2.3.exp", [("--decay", EXPLICIT), ("--p", "0.5,1")]),
+    ("lem2.6", [("--c1", "0.5,1,2.5")]),
+    ("thm2.7", [("--c1", "0.5,0.8"), ("--r", "0.5,1,2")]),
+    ("freedman.tail", [("--c1", "0.5,2"), ("--k", "1,3,10")]),
+    ("thm2.9", [("--c1", "0.3,0.5"), ("--r", "0.1,0.5")]),
+    ("cor2.10", [("--tail", "power:1,2"), ("--r", "0.5,1")]),
+    ("cor2.10", [("--tail", "geometric:1,0.5"), ("--r", "0.3,1.2")]),
+    ("ex2.12.tail", [("--c", "0.8"), ("--p", "1.7"), ("--k", "10,20,40")]),
+    ("ex2.13.tail", [("--c", "0.5"), ("--b", "0.6"), ("--k", "2,4,8")]),
+    ("cor3.2", [("--decay", "powerlaw:1,3")]),
+    ("cor3.2", [("--decay", "geometric:1,0.5")]),
+    ("cor3.2", [("--decay", EXPLICIT)]),
+    ("cor3.4", [("--decay", "powerlaw:1,5"), ("--p", "1,2")]),
+    ("cor3.4", [("--decay", "geometric:1,0.5"), ("--p", "1")]),
+    ("cor3.5", [("--decay", "geometric:1,0.5"), ("--p", "0.2,0.4")]),
+    ("thm3.16", [("--rate", "2"), ("--bigc", "1.5"), ("--p", "0.5,1,1.5")]),
+    ("vc.bound", [("--eps", "0.3"), ("--ell", "30,100,1000"), ("--growth-p", "2")]),
+    ("vc.bound", [("--eps", "0.2"), ("--ell", "60")]),
+    ("sde.mdf", [("--kt", "1"), ("--ct", "0.5"), ("--t", "2"), ("--eps", "0.1")]),
+]
+
+# calls that must exit 2 (the benchmark's out-of-domain grid)
+DOMAIN_CALLS: list[list[str]] = [
+    ["prop2.1", "--decay", "powerlaw:1,3", "--weights", "monomial:2"],
+    ["prop2.1", "--decay", "powerlaw:1,4", "--weights", "exponential:0.1"],
+    ["prop2.1", "--decay", "geometric:1,0.5", "--weights", "exponential:0.7"],
+    ["thm2.2", "--decay", "powerlaw:1,4", "--weights", "monomial:2"],
+    ["thm2.2", "--decay", "powerlaw:1,5", "--weights", "exponential:0.1"],
+    ["thm2.2", "--decay", "geometric:1,0.5", "--weights", "exponential:0.7"],
+    ["thm2.2", "--decay", "powerlaw:1,1", "--weights", "monomial:0"],
+    ["cor2.3.poly", "--decay", "powerlaw:1,3", "--p", "1"],
+    ["cor2.3.poly", "--decay", "powerlaw:1,4", "--p", "2"],
+    ["cor2.3.poly", "--decay", "powerlaw:1,4", "--p", "0"],
+    ["cor2.3.exp", "--decay", "powerlaw:1,4", "--p", "0.1"],
+    ["cor2.3.exp", "--decay", "geometric:1,0.5", "--p", "0.7"],
+    ["cor3.2", "--decay", "powerlaw:1,1"],
+    ["cor3.4", "--decay", "powerlaw:1,3", "--p", "1.5"],
+    ["cor3.5", "--decay", "powerlaw:1,4", "--p", "0.1"],
+    ["thm2.9", "--c1", "1.2", "--r", "0.1"],
+    ["thm2.9", "--c1", "0.5", "--r", "0.7"],
+    ["ex2.12.tail", "--c", "1", "--p", "2", "--k", "5"],
+    ["thm3.16", "--rate", "1", "--bigc", "1", "--p", "1.5"],
+    ["vc.bound", "--eps", "0.2", "--ell", "10"],
+]
+
+MC = ["--reps", "2000", "--seed", "11"]
+VERIFY_CALLS: list[list[str]] = [
+    ["thm2.7", "--decay", "explicit:0.1,0.2,0.3"],
+    ["thm2.7", "--decay", "explicit:0.9,0.8", "--r-points", "3"],
+    ["thm2.9", "--decay", "explicit:0.02,0.03,0.01"],
+    ["thm2.9", "--decay", "explicit:0.5,0.4,0.3"],
+    ["thm2.7", "--decay", "geometric:1,0.5"],
+    ["thm2.7"],
+    ["prop2.1", "--decay", "geometric:1,0.5", "--weights", "monomial:2", *MC],
+    ["prop2.1", "--decay", "geometric:1,0.5", *MC],
+    ["thm2.2", "--decay", "geometric:1,0.5", "--weights", "exponential:0.3", *MC],
+    ["thm2.2", "--decay", EXPLICIT, *MC, "--threads", "2"],
+    ["cor2.3.poly", "--decay", "geometric:1,0.5", "--p", "1.5", *MC],
+    ["cor2.3.poly", "--decay", "geometric:1,0.5", *MC],
+    ["cor2.3.poly", "--decay", "powerlaw:1,3", "--p", "1", *MC],
+    ["cor2.3.exp", "--decay", "geometric:1,0.5", "--p", "0.3", *MC],
+    ["lem2.6", "--decay", "geometric:0.5,0.5", *MC],
+    ["prop2.1", *MC],
+    ["lem2.6", "--decay", "geometric:0.5,0.5", "--reps", "0"],
+    ["nosuch", "--decay", "geometric:1,0.5"],
+]
+
+
+def _argvs() -> list[list[str]]:
+    argvs = []
+    for formula, flags in BOUND_CALLS:
+        argvs.append(["bound", "--formula", formula, *(x for pair in flags for x in pair)])
+    first: dict[str, list[tuple[str, str]]] = {}
+    for formula, flags in BOUND_CALLS:
+        first.setdefault(formula, flags)
+    for formula, flags in first.items():
+        for dropped in flags:
+            argvs.append(["bound", "--formula", formula, *(x for pair in flags if pair != dropped for x in pair)])
+    argvs.append(["bound", "--formula", "nosuch"])
+    argvs += [["bound", "--formula", *call] for call in DOMAIN_CALLS]
+    argvs += [["verify", "--formula", *call] for call in VERIFY_CALLS]
+    return argvs
+
+
+ARGVS = _argvs()
+
+
+def run(argv: list[str]) -> dict:
+    """Exit code and JSON rows of one call (rows only on success)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--format", "json", "--deterministic"])
+    rows = json.loads(out.getvalue())["rows"] if out.getvalue() else None
+    return {"code": code, "rows": rows}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_matches_golden(argv, golden):
+    assert run(argv) == golden[" ".join(argv)]
+
+
+def test_golden_covers_every_formula(golden):
+    bound_ids = {argv[2] for argv in ARGVS if argv[0] == "bound"} - {"nosuch"}
+    assert bound_ids == set(cli.FORMULAS)
+    verified = {argv[2] for argv in ARGVS if argv[0] == "verify" and golden[" ".join(argv)]["code"] in (0, 3)}
+    assert verified == {fid for fid, entry in cli.FORMULAS.items() if entry.check is not None}
+
+
+if __name__ == "__main__":
+    records = {" ".join(argv): run(argv) for argv in ARGVS}
+    pathlib.Path(sys.argv[1]).write_text(json.dumps(records, indent=1) + "\n")

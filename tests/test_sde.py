@@ -105,6 +105,15 @@ class TestSolve:
         path = sde15_solve(prob, [0.0, 1.0], seed=0)
         assert path.at(0.5) == pytest.approx(1.5)
 
+    def test_solve_equals_path_from_same_draws(self):
+        prob = SdeProblem.geometric_brownian(0.5, 0.4, 1.0, 1.0)
+        grid = np.concatenate([np.linspace(0.0, 0.5, 9), [0.6, 0.85, 1.0]])
+        rng = np.random.Generator(np.random.Philox(key=np.array([13, 0], dtype=np.uint64)))
+        draws = [sample_step_inputs(rng, float(dt), 1) for dt in np.diff(grid)]
+        dws, dzs = np.array([d.dW[0] for d in draws]), np.array([d.dZ[0] for d in draws])
+        expected = sde15_path_from_inputs(prob, grid, dws, dzs)
+        assert np.array_equal(sde15_solve(prob, grid, seed=13).values, expected.values)
+
     def test_partition_validation(self):
         prob = _const_problem(0.0, 0.0)
         with pytest.raises(InputError):

@@ -16,7 +16,6 @@ from overlapbounds import (
     TailFunction,
     WeightSequence,
     bernoulli_numbers,
-    eval_decay,
     faulhaber_sum,
     lambert_w0,
     tail_sum,
@@ -134,15 +133,15 @@ class TestLambertW:
 
 class TestDecayModels:
     def test_eval_examples(self):
-        assert eval_decay(Geometric(1, 0.5), 3) == pytest.approx(0.125)
-        assert eval_decay(PowerLaw(2, 1), 1) == 1.0  # clamped from 2
-        assert eval_decay(Explicit([0.3, 0.2]), 2) == pytest.approx(0.2)
+        assert Geometric(1, 0.5).prob(3) == pytest.approx(0.125)
+        assert PowerLaw(2, 1).prob(1) == 1.0  # clamped from 2
+        assert Explicit([0.3, 0.2]).prob(2) == pytest.approx(0.2)
 
     def test_index_errors(self):
         with pytest.raises(DomainError):
-            eval_decay(PowerLaw(1, 2), 0)
+            PowerLaw(1, 2).prob(0)
         with pytest.raises(DomainError):
-            eval_decay(Explicit([0.5]), 0)
+            Explicit([0.5]).prob(0)
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
