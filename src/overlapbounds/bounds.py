@@ -271,8 +271,12 @@ def freedman_exp_bound(r: float, c1: float) -> BoundResult:
         raise DomainError("freedman_exp_bound requires r > 0")
     if c1 <= 0:
         raise DomainError("freedman_exp_bound requires C1 > 0")
+    try:
+        value = math.exp(c1 * math.expm1(r))
+    except OverflowError:
+        raise DomainError(f"exp(C1 (e**r - 1)) overflows double precision at r={r}; use a smaller r") from None
     return BoundResult(
-        value=math.exp(c1 * math.expm1(r)),
+        value=value,
         formula_id="thm2.7",
         validity="independent events, C1 = sum P(E_n)",
         inputs={"r": r, "c1": c1},

@@ -110,10 +110,6 @@ def parse_tail(text: str) -> TailFunction:
     raise UsageError(f"unknown tail spec {text!r} (power:c,p | geometric:c,b)")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v != ""]
-
-
 PARSERS: dict[str, Callable[[Any], Any]] = {
     "float": float, "int": int, "decay": parse_decay, "weights": parse_weights, "tail": parse_tail
 }
@@ -439,10 +435,13 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
 
 def _parse_sweep(text: str) -> list[float]:
     kind, _, rest = text.partition(":")
-    if kind != "dyadic" or ".." not in rest:
-        raise UsageError(f"unknown sweep spec {text!r} (expected dyadic:a..b)")
-    a, b = rest.split("..")
-    return [2.0 ** (-k) for k in range(int(a), int(b) + 1)]
+    try:
+        a, b = rest.split("..")
+        if kind == "dyadic":
+            return [2.0 ** (-k) for k in range(int(a), int(b) + 1)]
+    except ValueError:
+        pass
+    raise UsageError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
 
 
 def cmd_app(args: argparse.Namespace, config: dict) -> int:
@@ -462,7 +461,7 @@ def cmd_app(args: argparse.Namespace, config: dict) -> int:
         _emit([{"application": "cramer", "dist": args.dist, "eps": args.eps, "rate": res.rate, "argmin": res.argmin, "method": res.method}], config, args)
         return EXIT_OK
     elif app == "sanov":
-        probs = _float_list(args.mu)
+        probs = Flag("mu", grid=True).parse(args.mu)
         if len(probs) == 1:
             probs = [probs[0], 1.0 - probs[0]]
         if args.t is None:

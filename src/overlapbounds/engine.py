@@ -5,7 +5,10 @@ of a run draws from ``Philox(key=(seed, c))``, a counter-based generator
 with 2**64 independent streams, so the value of every replication is a
 pure function of (seed, chunk index, row).  Worker threads only decide
 which chunks they process; outputs are written into preallocated slots,
-which makes runs bitwise identical for any thread count.
+which makes runs bitwise identical for any thread count.  The overlap
+count is sampled by inversion: one binary search on a monotone table of
+length N per nested or union replication, or per independent occurrence,
+so memory is O(N) and N enters the cost only through log N.
 """
 
 from __future__ import annotations
@@ -67,11 +70,11 @@ def run_chunked(
 class EventFamilySpec:
     """A simulatable event family: dependence structure, decay model, truncation.
 
-    * ``independent``: indicator n is {U_n < p_n} with its own uniform.
+    * ``independent``: the events occur independently with P(E_n) = p_n.
     * ``nested``: one uniform U per replication, count = #{n : p_n > U};
       requires the clamped probabilities to be nonincreasing.
     * ``union``: the nested majorant with P(E~_n) = min(1, C_n), coupled to
-      the independent draws so that its count dominates path by path.
+      the independent sample so that its count dominates path by path.
     """
 
     family: str
@@ -91,8 +94,7 @@ class EventFamilySpec:
                 f"above the tolerance {self.tail_tolerance:.3g}"
             )
         if self.family == "nested":
-            probs = self.clamped_probs()
-            if np.any(np.diff(probs) > 1e-12):
+            if np.any(np.diff(self.model.probs_upto(self.truncation)) > 1e-12):
                 raise DomainError("nested families need nonincreasing clamped probabilities")
 
     @classmethod
@@ -105,9 +107,6 @@ class EventFamilySpec:
     ) -> "EventFamilySpec":
         n = choose_truncation(model, tail_tolerance, exp_rate=exp_rate)
         return cls(family, model, n, tail_tolerance)
-
-    def clamped_probs(self) -> np.ndarray:
-        return np.array([self.model.prob(n) for n in range(1, self.truncation + 1)])
 
     def describe(self) -> dict:
         return {
@@ -176,69 +175,49 @@ def simulate_overlap(
     spec: EventFamilySpec, reps: int, seed: int, threads: int = 1
 ) -> OverlapSample:
     """Simulate the overlap count; deterministic in (spec, reps, seed)."""
-    probs = spec.clamped_probs()
     n = spec.truncation
+    probs = spec.model.probs_upto(n)
 
     if spec.family == "independent":
+        # Sequential inversion from the last occurrence backwards: with ls[j] =
+        # sum_{i >= j} log(1 - p_i) over 0-based slots and ls[N] = 0, the last
+        # occurrence below slot L is max{j : ls[j] < ls[L] + log U}.  Sure events
+        # are counted up front with term 0 (else the loop never ends).
+        sure = probs >= 1.0
+        ls = np.zeros(n + 1)
+        ls[:n] = np.cumsum(np.log1p(-np.where(sure, 0.0, probs))[::-1])[::-1]
+        n_sure = int(sure.sum())
 
         def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
-            u = rng.random((m, n))
-            return (u < probs).sum(axis=1).astype(np.int64)
+            counts = np.full(m, n_sure, dtype=np.int64)
+            rows, level = np.arange(m), np.zeros(m)
+            while rows.size:
+                last = np.searchsorted(ls, level + np.log(rng.random(rows.size)), side="left") - 1
+                rows, last = rows[last >= 0], last[last >= 0]
+                counts[rows] += 1
+                level = ls[last]
+            return counts
 
-    elif spec.family == "nested":
+    else:
+        # nested: #{n : p_n > U}.  union: #{n : min(1, C_n) > V}, V = 1 - U, with U
+        # the independent kernel's first draw at the same seed: an independent
+        # occurrence at index >= n forces V < 1 - prod_{i >= n}(1 - p_i) <= C_n.
+        union = spec.family == "union"
+        table = np.sort(np.minimum(1.0, spec.model.tails_upto(n)) if union else probs)
 
         def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
             u = rng.random(m)
-            return (probs[None, :] > u[:, None]).sum(axis=1).astype(np.int64)
-
-    else:
-        kernel = _union_kernel(spec, probs)
+            return n - np.searchsorted(table, 1.0 - u if union else u, side="right")
 
     counts = run_chunked(reps, seed, kernel, threads=threads)
     return OverlapSample(
-        counts=counts,
+        counts=counts.astype(np.int64, copy=False),
         reps=reps,
         seed=seed,
         truncation=spec.truncation,
         tail_tolerance=spec.tail_tolerance,
         spec=spec.describe(),
     )
-
-
-def _union_kernel(spec: EventFamilySpec, probs: np.ndarray) -> Callable:
-    """Kernel realising the nested majorant E~_n with P(E~_n) = min(1, C_n).
-
-    Coupling: the same uniforms an independent run would draw define the
-    occurring events; each occurring index m gets the score C_{m+1} + U_m,
-    which lands strictly inside [C_{m+1}, C_m).  The minimum score W is
-    mapped through its own distribution function to a uniform V (an extra
-    uniform covers the no-occurrence atom), and E~_n = {V < min(1, C_n)}.
-    Any occurring event with index >= n forces V < min(1, C_n), so the
-    union count dominates the independent count replication by replication.
-    """
-    n = spec.truncation
-    tails = np.array([tail_sum(spec.model, m).value for m in range(1, n + 2)])
-    thresholds = np.minimum(1.0, tails[:n])
-    # suffix[j] = prod_{i >= j} (1 - p_i) over 0-based event slots, suffix[n] = 1
-    suffix = np.ones(n + 1)
-    suffix[:n] = np.cumprod((1.0 - probs)[::-1])[::-1]
-
-    def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
-        u = rng.random((m, n))
-        u_extra = rng.random(m)
-        occ = u < probs
-        any_occ = occ.any(axis=1)
-        last = n - 1 - np.argmax(occ[:, ::-1], axis=1)
-        rows = np.arange(m)
-        u_at_last = u[rows, last]
-        v = np.where(
-            any_occ,
-            1.0 - (1.0 - u_at_last) * suffix[np.minimum(last + 1, n)],
-            1.0 - u_extra * suffix[0],
-        )
-        return (v[:, None] < thresholds[None, :]).sum(axis=1).astype(np.int64)
-
-    return kernel
 
 
 def empirical_moment(
@@ -295,8 +274,7 @@ def write_sample_jsonl(sample: OverlapSample, path: str) -> None:
             "tail_tolerance": sample.tail_tolerance,
         }
         fh.write(json.dumps(header) + "\n")
-        for i, c in enumerate(sample.counts):
-            fh.write(json.dumps({"rep": i, "count": int(c)}) + "\n")
+        fh.writelines(f'{{"rep": {i}, "count": {c}}}\n' for i, c in enumerate(map(int, sample.counts)))
 
 
 def read_sample_jsonl(path: str) -> OverlapSample:
@@ -304,10 +282,9 @@ def read_sample_jsonl(path: str) -> OverlapSample:
         header = json.loads(fh.readline())
         if header.get("record") != "header":
             raise InputError("missing header record")
-        counts = []
-        for line in fh:
-            rec = json.loads(line)
-            counts.append(rec["count"])
+        counts: list[int] = []
+        while block := fh.readlines(1 << 16):  # parse 64 KiB of rows at a time: flat memory
+            counts += [rec["count"] for rec in json.loads("[" + ",".join(block) + "]")]
     return OverlapSample(
         counts=np.asarray(counts, dtype=np.int64),
         reps=header["reps"],

@@ -258,6 +258,17 @@ class DecayModel:
             raise DomainError(f"event index n={n} below the model's first index")
         return min(1.0, max(0.0, self.raw(n)))
 
+    def probs_upto(self, n: int) -> np.ndarray:
+        """The clamped probabilities P(E_1), ..., P(E_n) as one array."""
+        return np.array([self.prob(k) for k in range(1, n + 1)])
+
+    def tails_upto(self, n: int) -> np.ndarray:
+        """C_1, ..., C_n as reverse cumulative sums of ``probs_upto(n)`` plus C_{n+1}.
+
+        Clamped, so only min(1, C_m) is exact: a clamped term makes its tails >= 1.
+        """
+        return np.cumsum(self.probs_upto(n)[::-1])[::-1] + tail_sum(self, n + 1).value
+
     def tail(self, m: int) -> SeriesValue:
         raise NotImplementedError
 
@@ -292,6 +303,9 @@ class Explicit(DecayModel):
             return 0.0
         return self.probabilities[n - 1]
 
+    def probs_upto(self, n: int) -> np.ndarray:
+        return np.array((self.probabilities + (0.0,) * n)[:n])
+
     def tail(self, m: int) -> SeriesValue:
         start = max(m, 1)
         value = float(sum(self.probabilities[start - 1 :]))
@@ -321,6 +335,9 @@ class PowerLaw(DecayModel):
         if n < 1:
             raise DomainError(f"event index n={n} below the model's first index")
         return self.c / float(n) ** self.q
+
+    def probs_upto(self, n: int) -> np.ndarray:
+        return np.minimum(1.0, self.c / np.arange(1, n + 1, dtype=float) ** self.q)
 
     def tail(self, m: int) -> SeriesValue:
         if not self.summable:
@@ -369,6 +386,9 @@ class Geometric(DecayModel):
         if n < 0:
             raise DomainError(f"event index n={n} below the model's first index")
         return self.c * self.b**n
+
+    def probs_upto(self, n: int) -> np.ndarray:
+        return np.minimum(1.0, self.c * self.b ** np.arange(1, n + 1, dtype=float))
 
     def tail(self, m: int) -> SeriesValue:
         m = max(m, 0)

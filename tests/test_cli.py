@@ -96,6 +96,8 @@ class TestBoundCommand:
         ["bound", "--formula", "ex2.12.tail", "--c", "1,2", "--p", "2", "--k", "10"],
         ["bound", "--formula", "freedman.tail", "--c1", "1", "--k", "2.5"],
         ["export", "--family", "independent", "--decay", "geometric:1,0.5", "--reps", "10"],
+        ["app", "sanov", "--mu", "abc", "--t", "0.6"],
+        ["app", "sde", "--sweep", "dyadic:a..3"],
     ],
     ids=" ".join,
 )
@@ -106,6 +108,12 @@ def test_malformed_input_is_usage_error(argv, monkeypatch, capsys):
     monkeypatch.setattr(engine, "simulate_overlap", no_simulation)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_freedman_overflow_is_domain_error(capsys):
+    assert main(["bound", "--formula", "thm2.7", "--c1", "1", "--r", "1000"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "overflows" in err and "r=1000" in err
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.stats
 
 from overlapbounds import (
+    CustomTail,
     DomainError,
     EventFamilySpec,
     Explicit,
@@ -13,6 +15,7 @@ from overlapbounds import (
     InputError,
     PowerLaw,
     TruncationError,
+    TailFunction,
     WeightSequence,
     choose_truncation,
     empirical_moment,
@@ -23,6 +26,7 @@ from overlapbounds import (
     tail_sum,
     write_sample_jsonl,
 )
+from overlapbounds.engine import chunk_rng
 
 
 class TestChooseTruncation:
@@ -90,7 +94,13 @@ class TestSimulation:
             assert np.array_equal(base.counts, out.counts)
 
     def test_union_dominates_independent_pathwise(self):
-        for model in (Explicit([0.8, 0.5, 0.3, 0.2, 0.1]), Geometric(1, 0.5), PowerLaw(1, 3)):
+        models = (
+            Explicit([0.8, 0.5, 0.3, 0.2, 0.1]),
+            Explicit([1.0, 0.0, 0.5, 1.0, 0.2]),  # sure and null events
+            Geometric(1, 0.5),
+            PowerLaw(1, 3),
+        )
+        for model in models:
             si = EventFamilySpec.from_model("independent", model)
             su = EventFamilySpec.from_model("union", model)
             a = simulate_overlap(si, 20_000, seed=7).counts
@@ -128,6 +138,71 @@ class TestSimulation:
         stat = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
         pvalue = scipy.stats.chi2.sf(stat, df=int(keep.sum()) - 1)
         assert pvalue >= 1e-3
+
+    def test_independent_chi_square_vs_exact_powerlaw(self):
+        spec = EventFamilySpec.from_model("independent", PowerLaw(1, 3))
+        counts = simulate_overlap(spec, 400_000, seed=19).counts
+        exact = sn_exact_distribution(spec.model.probs_upto(spec.truncation)).probabilities
+        observed = np.bincount(counts, minlength=len(exact)).astype(float)
+        expected = exact * len(counts)
+        keep = expected >= 5.0
+        tail = ~keep  # pool the sparse upper tail into one cell
+        obs = np.append(observed[keep], observed[tail].sum())
+        exp = np.append(expected[keep], expected[tail].sum())
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        pvalue = scipy.stats.chi2.sf(stat, df=len(obs) - 1)
+        assert pvalue >= 1e-3
+
+    @pytest.mark.parametrize("model", [PowerLaw(1, 3), Geometric(1, 0.5)], ids=str)
+    def test_nested_matches_dense_reference(self, model):
+        spec = EventFamilySpec.from_model("nested", model)
+        reps, seed = 10_000, 23  # three chunks, the last one partial
+        counts = simulate_overlap(spec, reps, seed).counts
+        probs = np.array([model.prob(n) for n in range(1, spec.truncation + 1)])
+        dense = []
+        for c, start in enumerate(range(0, reps, 4096)):
+            u = chunk_rng(seed, c).random(min(4096, reps - start))
+            dense.append((probs[None, :] > u[:, None]).sum(axis=1))
+        assert np.array_equal(counts, np.concatenate(dense))
+
+    def test_slow_decay_all_families(self):
+        # N = 10**6: the sampler's memory is O(N), not O(chunk * N)
+        model = PowerLaw(1, 2)
+        for family in ("independent", "nested", "union"):
+            spec = EventFamilySpec.from_model(family, model)
+            assert spec.truncation == 10**6
+            n = spec.truncation
+            emp = empirical_moment(simulate_overlap(spec, 20_000, seed=29), power=1.0)
+            if family == "union":
+                target = float(np.minimum(1.0, model.tails_upto(n)).sum())
+            else:
+                target = tail_sum(model, 1).value - tail_sum(model, n + 1).value
+            assert abs(emp.estimate - target) <= 4.0 * emp.stderr
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PowerLaw(1, 3),
+        PowerLaw(2, 5),
+        PowerLaw(0.7, 2.5),
+        Geometric(1, 0.5),
+        Geometric(3, 0.8),
+        Explicit([0.4, 0.0, 1.0]),
+        CustomTail(TailFunction.power(1.0, 2.0)),
+    ],
+    ids=str,
+)
+def test_probability_and_tail_tables(model):
+    n = 50
+    scalar = np.array([model.prob(k) for k in range(1, n + 1)])
+    np.testing.assert_array_max_ulp(model.probs_upto(n), scalar, maxulp=4)
+    # clamping leaves min(1, C_k) alone; both sides carry tail_sum's certified error
+    tails = np.minimum(1.0, model.tails_upto(n))
+    base_error = tail_sum(model, n + 1).truncation_error
+    for k in (1, 2, 10, n):
+        exact = tail_sum(model, k)
+        assert abs(tails[k - 1] - min(1.0, exact.value)) <= exact.truncation_error + base_error + 1e-15
 
 
 class TestEmpiricalMoment:
@@ -175,4 +250,15 @@ def test_jsonl_round_trip(tmp_path):
 
     lines = path.read_text().splitlines()
     assert '"record": "header"' in lines[0]
-    assert '"rep": 0' in lines[1]
+    assert lines[1:] == [json.dumps({"rep": i, "count": int(c)}) for i, c in enumerate(sample.counts)]
+
+
+def test_jsonl_malformed_row_raises(tmp_path):
+    spec = EventFamilySpec.from_model("independent", Geometric(1, 0.5))
+    path = tmp_path / "sample.jsonl"
+    write_sample_jsonl(simulate_overlap(spec, 3, seed=21), str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = '{"rep": 1, "count": }'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_sample_jsonl(str(path))
