@@ -24,14 +24,13 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .series import (
     DecayModel,
-    Explicit,
-    Geometric,
     PowerLaw,
     SeriesValue,
     TailFunction,
     WeightSequence,
     lambert_w0,
     tail_sum,
+    weighted_prob_series,
     weighted_tail_closed_form,
     weighted_tail_series,
     zeta,
@@ -101,12 +100,13 @@ def nested_moment_identity(
 
     The exact identity is E[S(O)] = S(start-sum at 0) + sum_{n>=1} a_n P(E_n)
     with clamped probabilities; for weight sequences starting at 0 the
-    constant a_0 enters with coefficient one (S(0) = a_0 holds surely).
+    constant a_0 enters with coefficient one (S(0) = a_0 holds surely).  The
+    series is ``weighted_prob_series``: the upper end of a certified enclosure.
     """
     inputs = {"weights": weights.describe(), "model": model.describe()}
     base = weights.term(0) if weights.start == 0 else 0.0
     try:
-        series = _clamped_weight_series(weights, model)
+        series = weighted_prob_series(weights, model)
     except DivergenceError as exc:
         if allow_divergent:
             return _divergent_result("prop2.1", inputs, str(exc))
@@ -118,65 +118,6 @@ def nested_moment_identity(
         inputs=inputs,
         series=series,
     )
-
-
-def _clamped_weight_series(weights: WeightSequence, model: DecayModel) -> SeriesValue:
-    """sum_{n>=1} a_n * clamped P(E_n) with a certified remainder."""
-    if isinstance(model, Explicit):
-        total = sum(
-            weights.term(n) * model.prob(n) for n in range(1, len(model.probabilities) + 1)
-        )
-        return SeriesValue(float(total), 0.0, len(model.probabilities), True)
-    if isinstance(model, PowerLaw) and weights.kind == "exponential":
-        raise DivergenceError("exponential weights over a power-law decay diverge")
-    if isinstance(model, PowerLaw) and weights.kind == "monomial":
-        if weights.p >= model.q - 1.0:
-            raise DivergenceError(
-                f"sum n**p P(E_n) over a power law requires p < q - 1 "
-                f"(got p={weights.p}, q={model.q})"
-            )
-    if isinstance(model, Geometric) and weights.kind == "exponential":
-        if weights.p >= abs(math.log(model.b)):
-            raise DivergenceError(
-                f"sum e^(pn) P(E_n) over a geometric decay requires p < |ln(b)| "
-                f"(got p={weights.p})"
-            )
-    partial, n, streak = 0.0, 1, 0
-    while n < 1 << 20:
-        term = weights.term(n) * model.prob(n)
-        partial += term
-        tail_ok = _clamped_tail_bound(weights, model, n)
-        if tail_ok is not None and tail_ok <= max(1e-12, 1e-9 * abs(partial)):
-            return SeriesValue(partial, tail_ok, n, True)
-        if tail_ok is None:
-            if term <= max(1e-12, 1e-9 * abs(partial)):
-                streak += 1
-                if streak >= 3:
-                    return SeriesValue(partial, 10.0 * term, n, True)
-            else:
-                streak = 0
-        n += 1
-    return SeriesValue(partial, math.inf, n, False)
-
-
-def _clamped_tail_bound(weights: WeightSequence, model: DecayModel, n_last: int) -> float | None:
-    """Certified bound on sum_{n > n_last} a_n * P(E_n), if one is available."""
-    if isinstance(model, Geometric):
-        if weights.kind == "exponential":
-            growth = math.exp(weights.p) * model.b
-            return model.c * growth ** (n_last + 1) / (1.0 - growth)
-        if weights.kind == "monomial":
-            growth = model.b * math.exp(weights.p / max(n_last, 1))
-            if growth >= 1.0:
-                return None
-            lead = model.c * float(n_last) ** weights.p * model.b ** (n_last + 1)
-            return lead * math.exp(weights.p / n_last) / (1.0 - growth)
-    if isinstance(model, PowerLaw) and weights.kind == "monomial":
-        s = model.q - weights.p
-        if s <= 1.0:
-            return None
-        return model.c * (n_last + 0.5) ** (1.0 - s) / (s - 1.0)
-    return None
 
 
 def general_moment_bound(

@@ -282,11 +282,15 @@ def read_sample_jsonl(path: str) -> OverlapSample:
         header = json.loads(fh.readline())
         if header.get("record") != "header":
             raise InputError("missing header record")
-        counts: list[int] = []
+        values: list = []
         while block := fh.readlines(1 << 16):  # parse 64 KiB of rows at a time: flat memory
-            counts += [rec["count"] for rec in json.loads("[" + ",".join(block) + "]")]
+            values += [rec["count"] for rec in json.loads("[" + ",".join(block) + "]")]
+    counts = np.asarray(values)
+    if values and (counts.dtype.kind != "i" or counts.min() < 0):  # a float, bool, str, negative or huge count
+        i = next(i for i, c in enumerate(values) if not (type(c) is int and 0 <= c < 1 << 63))
+        raise InputError(f"line {i + 2}: count must be a nonnegative integer (got {values[i]!r})")
     return OverlapSample(
-        counts=np.asarray(counts, dtype=np.int64),
+        counts=counts.astype(np.int64, copy=False),
         reps=header["reps"],
         seed=header["seed"],
         truncation=header["truncation"],

@@ -7,18 +7,21 @@ reports) rests on the quantities computed here:
 * ``tail_sum`` evaluates the tail ``C_m = sum_{n>=m} P(E_n)`` with a
   certified truncation error.
 * ``weighted_tail_series`` evaluates the double series
-  ``sum_n a_n * C_n`` for a ``WeightSequence`` ``(a_n)``.
+  ``sum_n a_n * C_n`` for a ``WeightSequence`` ``(a_n)``, and
+  ``weighted_prob_series`` the nested identity's ``sum_n a_n * P(E_n)``.
 * ``faulhaber_sum``, ``zeta`` and ``lambert_w0`` are the special-function
   helpers the closed-form bounds need.
 
-All infinite sums stop once a certified bound on the omitted tail drops
-below ``max(ABS_TOL, REL_TOL * |partial sum|)``.  For power tails the
-certificate is the convexity bracket
-
-    I(M+1) + f(M+1)/2  <=  sum_{n>M} f(n)  <=  I(M+1/2)
-
-with ``f(x) = x**-s`` and ``I(x) = x**(1-s)/(s-1)``; for geometric tails a
-closed form exists.
+Every infinite sum goes through one routine, ``_certified_sum``: a
+vectorised head over n < M plus a certified bracket [lo, hi] of the rest,
+with M doubled from 64 until hi - lo <= 1e-15 of the value.  It reports
+``head + hi``, so a value is never below the sum it stands for (up to
+floating-point rounding), and ``hi - lo`` as the truncation error.  Power-law
+remainders reduce to Hurwitz sums sum_{n>=M} n**-s, each enclosed by two
+consecutive Euler-Maclaurin truncations (Johansson 2015); geometric
+remainders use an exponential majorant or, for exponential weights, their
+closed form.  Custom weights, and custom tails, have no certified remainder:
+over an infinite family they raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, InputError
 
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
 _SUM_CHUNK = 1 << 16
+_FIRST_CUT = 64
+_MAX_CUT = 1 << 26  # reached only by geometric decays with b within about 1e-6 of 1
+_TIGHT = 1e-15  # bracket width allowed, relative to the value
+_EM_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -52,50 +56,6 @@ class SeriesValue:
         return self.value
 
 
-def _power_tail_bracket(s: float, m_last: float) -> tuple[float, float]:
-    """Certified bracket for sum_{n > m_last} n**-s, s > 1 (convexity)."""
-    integral = lambda x: x ** (1.0 - s) / (s - 1.0)
-    lo = integral(m_last + 1.0) + 0.5 * (m_last + 1.0) ** (-s)
-    hi = integral(m_last + 0.5)
-    return lo, hi
-
-
-def _power_partial(s: float, first: int, last: int) -> float:
-    """sum_{n=first}^{last} n**-s, chunked."""
-    total = 0.0
-    n = first
-    while n <= last:
-        hi = min(last, n + _SUM_CHUNK - 1)
-        block = np.arange(n, hi + 1, dtype=float)
-        total += float(np.sum(block ** (-s)))
-        n = hi + 1
-    return total
-
-
-def zeta(s: float) -> SeriesValue:
-    """Riemann zeta for real s > 1, partial sum plus certified tail bracket.
-
-    The absolute truncation error is at most 1e-10.
-    """
-    if s <= 1.0 + 1e-6:
-        raise DivergenceError(f"zeta requires s > 1 (got s={s}); the series diverges at s <= 1")
-    target = 1e-10
-    m = 64
-    while True:
-        lo, hi = _power_tail_bracket(s, m)
-        if 0.5 * (hi - lo) <= target or m > 1 << 26:
-            break
-        m *= 2
-    partial = _power_partial(s, 1, m)
-    lo, hi = _power_tail_bracket(s, m)
-    return SeriesValue(
-        value=partial + 0.5 * (lo + hi),
-        truncation_error=0.5 * (hi - lo),
-        terms_used=m,
-        converged=True,
-    )
-
-
 @lru_cache(maxsize=None)
 def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """B_0..B_n as exact Fractions (Akiyama-Tanigawa, B_1 = +1/2)."""
@@ -109,6 +69,97 @@ def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
             row[j - 1] = j * (row[j - 1] - row[j])
         out.append(row[0])
     return tuple(out)
+
+
+# B_2k / (2k)! for k = 1 .. K+1
+_EM_COEFFS = tuple(
+    float(b / math.factorial(2 * k)) for k, b in enumerate(bernoulli_numbers(2 * _EM_TERMS + 2)[2::2], 1)
+)
+
+
+def _certified_sum(
+    term: Callable[[np.ndarray], np.ndarray],
+    remainder: Callable[[int], tuple[float, float]],
+    start: int,
+) -> SeriesValue:
+    """sum_{n >= start} of nonnegative terms: a numpy head plus a certified remainder bracket.
+
+    ``term`` maps an index array (floats) to its terms and ``remainder(M)``
+    returns (lo, hi) with lo <= sum_{n >= M} <= hi.  The head runs over
+    start..M-1 in chunks; M starts at max(start, 64) and doubles until
+    hi - lo <= 1e-15 * value.  The value is the upper end head + hi.
+    """
+    cut, done, head = max(start, _FIRST_CUT), start, 0.0
+    while True:
+        for a in range(done, cut, _SUM_CHUNK):
+            head += float(np.sum(term(np.arange(a, min(a + _SUM_CHUNK, cut), dtype=float))))
+        done = cut
+        lo, hi = remainder(cut)
+        tight = hi - lo <= _TIGHT * (head + lo)
+        if tight or cut >= _MAX_CUT:
+            return SeriesValue(head + hi, hi - lo, cut - start, tight)
+        cut *= 2
+
+
+_UNBRACKETED = (0.0, math.inf)
+
+
+def _widen(bracket: tuple[float, float], r: float) -> tuple[float, float]:
+    """The bracket of x + y for x in ``bracket`` and y between 0 and r."""
+    return bracket[0] + min(r, 0.0), bracket[1] + max(r, 0.0)
+
+
+def _em_expansion(s: float) -> list[tuple[float, float]]:
+    """Euler-Maclaurin terms of sum_{k >= n} k**-s as (coefficient, exponent) pairs.
+
+    sum_{k>=n} k**-s = n**(1-s)/(s-1) + n**-s/2
+        + sum_{j=1}^{K} B_2j/(2j)! (s)_(2j-1) n**(1-s-2j) + R.
+    x**-s is completely monotone, so R has the sign of the first omitted
+    term (j = K+1, the last pair) and at most its size.
+    """
+    pairs = [(1.0 / (s - 1.0), s - 1.0), (0.5, s)]
+    rising = s  # (s)_(2j-1)
+    for j, b in enumerate(_EM_COEFFS, 1):
+        pairs.append((b * rising, s + 2 * j - 1))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return pairs
+
+
+def _hurwitz(s: float, n: int) -> tuple[float, float]:
+    """Certified bracket for sum_{k >= n} k**-s, s > 1."""
+    *body, (c_last, e_last) = _em_expansion(s)
+    x = float(n)
+    total = sum(c * x**-e for c, e in body)
+    return _widen((total, total), c_last * x**-e_last)
+
+
+def _weighted_hurwitz(q: float, p: float, n: int) -> tuple[float, float]:
+    """Certified bracket for sum_{k >= n} k**p zeta(q, k), p < q - 2.
+
+    Expanding zeta(q, k) = sum_{i >= k} i**-q by Euler-Maclaurin turns every
+    term k**p k**-e into a Hurwitz sum of exponent e - p.
+    """
+    *body, (c_last, e_last) = _em_expansion(q)
+    lo = hi = 0.0
+    for c, e in body:
+        a, b = sorted(c * h for h in _hurwitz(e - p, n))
+        lo, hi = lo + a, hi + b
+    return _widen((lo, hi), c_last * _hurwitz(e_last - p, n)[1])
+
+
+def _geometric_majorant(b: float, p: float, m: int) -> float:
+    """Majorant of sum_{n >= m} n**p b**n, p >= 0, from (m+k)**p <= m**p e**(pk/m)."""
+    growth = b * math.exp(p / m)
+    if growth >= 1.0:
+        return math.inf
+    return math.exp(p * math.log(m) + m * math.log(b)) / (1.0 - growth)
+
+
+def zeta(s: float) -> SeriesValue:
+    """Riemann zeta for real s > 1: the upper end of a certified enclosure."""
+    if not s > 1.0:
+        raise DivergenceError(f"zeta requires s > 1 (got s={s}); the series diverges at s <= 1")
+    return PowerLaw(1.0, s).tail(1)
 
 
 def faulhaber_sum(p: int, n: int) -> int:
@@ -344,20 +395,9 @@ class PowerLaw(DecayModel):
             raise DivergenceError(
                 f"power-law tail sums require q > 1 (got q={self.q}); sum P(E_n) diverges"
             )
-        start = max(m, 1)
-        last = max(start + 63, 64)
-        while True:
-            lo, hi = _power_tail_bracket(self.q, last)
-            partial = _power_partial(self.q, start, last)
-            half = 0.5 * (hi - lo)
-            if half <= max(ABS_TOL, REL_TOL * (partial + lo)) or last >= 1 << 26:
-                break
-            last *= 2
-        return SeriesValue(
-            value=self.c * (partial + 0.5 * (lo + hi)),
-            truncation_error=self.c * half,
-            terms_used=last - start + 1,
-            converged=True,
+        c, q = self.c, self.q
+        return _certified_sum(
+            lambda n: c * n**-q, lambda cut: tuple(c * h for h in _hurwitz(q, cut)), max(m, 1)
         )
 
     @property
@@ -513,25 +553,22 @@ class WeightSequence:
         return self.label
 
 
-def _series_done(partial: float, tail_bound: float) -> bool:
-    return tail_bound <= max(ABS_TOL, REL_TOL * abs(partial))
-
-
-def _geometric_power_tail(c: float, b: float, p: float, m_last: int) -> float:
-    """Certified bound for sum_{n > m_last} n**p * c * b**n (p >= 0)."""
-    # (m+k)**p <= m**p * exp(p*k/m); valid once b*exp(p/m) < 1.
-    growth = b * math.exp(p / max(m_last, 1))
-    if growth >= 1.0:
-        return math.inf
-    lead = c * float(m_last) ** p * b ** (m_last + 1) * math.exp(p / m_last)
-    return lead / (1.0 - growth)
+def _require_bracket(weights: WeightSequence, model: DecayModel) -> None:
+    """Raise unless a certified remainder exists for a_n over an infinite model."""
+    if weights.kind == "custom" or not isinstance(model, (PowerLaw, Geometric)):
+        raise DomainError(
+            f"no certified remainder for weights {weights.describe()} over {model.describe()}; "
+            "only monomial and exponential weights over power-law and geometric decays, "
+            "or explicit (finite) families, are summed"
+        )
 
 
 def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesValue:
-    """The double series sum_{n >= start} a_n * C_n, certified to 1e-9 relative.
+    """The double series sum_{n >= start} a_n * C_n: the upper end of a certified enclosure.
 
     Divergent parameter combinations raise ``DivergenceError`` naming the
-    violated condition.
+    violated condition; combinations without a certified remainder (custom
+    weights or tails over an infinite family) raise ``DomainError``.
     """
     if isinstance(model, Explicit):
         last = len(model.probabilities)
@@ -541,86 +578,89 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
             c_n = suffix[max(n, 1) - 1]
             total += weights.term(n) * float(c_n)
         return SeriesValue(total, 0.0, last - weights.start + 1, True)
+    _require_bracket(weights, model)
+    p = weights.p
 
     if isinstance(model, Geometric):
-        one_minus_b = 1.0 - model.b
+        b, coeff = model.b, model.c / (1.0 - model.b)
         if weights.kind == "exponential":
-            lnb_abs = abs(math.log(model.b))
-            if weights.p >= lnb_abs:
+            lnb_abs = abs(math.log(b))
+            if p >= lnb_abs:
                 raise DivergenceError(
                     f"exponential weights over a geometric tail require p < |ln(b)| "
-                    f"(got p={weights.p}, |ln(b)|={lnb_abs})"
+                    f"(got p={p}, |ln(b)|={lnb_abs})"
                 )
-            value = model.c / (one_minus_b * (1.0 - math.exp(weights.p) * model.b))
-            return SeriesValue(value, 0.0, 0, True)
-        if weights.kind == "monomial":
-            # sum n**p * c b**n / (1-b), certified by the exponential majorant
-            coeff = model.c / one_minus_b
-            partial, n = 0.0, 1
-            while True:
-                partial += float(n) ** weights.p * coeff * model.b**n
-                bound = _geometric_power_tail(coeff, model.b, weights.p, n)
-                if _series_done(partial, bound):
-                    return SeriesValue(partial, bound, n, True)
-                n += 1
+            return SeriesValue(model.c / ((1.0 - b) * (1.0 - math.exp(p) * b)), 0.0, 0, True)
+        return _certified_sum(
+            lambda n: coeff * n**p * b**n, lambda cut: (0.0, coeff * _geometric_majorant(b, p, cut)), 1
+        )
+
+    c, q = model.c, model.q
+    if weights.kind == "exponential":
+        raise DivergenceError("exponential weights over a power-law tail diverge for every rate p > 0")
+    if not model.summable:
+        raise DivergenceError(f"power-law tails require q > 1 (got q={q})")
+    if p >= q - 2.0:
+        raise DivergenceError(
+            f"monomial weights over a power-law tail require p < q - 2 (got p={p}, q={q})"
+        )
+
+    # Swapped order: sum_n n**p C_n = c sum_m m**-q S(m), S(m) = sum_{n<=m} n**p.  Past
+    # the cut M the rest is c (S(M-1) zeta(q, M) + sum_{n>=M} n**p zeta(q, n)).
+    def remainder(cut: int) -> tuple[float, float]:
+        s_head = weights.partial_sum(cut - 1)
+        (z_lo, z_hi), (w_lo, w_hi) = _hurwitz(q, cut), _weighted_hurwitz(q, p, cut)
+        return c * (s_head * z_lo + w_lo), c * (s_head * z_hi + w_hi)
+
+    return _certified_sum(
+        lambda m: c * m**-q * (weights.partial_sum(int(m[0]) - 1) + np.cumsum(m**p)), remainder, 1
+    )
+
+
+def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesValue:
+    """sum_{n >= 1} a_n * P(E_n) with clamped probabilities (the nested identity's series).
+
+    Certified like ``weighted_tail_series``, with the same errors.
+    """
+    if isinstance(model, Explicit):
+        total = sum(weights.term(n) * model.prob(n) for n in range(1, len(model.probabilities) + 1))
+        return SeriesValue(float(total), 0.0, len(model.probabilities), True)
+    _require_bracket(weights, model)
+    c, p = model.c, weights.p
 
     if isinstance(model, PowerLaw):
+        q = model.q
         if weights.kind == "exponential":
+            raise DivergenceError("exponential weights over a power-law decay diverge")
+        if p >= q - 1.0:
             raise DivergenceError(
-                "exponential weights over a power-law tail diverge for every rate p > 0"
+                f"sum n**p P(E_n) over a power law requires p < q - 1 (got p={p}, q={q})"
             )
-        if weights.kind == "monomial":
-            if not model.summable:
-                raise DivergenceError(f"power-law tails require q > 1 (got q={model.q})")
-            if weights.p >= model.q - 2.0:
-                raise DivergenceError(
-                    f"monomial weights over a power-law tail require p < q - 2 "
-                    f"(got p={weights.p}, q={model.q})"
-                )
-            # swap the summation order: sum_m P(E_m) * S(m), S incremental.
-            # The remainder is bracketed through m^(p+1)/(p+1) <= S(m) <=
-            # (m+1)^(p+1)/(p+1) (Riemann sums of an increasing integrand).
-            p, q, c = weights.p, model.q, model.c
-            s_exp = q - p - 1.0
-            partial, s_m, m, last = 0.0, 0.0, 1, 1 << 12
-            while True:
-                while m <= last:
-                    s_m += float(m) ** p
-                    partial += c * float(m) ** (-q) * s_m
-                    m += 1
-                lo = c / (p + 1.0) * ((last + 1.0) ** (1.0 - s_exp) / (s_exp - 1.0)
-                                      + 0.5 * (last + 1.0) ** (-s_exp))
-                hi = (c / (p + 1.0) * (1.0 + 1.0 / last) ** (p + 1.0)
-                      * (last + 0.5) ** (1.0 - s_exp) / (s_exp - 1.0))
-                half = 0.5 * (hi - lo)
-                if _series_done(partial + lo, half) or last >= 1 << 24:
-                    return SeriesValue(
-                        partial + 0.5 * (lo + hi),
-                        half,
-                        last,
-                        half <= max(ABS_TOL, REL_TOL * (partial + lo)),
-                    )
-                last *= 2
+        # past the clamped indices (c n**-q >= 1) the rest is c zeta(q - p, M)
+        return _certified_sum(
+            lambda n: n**p * np.minimum(1.0, c * n**-q),
+            lambda cut: tuple(c * h for h in _hurwitz(q - p, cut)) if c * float(cut) ** -q <= 1.0 else _UNBRACKETED,
+            1,
+        )
 
-    # generic fallback: accumulate a_n * C_n until terms stay negligible
-    return _generic_weighted(weights, model)
+    b = model.b
+    if weights.kind == "monomial":
+        return _certified_sum(
+            lambda n: n**p * np.minimum(1.0, c * b**n),
+            lambda cut: (0.0, c * _geometric_majorant(b, p, cut)) if c * b**cut <= 1.0 else _UNBRACKETED,
+            1,
+        )
+    if p >= abs(math.log(b)):
+        raise DivergenceError(
+            f"sum e^(pn) P(E_n) over a geometric decay requires p < |ln(b)| (got p={p})"
+        )
+    growth = math.exp(p) * b
 
+    def geometric_rest(cut: int) -> tuple[float, float]:
+        rest = c * growth**cut / (1.0 - growth)
+        return (rest, rest) if c * b**cut <= 1.0 else _UNBRACKETED
 
-def _generic_weighted(weights: WeightSequence, model: DecayModel) -> SeriesValue:
-    partial, small_streak = 0.0, 0
-    n = weights.start
-    cap = 1 << 20
-    while n - weights.start < cap:
-        term = weights.term(n) * tail_sum(model, n).value
-        partial += term
-        if term <= max(ABS_TOL, REL_TOL * abs(partial)):
-            small_streak += 1
-            if small_streak >= 3:
-                return SeriesValue(partial, 10.0 * term, n - weights.start + 1, True)
-        else:
-            small_streak = 0
-        n += 1
-    return SeriesValue(partial, math.inf, cap, False)
+    return _certified_sum(lambda n: np.exp(p * n) * np.minimum(1.0, c * b**n), geometric_rest, 1)
 
 
 def weighted_tail_closed_form(weights: WeightSequence, model: DecayModel) -> float | None:

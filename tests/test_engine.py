@@ -262,3 +262,14 @@ def test_jsonl_malformed_row_raises(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_sample_jsonl(str(path))
+
+
+def test_jsonl_non_integer_or_negative_count_raises(tmp_path):
+    header = {"record": "header", "spec": {}, "seed": 1, "reps": 2, "truncation": 3, "tail_tolerance": 1e-6}
+    path = tmp_path / "two.jsonl"
+    path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1.7}\n{"rep": 1, "count": -4}\n')
+    with pytest.raises(InputError, match=r"line 2: .*1\.7"):
+        read_sample_jsonl(str(path))
+    path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n{"rep": 1, "count": -4}\n')
+    with pytest.raises(InputError, match="line 3: .*-4"):
+        read_sample_jsonl(str(path))

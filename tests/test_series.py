@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -87,6 +88,14 @@ class TestZeta:
             n = np.arange(1, 2_000_001, dtype=float)
             eta = float(np.sum((-1.0) ** (n + 1) * n ** (-s)))
             assert zeta(s).value * (1.0 - 2.0 ** (1.0 - s)) == pytest.approx(eta, abs=1e-8)
+
+    def test_accepts_every_s_above_one(self):
+        # PowerLaw.summable accepts every q > 1, and so does zeta
+        s = 1.0 + 5e-7
+        assert PowerLaw(1, s).summable
+        sv = zeta(s)
+        assert sv.converged
+        assert sv.value == pytest.approx(float(mpmath.zeta(s)), rel=1e-14)
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
