@@ -160,20 +160,8 @@ def gc_simulate(
 
     payoff = np.exp(rate * counts.astype(float))
     rows = [
-        MDFRow(
-            epsilon=eps,
-            order=f"E[exp(2*{eta:g}^2 O_eps)]",
-            theoretical=exp_bound.value,
-            empirical=float(payoff.mean()),
-            stderr=float(payoff.std(ddof=1)) / math.sqrt(reps),
-        ),
-        MDFRow(
-            epsilon=eps,
-            order="E[O_eps]",
-            theoretical=first_bound.value,
-            empirical=float(counts.mean()),
-            stderr=float(counts.std(ddof=1)) / math.sqrt(reps),
-        ),
+        MDFRow.from_values(eps, f"E[exp(2*{eta:g}^2 O_eps)]", exp_bound.value, payoff),
+        MDFRow.from_values(eps, "E[O_eps]", first_bound.value, counts),
     ]
     tail_counts = {k: float(np.mean(counts >= k)) for k in range(1, 11)}
     extra = {

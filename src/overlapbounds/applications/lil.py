@@ -86,20 +86,8 @@ def lil_simulate(
     order = 1.0 + max(alpha - 2.0, 0.0)
     payoff = counts.astype(float) ** order
     rows = [
-        MDFRow(
-            epsilon=alpha,
-            order="E[O_alpha] (constant existential)",
-            theoretical=math.inf,
-            empirical=float(counts.mean()),
-            stderr=float(counts.std(ddof=1)) / math.sqrt(reps),
-        ),
-        MDFRow(
-            epsilon=alpha,
-            order=f"E[O_alpha**{order:g}] (constant existential)",
-            theoretical=math.inf,
-            empirical=float(payoff.mean()),
-            stderr=float(payoff.std(ddof=1)) / math.sqrt(reps),
-        ),
+        MDFRow.from_values(alpha, "E[O_alpha] (constant existential)", math.inf, counts),
+        MDFRow.from_values(alpha, f"E[O_alpha**{order:g}] (constant existential)", math.inf, payoff),
     ]
     extra = {
         "alpha": alpha,

@@ -9,11 +9,12 @@ simulation layer.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from ..bounds import BoundResult, exp_moment_bound, poly_moment_bound
 from ..errors import DomainError
@@ -29,6 +30,11 @@ class MDFRow:
     theoretical: float
     empirical: float
     stderr: float
+
+    @classmethod
+    def from_values(cls, epsilon: float, order: str, theoretical: float, values: np.ndarray) -> MDFRow:
+        """The row of one value per replication: its mean and the standard error of that mean."""
+        return cls(epsilon, order, theoretical, float(values.mean()), float(values.std(ddof=1)) / math.sqrt(len(values)))
 
     def holds(self, n_sigma: float = 4.0) -> bool:
         if not math.isfinite(self.theoretical):
@@ -60,25 +66,6 @@ class MDFReport:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, default=float)
             fh.write("\n")
-
-    def to_csv(self, path: str) -> None:
-        cols = ["application", "epsilon", "order", "theoretical", "empirical", "stderr", "reps", "seed"]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(
-                    {
-                        "application": self.application,
-                        "epsilon": row.epsilon,
-                        "order": row.order,
-                        "theoretical": row.theoretical,
-                        "empirical": row.empirical,
-                        "stderr": row.stderr,
-                        "reps": self.reps,
-                        "seed": self.seed,
-                    }
-                )
 
 
 def mdf_first_order(model: DecayModel, allow_divergent: bool = False) -> BoundResult:

@@ -112,38 +112,10 @@ def rare_segments(
 
     table = run_chunked(reps, seed, kernel, threads=threads)
     limit = 1.0 / rate
-    rows = [
-        MDFRow(
-            epsilon=0.0,
-            order=f"R_n/ln(n) at n={n_max} (limit {limit:.6g})",
-            theoretical=math.inf,
-            empirical=float(table[:, 0].mean()),
-            stderr=float(table[:, 0].std(ddof=1)) / math.sqrt(reps),
-        )
-    ]
-    col = 1
-    for e in plus_eps:
-        rows.append(
-            MDFRow(
-                epsilon=e,
-                order="E[O_eps_plus] (constant existential)",
-                theoretical=math.inf,
-                empirical=float(table[:, col].mean()),
-                stderr=float(table[:, col].std(ddof=1)) / math.sqrt(reps),
-            )
-        )
-        col += 1
-    for e in eps_grid:
-        rows.append(
-            MDFRow(
-                epsilon=e,
-                order="E[O_eps_minus] (constant existential)",
-                theoretical=math.inf,
-                empirical=float(table[:, col].mean()),
-                stderr=float(table[:, col].std(ddof=1)) / math.sqrt(reps),
-            )
-        )
-        col += 1
+    orders = [(0.0, f"R_n/ln(n) at n={n_max} (limit {limit:.6g})")]  # one per table column
+    orders += [(e, "E[O_eps_plus] (constant existential)") for e in plus_eps]
+    orders += [(e, "E[O_eps_minus] (constant existential)") for e in eps_grid]
+    rows = [MDFRow.from_values(e, order, math.inf, table[:, col]) for col, (e, order) in enumerate(orders)]
     extra = {
         "p_head": p_head,
         "threshold": threshold,

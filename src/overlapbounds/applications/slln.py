@@ -97,13 +97,7 @@ def slln_mdf_report(
     counts = run_chunked(reps, seed, kernel, threads=threads)
     payoff = counts.astype(float) ** p
     rows = [
-        MDFRow(
-            epsilon=eps,
-            order=f"E[O_eps**{p:g}] (finite; constant existential)",
-            theoretical=math.inf,
-            empirical=float(payoff.mean()),
-            stderr=float(payoff.std(ddof=1)) / math.sqrt(reps),
-        )
+        MDFRow.from_values(eps, f"E[O_eps**{p:g}] (finite; constant existential)", math.inf, payoff)
     ]
     extra = {
         "q": q,

@@ -8,9 +8,9 @@ Subcommands
 
 Exit codes: 0 success, 1 I/O error, 2 domain/precondition error,
 3 verification failure, 64 usage error.  Flags override values from a JSON
-config file (--config).  The output of bound, verify and app (except the
-files of app gc|slln|lil|segments --out) starts with the fully resolved
-configuration, so a run can be reproduced from its own header.
+config file (--config), which overrides the defaults.  The output of bound,
+verify and app starts with the fully resolved configuration, so a run can be
+reproduced from its own header.
 """
 
 from __future__ import annotations
@@ -49,14 +49,24 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
-DEFAULTS = {
-    "seed": 20240801,
-    "reps": 100_000,
-    "threads": 1,
-    "format": "csv",
-    "tail_tolerance": 1e-6,
-    "out": None,
-    "deterministic": False,
+# The defaults of every subcommand ("all") and of each one.  Argparse defaults
+# stay None, so a flag is set only when given and a config file can override these.
+DEFAULTS: dict[str, dict[str, Any]] = {
+    "all": {
+        "seed": 20240801,
+        "reps": 100_000,
+        "threads": 1,
+        "format": "csv",
+        "tail_tolerance": 1e-6,
+        "out": None,
+        "deterministic": False,
+    },
+    "bound": {"growth_p": 1.0},
+    "verify": {"r_points": 10},
+    "app": {
+        "eps": 0.2, "q": 2, "dist": "gaussian", "mu": "0.5", "symbol": 0, "alpha": 2.0, "p_head": 0.5,
+        "threshold": 1.0, "sweep": "dyadic:4..9", "sde_mu": 0.5, "sde_sigma": 0.1, "x0": 1.0, "horizon": 1.0,
+    },
 }
 
 
@@ -285,13 +295,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json", "jsonl"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--tail-tolerance", dest="tail_tolerance", type=float, default=None)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("csv", "json", "jsonl"))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--reps", type=int)
+        p.add_argument("--threads", type=int)
+        p.add_argument("--tail-tolerance", dest="tail_tolerance", type=float)
         p.add_argument("--deterministic", action="store_true", default=None)
 
     pb = sub.add_parser(
@@ -302,45 +312,45 @@ def build_parser() -> _Parser:
     )
     common(pb)
     pb.add_argument("--formula", required=True, help="formula id, see the list below")
-    pb.add_argument("--decay", default=None)
-    pb.add_argument("--weights", default=None)
-    pb.add_argument("--tail", default=None, help="tail majorant for cor2.10 (power:c,p | geometric:c,b)")
+    pb.add_argument("--decay")
+    pb.add_argument("--weights")
+    pb.add_argument("--tail", help="tail majorant for cor2.10 (power:c,p | geometric:c,b)")
     for flag in ("--r", "--p", "--k", "--c1", "--c", "--b", "--rate", "--bigc", "--eps"):
-        pb.add_argument(flag, default=None)
-    pb.add_argument("--ell", default=None)
-    pb.add_argument("--growth-p", dest="growth_p", type=float, default=1.0)
-    pb.add_argument("--kt", type=float, default=None)
-    pb.add_argument("--ct", type=float, default=None)
-    pb.add_argument("--t", type=float, default=None)
+        pb.add_argument(flag)
+    pb.add_argument("--ell")
+    pb.add_argument("--growth-p", dest="growth_p", type=float)
+    pb.add_argument("--kt", type=float)
+    pb.add_argument("--ct", type=float)
+    pb.add_argument("--t", type=float)
 
     pv = sub.add_parser("verify", help="check a bound against its oracle or Monte Carlo")
     common(pv)
     pv.add_argument("--formula", required=True, help="one of " + ", ".join(VERIFIABLE))
-    pv.add_argument("--decay", default=None)
-    pv.add_argument("--weights", default=None)
-    pv.add_argument("--p", type=float, default=None)
-    pv.add_argument("--r-points", dest="r_points", type=int, default=10)
+    pv.add_argument("--decay")
+    pv.add_argument("--weights")
+    pv.add_argument("--p", type=float)
+    pv.add_argument("--r-points", dest="r_points", type=int)
 
     pa = sub.add_parser("app", help="run an application report")
     common(pa)
     pa.add_argument("application", choices=("gc", "slln", "cramer", "sanov", "lil", "segments", "sde"))
-    pa.add_argument("--eps", type=float, default=0.2)
-    pa.add_argument("--eta", type=float, default=None)
-    pa.add_argument("--nmax", type=int, default=None)
-    pa.add_argument("--q", type=int, default=2)
-    pa.add_argument("--p", type=float, default=None)
-    pa.add_argument("--dist", default="gaussian", help="gaussian | rademacher (cramer/slln)")
-    pa.add_argument("--mu", default="0.5", help="sanov base distribution (comma probabilities or one Bernoulli p)")
-    pa.add_argument("--symbol", type=int, default=0)
-    pa.add_argument("--t", type=float, default=None)
-    pa.add_argument("--alpha", type=float, default=2.0)
-    pa.add_argument("--p-head", dest="p_head", type=float, default=0.5)
-    pa.add_argument("--threshold", type=float, default=1.0)
-    pa.add_argument("--sweep", default="dyadic:4..9", help="dyadic:a..b step-size sweep (sde)")
-    pa.add_argument("--sde-mu", dest="sde_mu", type=float, default=0.5)
-    pa.add_argument("--sde-sigma", dest="sde_sigma", type=float, default=0.1)
-    pa.add_argument("--x0", type=float, default=1.0)
-    pa.add_argument("--horizon", type=float, default=1.0)
+    pa.add_argument("--eps", type=float)
+    pa.add_argument("--eta", type=float)
+    pa.add_argument("--nmax", type=int)
+    pa.add_argument("--q", type=int)
+    pa.add_argument("--p", type=float)
+    pa.add_argument("--dist", help="gaussian | rademacher (cramer/slln)")
+    pa.add_argument("--mu", help="sanov base distribution (comma probabilities or one Bernoulli p)")
+    pa.add_argument("--symbol", type=int)
+    pa.add_argument("--t", type=float)
+    pa.add_argument("--alpha", type=float)
+    pa.add_argument("--p-head", dest="p_head", type=float)
+    pa.add_argument("--threshold", type=float)
+    pa.add_argument("--sweep", help="dyadic:a..b step-size sweep (sde)")
+    pa.add_argument("--sde-mu", dest="sde_mu", type=float)
+    pa.add_argument("--sde-sigma", dest="sde_sigma", type=float)
+    pa.add_argument("--x0", type=float)
+    pa.add_argument("--horizon", type=float)
 
     pe = sub.add_parser("export", help="simulate an event family, write JSONL sample")
     common(pe)
@@ -352,29 +362,40 @@ def build_parser() -> _Parser:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge precedence: command-line flag > config file > default."""
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    merged = dict(DEFAULTS["all"])
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             merged.update(json.load(fh))
-    for key, value in vars(args).items():
-        if key == "config" or value is None:
-            continue
-        merged[key] = value
+    defaults = DEFAULTS.get(args.command, {})
+    for key, value in vars(args).items():  # a default takes its flag's place, so headers keep one key order
+        if value is not None and key != "config":
+            merged[key] = value
+        elif key in defaults:
+            merged.setdefault(key, defaults[key])
     for key, value in merged.items():
         setattr(args, key, value)
     return merged
 
 
-def _emit(rows: list[dict], config: dict, args: argparse.Namespace) -> None:
+def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | None = None) -> None:
+    """Write rows under the resolved configuration: the one writer of every bound, verify and app result.
+
+    ``run`` holds the keys that describe the run as a whole (an MDF report's
+    application, reps, seed and extra): top-level keys in JSON, a second
+    ``# `` line in CSV.
+    """
     fmt = config.get("format") or "csv"
     header = {k: v for k, v in config.items() if v is not None and k != "out"}
     if not config.get("deterministic"):
         header["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    run = run or {}
     if fmt == "json":
-        text = json.dumps({"config": header, "rows": rows}, indent=2, default=str) + "\n"
+        text = json.dumps({"config": header, **run, "rows": rows}, indent=2, default=str) + "\n"
     else:
         buf = io.StringIO()
         buf.write("# " + json.dumps(header, default=str, sort_keys=True) + "\n")
+        if run:
+            buf.write("# " + json.dumps(run, default=str, sort_keys=True) + "\n")
         if rows:
             cols: list[str] = []
             for row in rows:
@@ -447,6 +468,7 @@ def _parse_sweep(text: str) -> list[float]:
 def cmd_app(args: argparse.Namespace, config: dict) -> int:
     app = args.application
     reps, seed, threads = int(args.reps), int(args.seed), int(args.threads)
+    report = None  # the MDFReport of gc, slln, lil and segments
     if app == "gc":
         eta = args.eta if args.eta is not None else args.eps / 2.0
         n_max = args.nmax or 2000
@@ -458,8 +480,7 @@ def cmd_app(args: argparse.Namespace, config: dict) -> int:
     elif app == "cramer":
         fn = (lambda lam: 0.5 * lam * lam) if args.dist == "gaussian" else (lambda lam: math.log(math.cosh(lam)))
         res = rates.cramer_rate(fn, 0.0, args.eps)
-        _emit([{"application": "cramer", "dist": args.dist, "eps": args.eps, "rate": res.rate, "argmin": res.argmin, "method": res.method}], config, args)
-        return EXIT_OK
+        rows = [{"application": "cramer", "dist": args.dist, "eps": args.eps, "rate": res.rate, "argmin": res.argmin, "method": res.method}]
     elif app == "sanov":
         probs = Flag("mu", grid=True).parse(args.mu)
         if len(probs) == 1:
@@ -467,8 +488,7 @@ def cmd_app(args: argparse.Namespace, config: dict) -> int:
         if args.t is None:
             raise UsageError("sanov needs --t")
         res = rates.sanov_rate(np.array(probs), args.symbol, args.t)
-        _emit([{"application": "sanov", "mu": args.mu, "symbol": args.symbol, "t": args.t, "rate": res.rate, "minimizer": json.dumps(res.argmin, default=float), "method": res.method}], config, args)
-        return EXIT_OK
+        rows = [{"application": "sanov", "mu": args.mu, "symbol": args.symbol, "t": args.t, "rate": res.rate, "minimizer": json.dumps(res.argmin, default=float), "method": res.method}]
     elif app == "lil":
         report = lil.lil_simulate(args.alpha, args.nmax or 40, reps, seed, threads)
     elif app == "segments":
@@ -481,21 +501,11 @@ def cmd_app(args: argparse.Namespace, config: dict) -> int:
             {"application": "sde", "delta": d, "mean_abs_error": e, "stderr": s, "reps": reps, "slope": result.slope, "slope_stderr": result.slope_stderr}
             for d, e, s in zip(result.deltas, result.mean_errors, result.stderrs)
         ]
-        _emit(rows, config, args)
-        return EXIT_OK
-
-    fmt = config.get("format") or "csv"
-    if args.out:
-        if fmt == "json":
-            report.to_json(args.out)
-        else:
-            report.to_csv(args.out)
-    else:
-        rows = [
-            {"application": report.application, "epsilon": r.epsilon, "order": r.order, "theoretical": r.theoretical, "empirical": r.empirical, "stderr": r.stderr, "reps": report.reps, "seed": report.seed}
-            for r in report.rows
-        ]
-        _emit(rows, config, args)
+    run = None
+    if report is not None:
+        run = {"application": report.application, "reps": report.reps, "seed": report.seed, "extra": report.extra}
+        rows = [{"application": report.application, **vars(r), "reps": report.reps, "seed": report.seed} for r in report.rows]
+    _emit(rows, config, args, run)
     return EXIT_OK
 
 

@@ -286,7 +286,8 @@ def read_sample_jsonl(path: str) -> OverlapSample:
         while block := fh.readlines(1 << 16):  # parse 64 KiB of rows at a time: flat memory
             values += [rec["count"] for rec in json.loads("[" + ",".join(block) + "]")]
     counts = np.asarray(values)
-    if values and (counts.dtype.kind != "i" or counts.min() < 0):  # a float, bool, str, negative or huge count
+    # a float, bool, str, negative or huge count (a bool among ints still gives an int array)
+    if values and (counts.dtype.kind != "i" or counts.min() < 0 or bool in set(map(type, values))):
         i = next(i for i, c in enumerate(values) if not (type(c) is int and 0 <= c < 1 << 63))
         raise InputError(f"line {i + 2}: count must be a nonnegative integer (got {values[i]!r})")
     return OverlapSample(

@@ -25,7 +25,6 @@ for a'b, b'b, b''b**2 and b(bb')' in the order-1.5 Taylor expansion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -174,13 +173,6 @@ class ErrorSweep:
     slope: float
     slope_stderr: float
     intercept: float
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["delta", "mean_abs_error", "stderr", "reps"])
-            for d, e, s in zip(self.deltas, self.mean_errors, self.stderrs):
-                writer.writerow([d, e, s, self.reps])
 
 
 def strong_error_estimate(

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from overlapbounds import engine
+from overlapbounds.applications import mdf
 from overlapbounds.bounds import BoundResult
 from overlapbounds.cli import (
     EXIT_DOMAIN,
@@ -22,10 +24,12 @@ from overlapbounds.series import Explicit, Geometric, PowerLaw
 
 
 def read_csv(path):
+    """The config header line and the rows of a CSV output, past every leading ``# `` line."""
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ")
     header = json.loads(lines[0][2:])
-    rows = list(csv.DictReader(io.StringIO("\n".join(lines[1:]))))
+    body = itertools.dropwhile(lambda line: line.startswith("# "), lines)
+    rows = list(csv.DictReader(io.StringIO("\n".join(body))))
     return header, rows
 
 
@@ -179,9 +183,13 @@ class TestAppCommand:
         out = tmp_path / "l.csv"
         code = main(["app", "lil", "--alpha", "2", "--nmax", "20", "--reps", "200", "--out", str(out), "--deterministic"])
         assert code == EXIT_OK
-        text = out.read_text()
-        assert text.splitlines()[0].startswith("application")
-        assert "lil" in text
+        lines = out.read_text().splitlines()
+        config, run = (json.loads(line[2:]) for line in lines[:2])
+        assert config["application"] == "lil" and config["nmax"] == 20
+        assert (run["application"], run["reps"], run["extra"]["intervals"]) == ("lil", 200, 20)
+        assert lines[2] == "application,epsilon,order,theoretical,empirical,stderr,reps,seed"
+        _, rows = read_csv(out)
+        assert len(rows) == 2 and {row["application"] for row in rows} == {"lil"}
 
     def test_lil_domain(self, capsys):
         assert main(["app", "lil", "--alpha", "0.9", "--reps", "10"]) == EXIT_DOMAIN
@@ -196,6 +204,22 @@ class TestAppCommand:
         _, rows = read_csv(out)
         assert len(rows) == 3
         assert {"delta", "mean_abs_error", "slope"} <= set(rows[0].keys())
+
+    def test_sde_csv_export(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["app", "sde", "--sweep", "dyadic:2..4", "--reps", "50", "--seed", "3", "--out", str(out), "--deterministic"])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[1] == "application,delta,mean_abs_error,stderr,reps,slope,slope_stderr"
+        assert len(lines) == 5
+
+    def test_stdout_matches_out(self, tmp_path, capsys):
+        argv = ["app", "segments", "--nmax", "50", "--reps", "8", "--seed", "1", "--deterministic"]
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"s.{fmt}"
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+            assert capsys.readouterr().out == out.read_text()
 
 
 class TestExportAndConfig:
@@ -233,3 +257,91 @@ class TestExportAndConfig:
         main(["bound", "--formula", "lem2.6", "--c1", "1", "--seed", "424242", "--out", str(out), "--deterministic"])
         header, _ = read_csv(out)
         assert header["seed"] == 424242
+
+    def test_config_file_overrides_defaults(self, tmp_path):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"eps": "0.5", "ell": "100", "growth_p": 2.0, "deterministic": True}))
+        out = tmp_path / "vc.csv"
+        assert main(["bound", "--formula", "vc.bound", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert header["growth_p"] == 2.0
+        assert float(rows[0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 2.0 + 1.0)
+        # a flag still overrides the file
+        assert main(["bound", "--formula", "vc.bound", "--config", str(cfg), "--growth-p", "3", "--out", str(out)]) == EXIT_OK
+        assert float(read_csv(out)[1][0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 3.0 + 1.0)
+
+    def test_config_file_sets_app_sweep(self, tmp_path):
+        cfg = tmp_path / "sde.json"
+        cfg.write_text(json.dumps({"sweep": "dyadic:2..4", "reps": 50, "seed": 3, "deterministic": True}))
+        out = tmp_path / "sde.csv"
+        assert main(["app", "sde", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert header["sweep"] == "dyadic:2..4"
+        assert [float(row["delta"]) for row in rows] == [0.25, 0.125, 0.0625]
+
+
+# Each run: its full argv, and the part argparse requires
+ROUND_TRIPS = {
+    "bound": (["bound", "--formula", "vc.bound", "--eps", "0.5", "--ell", "100,200", "--growth-p", "2"], 3),
+    "verify exact": (["verify", "--formula", "thm2.9", "--decay", "explicit:0.02,0.03,0.01", "--r-points", "3"], 3),
+    "verify mc": (["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5", "--reps", "2000", "--seed", "7"], 3),
+    "gc": (["app", "gc", "--eps", "0.3", "--eta", "0.1", "--nmax", "150", "--reps", "64", "--seed", "5"], 2),
+    "slln": (["app", "slln", "--q", "3", "--dist", "rademacher", "--nmax", "300", "--reps", "64", "--seed", "5"], 2),
+    "cramer": (["app", "cramer", "--eps", "0.7", "--dist", "rademacher"], 2),
+    "sanov": (["app", "sanov", "--mu", "0.4", "--t", "0.8", "--symbol", "1"], 2),
+    "lil": (["app", "lil", "--alpha", "3", "--nmax", "20", "--reps", "128", "--seed", "5"], 2),
+    "segments": (["app", "segments", "--p-head", "0.4", "--threshold", "0.9", "--nmax", "200", "--reps", "16"], 2),
+    "sde": (["app", "sde", "--sweep", "dyadic:3..5", "--sde-sigma", "0.2", "--reps", "100", "--seed", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_header_reproduces_file(name, fmt, tmp_path):
+    argv, required = ROUND_TRIPS[name]
+    first, second, cfg = tmp_path / "first", tmp_path / "second", tmp_path / "config.json"
+    code = main(argv + ["--format", fmt, "--deterministic", "--out", str(first)])
+    assert code in (EXIT_OK, EXIT_VERIFY)
+    text = first.read_text()
+    header = json.loads(text.splitlines()[0][2:]) if fmt == "csv" else json.loads(text)["config"]
+    cfg.write_text(json.dumps(header))
+    assert main(argv[:required] + ["--config", str(cfg), "--out", str(second)]) == code
+    assert second.read_bytes() == first.read_bytes()
+
+
+# What the benchmark's app_reports workload reads from ``app <name> --format json --out``
+APP_ARGV = {
+    "gc": ["--eps", "0.25", "--nmax", "200", "--reps", "32"],
+    "slln": ["--nmax", "200", "--reps", "32"],
+    "lil": ["--nmax", "20", "--reps", "64"],
+    "segments": ["--nmax", "100", "--reps", "8"],
+    "sde": ["--sweep", "dyadic:4..6", "--reps", "64"],
+    "cramer": ["--eps", "0.5"],
+    "sanov": ["--mu", "0.4", "--t", "0.8"],
+}
+
+
+@pytest.mark.parametrize("app", APP_ARGV)
+def test_app_json_keys(app, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["app", app, *APP_ARGV[app], "--seed", "11", "--threads", "2", "--format", "json", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    report = json.loads(out.read_text())
+    rows, extra = report["rows"], report.get("extra")
+    if app in ("cramer", "sanov"):
+        assert math.isfinite(rows[0]["rate"])
+        return
+    if app == "sde":
+        assert math.isfinite(rows[0]["slope"])
+        return
+    assert report["reps"] == int(argv[argv.index("--reps") + 1])
+    for row in rows:
+        assert {"order", "theoretical", "empirical", "stderr"} <= row.keys()
+    if app == "gc":
+        assert extra["checkpoints"] and all({"n", "empirical", "cell_hoeffding"} <= cp.keys() for cp in extra["checkpoints"])
+    if app in ("gc", "slln", "lil"):
+        assert all(str(k) in extra["tail_counts"] for k in range(1, 6))
+    if app == "slln":
+        assert extra["all_finite"] is True
+    if app == "segments":
+        assert {"threshold", "p_head", "rate"} <= extra.keys()

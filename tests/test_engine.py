@@ -273,3 +273,12 @@ def test_jsonl_non_integer_or_negative_count_raises(tmp_path):
     path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n{"rep": 1, "count": -4}\n')
     with pytest.raises(InputError, match="line 3: .*-4"):
         read_sample_jsonl(str(path))
+
+
+def test_jsonl_bool_count_among_integers_raises(tmp_path):
+    # np.asarray([1, True]) is an int64 array, so the bool must be caught by its type
+    header = {"record": "header", "spec": {}, "seed": 1, "reps": 2, "truncation": 3, "tail_tolerance": 1e-6}
+    path = tmp_path / "two.jsonl"
+    path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n{"rep": 1, "count": true}\n')
+    with pytest.raises(InputError, match="line 3: .*True"):
+        read_sample_jsonl(str(path))

@@ -173,15 +173,6 @@ class TestStrongError:
         with pytest.raises(InputError):
             strong_error_estimate(prob, [0.25, 0.125, 0.0625], reps=10, seed=0)
 
-    def test_csv_export(self, tmp_path):
-        prob = SdeProblem.geometric_brownian(0.5, 0.1, 1.0, 1.0)
-        sweep = strong_error_estimate(prob, [0.25, 0.125, 0.0625], reps=50, seed=3)
-        out = tmp_path / "sweep.csv"
-        sweep.to_csv(str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "delta,mean_abs_error,stderr,reps"
-        assert len(lines) == 4
-
 
 class TestMdfBound:
     def test_zeta_value(self):
