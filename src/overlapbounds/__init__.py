@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     FunctionalOverflowError,
     InputError,
+    NonConvergenceError,
     OverlapBoundsError,
     TruncationError,
 )

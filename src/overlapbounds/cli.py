@@ -382,7 +382,8 @@ def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | 
 
     ``run`` holds the keys that describe the run as a whole (an MDF report's
     application, reps, seed and extra): top-level keys in JSON, a second
-    ``# `` line in CSV.
+    ``# `` line in CSV.  In JSON a report row whose bound diverges carries
+    ``theoretical: null`` and ``diverged: true``, so the file is strict JSON.
     """
     fmt = config.get("format") or "csv"
     header = {k: v for k, v in config.items() if v is not None and k != "out"}
@@ -390,6 +391,8 @@ def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | 
         header["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     run = run or {}
     if fmt == "json":
+        if run:
+            rows = [{**r, "theoretical": None, "diverged": True} if math.isinf(r["theoretical"]) else r for r in rows]
         text = json.dumps({"config": header, **run, "rows": rows}, indent=2, default=str) + "\n"
     else:
         buf = io.StringIO()

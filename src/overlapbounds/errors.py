@@ -13,6 +13,10 @@ class DivergenceError(DomainError):
     """A series or bound does not converge for the given parameters."""
 
 
+class NonConvergenceError(DomainError):
+    """A convergent series could not be certified within the summation guard."""
+
+
 class TruncationError(OverlapBoundsError, ValueError):
     """A simulation truncation does not meet its tail tolerance."""
 

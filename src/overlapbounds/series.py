@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, InputError
+from .errors import DivergenceError, DomainError, InputError, NonConvergenceError
 
 _SUM_CHUNK = 1 << 16
 _FIRST_CUT = 64
@@ -87,7 +87,8 @@ def _certified_sum(
     ``term`` maps an index array (floats) to its terms and ``remainder(M)``
     returns (lo, hi) with lo <= sum_{n >= M} <= hi.  The head runs over
     start..M-1 in chunks; M starts at max(start, 64) and doubles until
-    hi - lo <= 1e-15 * value.  The value is the upper end head + hi.
+    hi - lo <= 1e-15 * value.  The value is the upper end head + hi; a bracket
+    still wider than that at the 2**26 guard raises ``NonConvergenceError``.
     """
     cut, done, head = max(start, _FIRST_CUT), start, 0.0
     while True:
@@ -95,9 +96,10 @@ def _certified_sum(
             head += float(np.sum(term(np.arange(a, min(a + _SUM_CHUNK, cut), dtype=float))))
         done = cut
         lo, hi = remainder(cut)
-        tight = hi - lo <= _TIGHT * (head + lo)
-        if tight or cut >= _MAX_CUT:
-            return SeriesValue(head + hi, hi - lo, cut - start, tight)
+        if hi - lo <= _TIGHT * (head + lo):
+            return SeriesValue(head + hi, hi - lo, cut - start, True)
+        if cut >= _MAX_CUT:
+            raise NonConvergenceError(f"series not certified within {_MAX_CUT} terms: {head:.6g} + [{lo:.6g}, {hi:.6g}]")
         cut *= 2
 
 

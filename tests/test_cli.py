@@ -120,6 +120,13 @@ def test_freedman_overflow_is_domain_error(capsys):
     assert "overflows" in err and "r=1000" in err
 
 
+def test_unconverged_series_is_domain_error(capsys):
+    argv = ["bound", "--formula", "cor2.3.poly", "--decay", "geometric:1,0.9999999", "--p", "2.5"]
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not certified within" in captured.err
+
+
 class TestVerifyCommand:
     def test_exact_oracle_pass(self, tmp_path):
         out = tmp_path / "v.csv"
@@ -321,12 +328,16 @@ APP_ARGV = {
 }
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("app", APP_ARGV)
 def test_app_json_keys(app, tmp_path):
     out = tmp_path / "report.json"
     argv = ["app", app, *APP_ARGV[app], "--seed", "11", "--threads", "2", "--format", "json", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=reject_constant)
     rows, extra = report["rows"], report.get("extra")
     if app in ("cramer", "sanov"):
         assert math.isfinite(rows[0]["rate"])
@@ -337,6 +348,10 @@ def test_app_json_keys(app, tmp_path):
     assert report["reps"] == int(argv[argv.index("--reps") + 1])
     for row in rows:
         assert {"order", "theoretical", "empirical", "stderr"} <= row.keys()
+        # a divergent bound is null plus a flag; CSV keeps writing inf
+        assert (row["theoretical"] is None) == row.get("diverged", False)
+    if app in ("slln", "lil", "segments"):
+        assert any(row.get("diverged") for row in rows)
     if app == "gc":
         assert extra["checkpoints"] and all({"n", "empirical", "cell_hoeffding"} <= cp.keys() for cp in extra["checkpoints"])
     if app in ("gc", "slln", "lil"):

@@ -5,7 +5,23 @@ import pytest
 
 from overlapbounds import DomainError
 from overlapbounds.applications import exponential_dist, gc_simulate, uniform01
-from overlapbounds.applications.glivenko import scan_window
+from overlapbounds.applications.glivenko import KnownDistribution, _ks_scan_kernel, scan_window
+from overlapbounds.engine import chunk_rng
+
+
+def ks_statistics(v):
+    """D_n of every prefix of every row of v, by a from-scratch sort (shape (m, n_max))."""
+    out = np.empty(v.shape)
+    for n in range(1, v.shape[1] + 1):
+        s = np.sort(v[:, :n], axis=1)
+        grid = np.arange(1, n + 1, dtype=float)
+        out[:, n - 1] = np.maximum((grid / n - s).max(axis=1), (s - (grid - 1.0) / n).max(axis=1))
+    return out
+
+
+def fixed_path(path):
+    """A distribution whose draws are the given uniforms on every replication."""
+    return KnownDistribution("fixed", lambda x: x, lambda rng, shape: np.broadcast_to(path, shape).copy())
 
 
 def test_single_sample_statistic_always_large():
@@ -74,23 +90,56 @@ def test_scan_window_covers_requested_tail():
     assert w < 2000
 
 
-def test_incremental_scan_matches_direct_sort():
-    # checkpoints computed inside the scan window agree with a from-scratch
-    # sorted evaluation of the same sample paths
-    eps = 0.3
-    rep_a = gc_simulate(
-        uniform01, eps=eps, n_max=60, reps=500, seed=23, eta=0.1, checkpoints=[5, 20, 60], count_from=1
-    )
-    # force the sort path by shrinking the window via a tiny n_max... instead
-    # rebuild the empirical frequencies directly from the same generator layout
-    from overlapbounds.engine import chunk_rng
+@pytest.mark.parametrize(
+    "dist, eps, n_max, count_from, checkpoints",
+    [
+        (uniform01, 0.3, 200, 1, [1, 10, 50, 200]),
+        (uniform01, 0.15, 400, 89, [25, 100, 400]),
+        (exponential_dist(2.0), 0.2, 300, 50, [10, 75, 300]),
+        (uniform01, 0.45, 60, 3, [2, 7, 60]),
+    ],
+)
+def test_skip_scan_matches_full_scan(dist, eps, n_max, count_from, checkpoints):
+    # every n up to n_max evaluated from scratch: counts and checkpoint flags agree bitwise
+    m = 300
+    table = _ks_scan_kernel(dist, eps, n_max, checkpoints, count_from)(chunk_rng(29, 0), 0, m)
+    v = np.asarray(dist.cdf(dist.sample(chunk_rng(29, 0), (m, n_max))), dtype=float)
+    exceed = ks_statistics(v) >= eps
+    assert np.array_equal(table[:, 0], exceed[:, count_from - 1 :].sum(axis=1))
+    assert np.array_equal(table[:, 1:], exceed[:, np.array(checkpoints) - 1])
+    assert table[:, 0].sum() > 0
 
-    rng = chunk_rng(23, 0)
-    v = rng.random((500, 60))
-    for idx, n in enumerate([5, 20, 60]):
+
+def test_exceedance_beyond_the_old_scan_window_is_counted():
+    # a van der Corput prefix keeps D_n small; a run of draws at 0.001 then
+    # drives F_hat(0.001) to j / (300 + j), so past count_from D_n first
+    # reaches eps at n = 400
+    eps, n_max, reps = 0.25, 440, 2
+    corput = [sum(((i >> k) & 1) / 2.0 ** (k + 1) for k in range(12)) for i in range(1, 301)]
+    path = np.array(corput + [0.001] * (n_max - 300))
+    d = ks_statistics(path[None, :])[0]
+    count_from = math.ceil(2.0 / eps**2)
+    exceed_at = np.flatnonzero(d[count_from - 1 :] >= eps) + count_from
+    assert exceed_at.size > 0 and exceed_at[0] > scan_window(eps, n_max, reps)
+    report = gc_simulate(fixed_path(path), eps, n_max, reps, seed=1, eta=0.1)
+    assert report.extra["counts_mean"] == exceed_at.size
+
+
+def test_checkpoint_flags_match_direct_sort():
+    # checkpoints evaluate every row from a sort of its prefix, whatever count_from is;
+    # a repeated checkpoint fills every column that names it
+    eps, checkpoints = 0.3, [5, 20, 60, 20]
+    table = _ks_scan_kernel(uniform01, eps, 60, checkpoints, 40)(chunk_rng(23, 0), 0, 500)
+    v = chunk_rng(23, 0).random((500, 60))
+    for idx, n in enumerate(checkpoints):
         s = np.sort(v[:, :n], axis=1)
         grid = np.arange(1, n + 1, dtype=float)
         d = np.maximum((grid / n - s).max(axis=1), (s - (grid - 1) / n).max(axis=1))
-        assert rep_a.extra["checkpoints"][idx]["empirical"] == pytest.approx(
-            float(np.mean(d >= eps)), abs=1e-12
-        )
+        assert np.array_equal(table[:, 1 + idx], d >= eps)
+
+
+def test_checkpoints_outside_the_scan_raise():
+    with pytest.raises(DomainError, match="checkpoints"):
+        gc_simulate(uniform01, eps=0.2, n_max=50, reps=10, seed=1, eta=0.1, checkpoints=[10, 60])
+    with pytest.raises(DomainError, match="checkpoints"):
+        gc_simulate(uniform01, eps=0.2, n_max=50, reps=10, seed=1, eta=0.1, checkpoints=[0])

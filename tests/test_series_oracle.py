@@ -22,6 +22,7 @@ import pytest
 from overlapbounds import (
     DomainError,
     Geometric,
+    NonConvergenceError,
     PowerLaw,
     WeightSequence,
     general_moment_bound,
@@ -198,3 +199,11 @@ def test_custom_weights_over_an_infinite_family_raise():
     # the old heuristic returned 1.2020565, below zeta(3) = 1.2020569
     with pytest.raises(DomainError, match="no certified remainder"):
         general_moment_bound(WeightSequence.custom(lambda n: 1.0), PowerLaw(1, 4))
+
+
+def test_unconverged_series_raises_instead_of_bounding():
+    # b = 1 - 1e-7 reaches the 2**26 guard with the bracket still 7% wide; the
+    # earlier routine returned 3.7e32 with converged=False as a bound
+    with pytest.raises(NonConvergenceError, match="not certified"):
+        poly_moment_bound(2.5, Geometric(1, 1 - 1e-7))
+    assert issubclass(NonConvergenceError, DomainError)
