@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from ..bounds import BoundResult, exp_moment_bound, poly_moment_bound
+from ..engine import mean_stderr
 from ..errors import DomainError
 from ..series import DecayModel, SeriesValue, tail_sum
 
@@ -34,12 +35,13 @@ class MDFRow:
     @classmethod
     def from_values(cls, epsilon: float, order: str, theoretical: float, values: np.ndarray) -> MDFRow:
         """The row of one value per replication: its mean and the standard error of that mean."""
-        return cls(epsilon, order, theoretical, float(values.mean()), float(values.std(ddof=1)) / math.sqrt(len(values)))
+        return cls(epsilon, order, theoretical, *mean_stderr(values))
 
-    def holds(self, n_sigma: float = 4.0) -> bool:
+    def holds(self) -> bool:
+        """The empirical moment lies within 4 standard errors above a finite bound."""
         if not math.isfinite(self.theoretical):
             return True
-        return self.empirical <= self.theoretical + n_sigma * self.stderr
+        return self.empirical <= self.theoretical + 4.0 * self.stderr
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class MDFReport:
     rows: list[MDFRow]
     extra: dict = field(default_factory=dict)
 
-    def within_bounds(self, n_sigma: float = 4.0) -> bool:
-        return all(row.holds(n_sigma) for row in self.rows)
+    def within_bounds(self) -> bool:
+        return all(row.holds() for row in self.rows)
 
     def to_json(self, path: str) -> None:
         payload = {
@@ -68,22 +70,17 @@ class MDFReport:
             fh.write("\n")
 
 
-def mdf_first_order(model: DecayModel, allow_divergent: bool = False) -> BoundResult:
+def mdf_first_order(model: DecayModel) -> BoundResult:
     """First-order deviation bound E[O_eps] = phi(eps) = sum_{n>=1} P(E_n).
 
     The Markov tail is P(O_eps >= k) <= phi(eps) / k.
     """
-    inputs = {"model": model.describe()}
-    if not model.summable:
-        if allow_divergent:
-            return BoundResult(math.inf, "cor3.2", "diverges: sum P(E_n) = inf", inputs)
-        raise DomainError("first-order deviation bound requires sum P(E_n) < inf")
     phi = tail_sum(model, 1)
     return BoundResult(
         value=phi.value,
         formula_id="cor3.2",
         validity="E[O_eps] equals the error-probability sum; tail phi/k",
-        inputs=inputs,
+        inputs={"model": model.describe()},
         series=phi,
     )
 
@@ -94,40 +91,26 @@ def markov_tail(first_order: BoundResult, k: int) -> float:
     return first_order.value / k
 
 
-def mdf_polynomial(p: float, model: DecayModel, allow_divergent: bool = False) -> BoundResult:
+def mdf_polynomial(p: float, model: DecayModel) -> BoundResult:
     """Polynomial deviation-count bound E[O_eps**(p+1)] <= (p+1) phi(eps).
 
     Tail: P(O_eps >= k) <= k**-(p+1) * value.
     """
-    base = poly_moment_bound(p, model, allow_divergent=allow_divergent)
-    return BoundResult(
-        value=base.value,
-        formula_id="cor3.4",
-        validity=base.validity + "; tail k**-(p+1) * value",
-        inputs=base.inputs,
-        closed_form=base.closed_form,
-        series=base.series,
-    )
+    base = poly_moment_bound(p, model)
+    return replace(base, formula_id="cor3.4", validity=base.validity + "; tail k**-(p+1) * value")
 
 
 def polynomial_tail(bound: BoundResult, p: float, k: int) -> float:
     return bound.value * float(k) ** (-(p + 1.0))
 
 
-def mdf_exponential(p: float, model: DecayModel, allow_divergent: bool = False) -> BoundResult:
+def mdf_exponential(p: float, model: DecayModel) -> BoundResult:
     """Exponential deviation-count bound E[e**(p O_eps)] <= phi(eps) + 1.
 
     Tail: P(O_eps >= k) <= e**(-p k) * value.
     """
-    base = exp_moment_bound(p, model, allow_divergent=allow_divergent)
-    return BoundResult(
-        value=base.value,
-        formula_id="cor3.5",
-        validity=base.validity + "; tail e**(-p k) * value",
-        inputs=base.inputs,
-        closed_form=base.closed_form,
-        series=base.series,
-    )
+    base = exp_moment_bound(p, model)
+    return replace(base, formula_id="cor3.5", validity=base.validity + "; tail e**(-p k) * value")
 
 
 def exponential_tail(bound: BoundResult, p: float, k: int) -> float:

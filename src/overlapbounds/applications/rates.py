@@ -26,25 +26,18 @@ class RateFunctionResult:
         return ldp_mdf_bound(self.rate, p, big_c)
 
 
-def legendre_transform(
-    lambda_fn: Callable[[float], float], x: float, lam_bound: float = 50.0
-) -> float:
-    """Lambda*(x) = sup_lam (lam * x - Lambda(lam)) over [-B, B].
+def legendre_transform(lambda_fn: Callable[[float], float], x: float) -> float:
+    """Lambda*(x) = sup_lam (lam * x - Lambda(lam)) over [-50, 50].
 
     Near the maximiser the objective is flat to second order, so a tight
     search tolerance gives the value essentially to machine precision.
     """
     neg = lambda lam: -(lam * x - lambda_fn(lam))
-    _, val = golden_section_min(neg, -lam_bound, lam_bound, tol=1e-13, coarse=513)
+    _, val = golden_section_min(neg, -50.0, 50.0, tol=1e-13, coarse=513)
     return -val
 
 
-def cramer_rate(
-    lambda_fn: Callable[[float], float],
-    mean: float,
-    eps: float,
-    lam_bound: float = 50.0,
-) -> RateFunctionResult:
+def cramer_rate(lambda_fn: Callable[[float], float], mean: float, eps: float) -> RateFunctionResult:
     """inf of the Legendre transform over {x : |x - mean| >= eps}.
 
     The transform is convex with minimum 0 at the mean, so the infimum sits
@@ -60,8 +53,8 @@ def cramer_rate(
             raise DomainError("the cumulant function must be finite on a grid around 0")
     if eps == 0.0:
         return RateFunctionResult(0.0, mean, "closed-form")
-    hi = legendre_transform(lambda_fn, mean + eps, lam_bound)
-    lo = legendre_transform(lambda_fn, mean - eps, lam_bound)
+    hi = legendre_transform(lambda_fn, mean + eps)
+    lo = legendre_transform(lambda_fn, mean - eps)
     if hi <= lo:
         return RateFunctionResult(max(hi, 0.0), mean + eps, "numeric")
     return RateFunctionResult(max(lo, 0.0), mean - eps, "numeric")

@@ -16,7 +16,7 @@ Under tail summability (C_1 = sum P(E_n) < infinity) this module computes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,16 +24,15 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .series import (
     DecayModel,
-    PowerLaw,
     SeriesValue,
     TailFunction,
     WeightSequence,
     lambert_w0,
+    least_true_index,
     tail_sum,
     weighted_prob_series,
     weighted_tail_closed_form,
     weighted_tail_series,
-    zeta,
 )
 
 
@@ -48,14 +47,6 @@ class BoundResult:
     minimizer: float | None = None
     closed_form: float | None = None
     series: SeriesValue | None = None
-
-    @property
-    def diverged(self) -> bool:
-        return math.isinf(self.value)
-
-
-def _divergent_result(formula_id: str, inputs: dict, reason: str) -> BoundResult:
-    return BoundResult(math.inf, formula_id, f"diverges: {reason}", inputs)
 
 
 def golden_section_min(
@@ -93,9 +84,7 @@ def golden_section_min(
 # ---------------------------------------------------------------------------
 
 
-def nested_moment_identity(
-    weights: WeightSequence, model: DecayModel, allow_divergent: bool = False
-) -> BoundResult:
+def nested_moment_identity(weights: WeightSequence, model: DecayModel) -> BoundResult:
     """E[S(O)] for a nested family E_1 ⊃ E_2 ⊃ ... realised from the model.
 
     The exact identity is E[S(O)] = S(start-sum at 0) + sum_{n>=1} a_n P(E_n)
@@ -103,92 +92,63 @@ def nested_moment_identity(
     constant a_0 enters with coefficient one (S(0) = a_0 holds surely).  The
     series is ``weighted_prob_series``: the upper end of a certified enclosure.
     """
-    inputs = {"weights": weights.describe(), "model": model.describe()}
     base = weights.term(0) if weights.start == 0 else 0.0
-    try:
-        series = weighted_prob_series(weights, model)
-    except DivergenceError as exc:
-        if allow_divergent:
-            return _divergent_result("prop2.1", inputs, str(exc))
-        raise
+    series = weighted_prob_series(weights, model)
     return BoundResult(
         value=base + series.value,
         formula_id="prop2.1",
         validity="exact for nested families; requires sum a_n P(E_n) < inf",
-        inputs=inputs,
+        inputs={"weights": weights.describe(), "model": model.describe()},
         series=series,
     )
 
 
-def general_moment_bound(
-    weights: WeightSequence, model: DecayModel, allow_divergent: bool = False
-) -> BoundResult:
+def general_moment_bound(weights: WeightSequence, model: DecayModel) -> BoundResult:
     """Upper bound E[S(O)] <= sum_n a_n C_n for an arbitrary family."""
-    inputs = {"weights": weights.describe(), "model": model.describe()}
-    try:
-        series = weighted_tail_series(weights, model)
-    except DivergenceError as exc:
-        if allow_divergent:
-            return _divergent_result("thm2.2", inputs, str(exc))
-        raise
+    series = weighted_tail_series(weights, model)
     return BoundResult(
         value=series.value,
         formula_id="thm2.2",
         validity="bounds E[S(O)] for any family; requires sum a_n C_n < inf",
-        inputs=inputs,
+        inputs={"weights": weights.describe(), "model": model.describe()},
         closed_form=weighted_tail_closed_form(weights, model),
         series=series,
     )
 
 
-def poly_moment_bound(p: float, model: DecayModel, allow_divergent: bool = False) -> BoundResult:
+def poly_moment_bound(p: float, model: DecayModel) -> BoundResult:
     """E[O**(p+1)] <= (p+1) * K1(p) with K1(p) = sum_{n>=1} n**p C_n.
 
-    For a power-law decay the integral-comparison closed form
-    c * zeta(q-1-p) is reported alongside (it is the classical constant for
-    this decay; the series value is the sharp version of the same chain).
+    For a power-law decay (p+1) times the closed-form majorant of K1(p) from
+    ``weighted_tail_closed_form`` is reported alongside.
     """
     if p <= 0:
         raise DomainError("poly_moment_bound requires p > 0")
     weights = WeightSequence.monomial(p)
-    inputs = {"p": p, "model": model.describe()}
-    try:
-        series = weighted_tail_series(weights, model)
-    except DivergenceError as exc:
-        if allow_divergent:
-            return _divergent_result("cor2.3.poly", inputs, str(exc))
-        raise
-    closed = None
-    if isinstance(model, PowerLaw) and p < model.q - 2.0:
-        closed = model.c * zeta(model.q - 1.0 - p).value
+    series = weighted_tail_series(weights, model)
+    closed = weighted_tail_closed_form(weights, model)
     return BoundResult(
         value=(p + 1.0) * series.value,
         formula_id="cor2.3.poly",
         validity=f"bounds E[O**{p + 1.0:g}]; requires K1(p) < inf",
-        inputs=inputs,
-        closed_form=closed,
+        inputs={"p": p, "model": model.describe()},
+        closed_form=None if closed is None else (p + 1.0) * closed,
         series=series,
     )
 
 
-def exp_moment_bound(p: float, model: DecayModel, allow_divergent: bool = False) -> BoundResult:
+def exp_moment_bound(p: float, model: DecayModel) -> BoundResult:
     """E[exp(p*O)] <= K2(p) + 1 with K2(p) = sum_{n>=0} e**(np) C_n."""
     if p <= 0:
         raise DomainError("exp_moment_bound requires p > 0")
     weights = WeightSequence.exponential(p)
-    inputs = {"p": p, "model": model.describe()}
-    try:
-        series = weighted_tail_series(weights, model)
-    except DivergenceError as exc:
-        if allow_divergent:
-            return _divergent_result("cor2.3.exp", inputs, str(exc))
-        raise
+    series = weighted_tail_series(weights, model)
     closed = weighted_tail_closed_form(weights, model)
     return BoundResult(
         value=series.value + 1.0,
         formula_id="cor2.3.exp",
         validity=f"bounds E[exp({p:g} O)]; requires K2(p) < inf",
-        inputs=inputs,
+        inputs={"p": p, "model": model.describe()},
         closed_form=None if closed is None else closed + 1.0,
         series=series,
     )
@@ -295,20 +255,9 @@ def tail_cutoff_index(model: DecayModel, r: float, delta: float) -> int:
     if r <= 0 or delta <= 1.0:
         raise DomainError("tail_cutoff_index requires r > 0 and delta > 1")
     target = math.exp(-r) / delta
-    m = max(model.first_index, 1)
-    hi = m
-    while tail_sum(model, hi).value >= target:
-        hi *= 2
-        if hi > 1 << 40:
-            raise DivergenceError("tail never drops below e**-r / delta")
-    lo = m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_sum(model, mid).value < target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return least_true_index(
+        lambda m: tail_sum(model, m).value < target, 1 << 40, DivergenceError("tail never drops below e**-r / delta")
+    )
 
 
 def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:

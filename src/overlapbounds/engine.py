@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FunctionalOverflowError, InputError, TruncationError
-from .series import DecayModel, Explicit, WeightSequence, tail_sum
+from .series import DecayModel, Explicit, WeightSequence, least_true_index, tail_sum
 
 CHUNK_SIZE = 4096
 
@@ -40,7 +40,6 @@ def run_chunked(
     seed: int,
     kernel: Callable[[np.random.Generator, int, int], np.ndarray],
     threads: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> np.ndarray:
     """Run ``kernel(rng, start, m)`` over all replications, chunk by chunk.
 
@@ -49,12 +48,12 @@ def run_chunked(
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
-    n_chunks = (reps + chunk_size - 1) // chunk_size
+    n_chunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
     pieces: list[np.ndarray | None] = [None] * n_chunks
 
     def work(c: int) -> None:
-        start = c * chunk_size
-        m = min(chunk_size, reps - start)
+        start = c * CHUNK_SIZE
+        m = min(CHUNK_SIZE, reps - start)
         pieces[c] = np.asarray(kernel(chunk_rng(seed, c), start, m))
 
     if threads <= 1 or n_chunks == 1:
@@ -156,19 +155,7 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
         t = tail_sum(model, n + 1)
         return math.exp(exp_rate * n) * (t.value + t.truncation_error) <= tail_tolerance
 
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > 1 << 26:
-            raise DomainError("no feasible truncation below 2**26; decay too slow for this rate")
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return least_true_index(ok, 1 << 26, DomainError("no feasible truncation below 2**26; decay too slow for this rate"))
 
 
 def simulate_overlap(
@@ -257,9 +244,13 @@ def empirical_moment(
         table = partial_sum_of.partial_sums_upto(int(counts.max()))
         values = table[counts]
         name = f"E[S(O)] for {partial_sum_of.describe()}"
-    est = float(values.mean())
+    return EmpiricalMoment(*mean_stderr(values), len(values), name)
+
+
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The mean of one value per replication and its standard error (0.0 for a single value)."""
     sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return EmpiricalMoment(est, sd / math.sqrt(len(values)), len(values), name)
+    return float(values.mean()), sd / math.sqrt(len(values))
 
 
 def write_sample_jsonl(sample: OverlapSample, path: str) -> None:

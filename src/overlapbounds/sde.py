@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import run_chunked
+from .engine import mean_stderr, run_chunked
 from .errors import DomainError, InputError
 from .series import zeta
 from .bounds import BoundResult
@@ -210,9 +210,9 @@ def strong_error_estimate(
             exact = problem.exact_terminal(t_end, w)
             return np.abs(exact - y)
 
-        errors = run_chunked(reps, seed + j, kernel, threads=threads)
-        means.append(float(errors.mean()))
-        ses.append(float(errors.std(ddof=1)) / math.sqrt(reps))
+        mean, se = mean_stderr(run_chunked(reps, seed + j, kernel, threads=threads))
+        means.append(mean)
+        ses.append(se)
     means = np.asarray(means)
     ses = np.asarray(ses)
     lx, ly = np.log(deltas), np.log(means)

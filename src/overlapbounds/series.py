@@ -27,7 +27,7 @@ over an infinite family they raise ``DomainError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -246,25 +246,14 @@ class TailFunction:
 
     evaluate: Callable[[float], float]
     inverse: Callable[[float], float]
-    domain: tuple[float, float] = (1.0, math.inf)
     label: str = "custom"
 
     def __post_init__(self) -> None:
-        lo = self.domain[0]
-        hi = min(self.domain[1], lo + 64.0)
-        pts = [lo, 0.5 * (lo + hi), hi]
-        vals = [self.evaluate(m) for m in pts]
+        vals = [self.evaluate(m) for m in (1.0, 33.0, 65.0)]
         if any(v < 0 for v in vals):
             raise DomainError("tail function must be nonnegative")
         if not all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
             raise DomainError("tail function must be nonincreasing")
-
-    def self_check(self, points: Sequence[float], rel_tol: float = 1e-10) -> None:
-        """Verify L(L^-1(s)) = s to rel_tol on the given sample of s values."""
-        for s in points:
-            back = self.evaluate(self.inverse(s))
-            if abs(back - s) > rel_tol * max(abs(s), 1e-300):
-                raise ArithmeticError(f"tail inverse mismatch at s={s}: L(L^-1(s))={back}")
 
     @staticmethod
     def power(c: float, p: float) -> "TailFunction":
@@ -274,7 +263,6 @@ class TailFunction:
         return TailFunction(
             evaluate=lambda m: c / m**p,
             inverse=lambda s: (c / s) ** (1.0 / p),
-            domain=(1.0, math.inf),
             label=f"power(c={c},p={p})",
         )
 
@@ -287,7 +275,6 @@ class TailFunction:
         return TailFunction(
             evaluate=lambda m: c * b**m,
             inverse=lambda s: math.log(s / c) / lnb,
-            domain=(1.0, math.inf),
             label=f"geometric(c={c},b={b})",
         )
 
@@ -297,17 +284,14 @@ class DecayModel:
 
     ``raw`` is the model formula without clamping (used in bound
     arithmetic, where the majorant may exceed one); ``prob`` clamps into
-    [0, 1] (used in simulation).  ``first_index`` is the smallest event
-    index the model defines.
+    [0, 1] (used in simulation).  Events are indexed from n = 1.
     """
-
-    first_index: int = 1
 
     def raw(self, n: int) -> float:
         raise NotImplementedError
 
     def prob(self, n: int) -> float:
-        if n < max(self.first_index, 1):
+        if n < 1:
             raise DomainError(f"event index n={n} below the model's first index")
         return min(1.0, max(0.0, self.raw(n)))
 
@@ -341,7 +325,6 @@ class Explicit(DecayModel):
     """A finite, explicitly listed family; probabilities[i] = P(E_{i+1})."""
 
     probabilities: tuple[float, ...]
-    first_index: int = field(default=1, init=False)
 
     def __init__(self, probabilities: Sequence[float]):
         probs = tuple(float(p) for p in probabilities)
@@ -378,7 +361,6 @@ class PowerLaw(DecayModel):
 
     c: float
     q: float
-    first_index: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
         if self.c <= 0 or self.q <= 0:
@@ -416,7 +398,6 @@ class Geometric(DecayModel):
 
     c: float
     b: float
-    first_index: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.c <= 0:
@@ -452,7 +433,6 @@ class CustomTail(DecayModel):
     """
 
     L: TailFunction
-    first_index: int = field(default=1, init=False)
 
     def raw(self, n: int) -> float:
         if n < 1:
@@ -483,6 +463,27 @@ def tail_sum(model: DecayModel, m: int) -> SeriesValue:
             f"model {model.describe()} is not summable; tail sums are infinite"
         )
     return model.tail(m)
+
+
+def least_true_index(ok: Callable[[int], bool], cap: int, error: Exception) -> int:
+    """The least n >= 1 with ok(n), for a predicate that stays true once true.
+
+    n doubles from 1 until ok(n) holds, raising ``error`` once n passes
+    ``cap``; bisection on [1, n] then finds the least such n.
+    """
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+        if hi > cap:
+            raise error
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -666,18 +667,17 @@ def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
 
 
 def weighted_tail_closed_form(weights: WeightSequence, model: DecayModel) -> float | None:
-    """The closed-form expression for the weighted tail series, when one exists.
+    """A closed-form upper bound on the weighted tail series, when one exists.
 
-    For monomial weights over a power law this is the integral-comparison
-    expression c * zeta(q - 1 - p) / (q - 1); for exponential weights over a
-    geometric decay it is c / ((1-b) (1 - e**p b)), which is exact.
+    For monomial weights over a power law, C_n <= c n**-q + c n**(1-q) / (q-1)
+    gives sum_n n**p C_n <= c (zeta(q-1-p) / (q-1) + zeta(q-p)) for p < q - 2;
+    for exponential weights over a geometric decay the value
+    c / ((1-b) (1 - e**p b)) is exact.
     """
-    if isinstance(model, PowerLaw) and weights.kind == "monomial":
-        if weights.p < model.q - 2.0:
-            return model.c * zeta(model.q - 1.0 - weights.p).value / (model.q - 1.0)
-        return None
-    if isinstance(model, Geometric) and weights.kind == "exponential":
-        if weights.p < abs(math.log(model.b)):
-            return model.c / ((1.0 - model.b) * (1.0 - math.exp(weights.p) * model.b))
-        return None
+    p = weights.p
+    if isinstance(model, PowerLaw) and weights.kind == "monomial" and p < model.q - 2.0:
+        c, q = model.c, model.q
+        return c * (zeta(q - 1.0 - p).value / (q - 1.0) + zeta(q - p).value)
+    if isinstance(model, Geometric) and weights.kind == "exponential" and p < abs(math.log(model.b)):
+        return model.c / ((1.0 - model.b) * (1.0 - math.exp(p) * model.b))
     return None

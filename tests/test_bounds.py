@@ -36,6 +36,7 @@ from overlapbounds.bounds import (
 )
 
 ZETA2 = math.pi**2 / 6.0
+ZETA3 = 1.2020569031595942854  # Apery's constant
 
 
 class TestNestedIdentity:
@@ -67,10 +68,6 @@ class TestNestedIdentity:
     def test_divergent(self):
         with pytest.raises(DivergenceError):
             nested_moment_identity(WeightSequence.monomial(3), PowerLaw(1, 3))
-        res = nested_moment_identity(
-            WeightSequence.monomial(3), PowerLaw(1, 3), allow_divergent=True
-        )
-        assert res.diverged
 
 
 class TestGeneralBound:
@@ -94,8 +91,11 @@ class TestGeneralBound:
 
 class TestPolyExpBounds:
     def test_poly_powerlaw_closed_form(self):
+        # (p + 1) c (zeta(q-1-p)/(q-1) + zeta(q-p)) at (q, p) = (4, 1), above the series (zeta(2) + zeta(3)) / 2
         res = poly_moment_bound(1.0, PowerLaw(1, 4))
-        assert res.closed_form == pytest.approx(ZETA2, abs=1e-9)
+        assert res.closed_form == pytest.approx(2.0 * (ZETA2 / 3.0 + ZETA3), rel=1e-12)
+        assert res.value == pytest.approx(ZETA2 + ZETA3, rel=1e-12)
+        assert res.closed_form >= res.value
         assert "E[O**2]" in res.validity
 
     def test_poly_explicit_hand_oracle(self):

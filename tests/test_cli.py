@@ -71,7 +71,9 @@ class TestBoundCommand:
         code = main(["bound", "--formula", "cor2.3.poly", "--decay", "powerlaw:1,4", "--p", "1", "--out", str(out), "--deterministic"])
         assert code == EXIT_OK
         _, rows = read_csv(out)
-        assert float(rows[0]["closed_form"]) == pytest.approx(math.pi**2 / 6.0, rel=1e-9)
+        # 2 (zeta(2)/3 + zeta(3)), which bounds the value 2 (zeta(2) + zeta(3)) / 2 from above
+        assert float(rows[0]["closed_form"]) == pytest.approx(2.0 * (math.pi**2 / 18.0 + 1.2020569031595943), rel=1e-9)
+        assert float(rows[0]["closed_form"]) >= float(rows[0]["value"])
 
     def test_unknown_formula_is_usage_error(self, capsys):
         assert main(["bound", "--formula", "nosuch"]) == EXIT_USAGE
@@ -360,3 +362,13 @@ def test_app_json_keys(app, tmp_path):
         assert extra["all_finite"] is True
     if app == "segments":
         assert {"threshold", "p_head", "rate"} <= extra.keys()
+
+
+@pytest.mark.parametrize("app", ["lil", "sde"])
+def test_single_replication_report_is_strict_json(app, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["app", app, *APP_ARGV[app], "--seed", "11", "--format", "json", "--out", str(out)]
+    argv[argv.index("--reps") + 1] = "1"
+    assert main(argv) == EXIT_OK
+    rows = json.loads(out.read_text(), parse_constant=reject_constant)["rows"]
+    assert rows and all(row["stderr"] == 0.0 for row in rows)

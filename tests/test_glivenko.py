@@ -56,6 +56,13 @@ def test_report_is_within_bounds():
     assert exp_row.empirical <= exp_row.theoretical
 
 
+def test_single_replication_is_within_bounds():
+    # one replication has standard error 0, not the NaN of std(ddof=1) of one value
+    report = gc_simulate(uniform01, 0.3, 50, 1, 1, 0.1)
+    assert all(row.stderr == 0.0 for row in report.rows)
+    assert report.within_bounds()
+
+
 def test_thread_invariance():
     kwargs = dict(eps=0.25, n_max=150, reps=2000, seed=13, eta=0.1)
     base = gc_simulate(uniform01, **kwargs, threads=1)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from overlapbounds import DomainError, Explicit, Geometric, PowerLaw, exp_moment_bound
+from overlapbounds import DivergenceError, DomainError, Explicit, Geometric, PowerLaw, exp_moment_bound
 from overlapbounds.applications import (
     MDFReport,
     MDFRow,
@@ -30,9 +30,9 @@ class TestFirstOrder:
         assert markov_tail(res, 3) == pytest.approx(0.25)
 
     def test_divergent(self):
-        with pytest.raises(DomainError):
+        # the summability condition of tail_sum, like every other bound
+        with pytest.raises(DivergenceError, match="not summable"):
             mdf_first_order(PowerLaw(1, 1))
-        assert mdf_first_order(PowerLaw(1, 1), allow_divergent=True).diverged
 
 
 def test_polynomial_wrapper_and_tail():

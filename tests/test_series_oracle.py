@@ -9,7 +9,9 @@ rounding in the head sums and closed forms (at most 6e-15 on this grid,
 from 1 / (1 - e**p b) at e**p b = 0.997).  The grid holds near-boundary
 exponents (q -> 1, p -> q - 2 or q - 1, e**p b -> 1, b -> 1), clamped
 probabilities, and every parameter point of the re-recorded cells of
-``cli_golden.json``.
+``cli_golden.json``.  For integer p a second, exact oracle sums the
+Faulhaber polynomial against zeta, and the power-law ``closed_form`` must
+lie at or above the series.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def oracle_powerlaw_weighted_tail(c: float, q: float, p: float) -> mp.mpf:
         return +(mp.mpf(c) * values[1])
 
 
+def oracle_faulhaber_zeta(c: float, q: float, p: int) -> mp.mpf:
+    """sum_{n>=1} n**p C_n for integer p, exactly: swapping the order gives
+    c sum_m m**-q S_p(m) with the Faulhaber polynomial
+    S_p(m) = sum_{j<=p} C(p+1, j) B+_j m**(p+1-j) / (p+1), B+_1 = +1/2,
+    so the sum is a finite combination of zeta(q - p - 1 + j)."""
+    with mp.workdps(DPS):
+        q = mp.mpf(q)
+        total = sum(mp.binomial(p + 1, j) * (-1) ** j * mp.bernoulli(j) * mp.zeta(q - p - 1 + j) for j in range(p + 1))
+        return +(mp.mpf(c) * total / (p + 1))
+
+
 def oracle_clamped(c: float, decay, weight, rest) -> mp.mpf:
     """sum_{n>=1} a_n min(1, P_n) = sum over clamped n of a_n (1 - P_n) + sum_{n>=1} a_n P_n."""
     with mp.workdps(DPS):
@@ -120,6 +133,12 @@ WEIGHTED_POWERLAW = [
     (1.0, 6.0, 0.0), (1.0, 6.0, 1.0), (1.0, 6.0, 2.0), (1.0, 6.0, 3.0),
     (0.5, 4.0, 1.0), (2.0, 5.0, 1.5), (1.0, 2.5, 0.4), (1.0, 2.001, 0.0),
 ]
+FAULHABER_POINTS = [
+    (1.0, 4.0, 0), (1.0, 4.0, 1), (1.0, 5.0, 1), (1.0, 5.0, 2), (1.0, 6.0, 3), (2.0, 5.0, 1),
+    (1.0, 12.0, 2), (1.0, 12.0, 9), (0.5, 3.5, 1), (1.0, 3.001, 1),
+]
+# closed form against the series, near p -> q - 2 as well
+CLOSED_FORM_POINTS = WEIGHTED_POWERLAW + [(1.0, 4.0, 1.999), (1.0, 3.0, 0.999), (1.0, 12.0, 2.0), (1.0, 12.0, 9.99)]
 WEIGHTED_GEOMETRIC = [
     (1.0, 0.5, 0.0), (1.0, 0.5, 0.5), (1.0, 0.5, 1.0), (1.0, 0.5, 1.5), (1.0, 0.5, 2.0), (1.0, 0.5, 2.5),
     (0.5, 0.3, 1.0), (2.0, 0.3, 1.0), (0.5, 0.7, 1.0), (1.0, 0.95, 2.0), (1.0, 0.05, 0.5),
@@ -151,6 +170,29 @@ def test_zeta(s):
 @pytest.mark.parametrize("c,q,p", WEIGHTED_POWERLAW)
 def test_weighted_tail_series_powerlaw(c, q, p):
     check_enclosure(weighted_tail_series(WeightSequence.monomial(p), PowerLaw(c, q)), oracle_powerlaw_weighted_tail(c, q, p))
+
+
+@pytest.mark.parametrize("c,q,p", FAULHABER_POINTS)
+def test_weighted_tail_series_faulhaber_zeta(c, q, p):
+    check_enclosure(weighted_tail_series(WeightSequence.monomial(p), PowerLaw(c, q)), oracle_faulhaber_zeta(c, q, p))
+
+
+def test_faulhaber_zeta_oracle_at_4_1():
+    # sum_m m**-4 m (m + 1) / 2 = (zeta(2) + zeta(3)) / 2
+    with mp.workdps(DPS):
+        assert oracle_faulhaber_zeta(1.0, 4.0, 1) == (mp.zeta(2) + mp.zeta(3)) / 2
+
+
+@pytest.mark.parametrize("c,q,p", CLOSED_FORM_POINTS)
+def test_powerlaw_closed_form_bounds_the_series(c, q, p):
+    # c (zeta(q-1-p)/(q-1) + zeta(q-p)) from C_n <= c n**-q + c n**(1-q) / (q-1)
+    res = general_moment_bound(WeightSequence.monomial(p), PowerLaw(c, q))
+    assert res.closed_form >= res.value
+    assert res.closed_form >= float(oracle_powerlaw_weighted_tail(c, q, p))
+    if p > 0:
+        poly = poly_moment_bound(p, PowerLaw(c, q))
+        assert poly.closed_form == (p + 1.0) * res.closed_form
+        assert poly.closed_form >= poly.value
 
 
 @pytest.mark.parametrize("c,b,p", WEIGHTED_GEOMETRIC)
