@@ -90,9 +90,12 @@ def slln_mdf_report(
         raise DomainError("slln_mdf_report requires eps > 0")
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
+        # |S_n / n| is built in place, so a chunk holds one (m, n_max) float array
         x = np.asarray(sampler(rng, (m, n_max)), dtype=float)
-        running = np.cumsum(x, axis=1) / np.arange(1, n_max + 1)
-        return (np.abs(running) >= eps).sum(axis=1).astype(np.int64)
+        np.cumsum(x, axis=1, out=x)
+        x /= np.arange(1, n_max + 1)
+        np.abs(x, out=x)
+        return (x >= eps).sum(axis=1).astype(np.int64)
 
     counts = run_chunked(reps, seed, kernel, threads=threads)
     payoff = counts.astype(float) ** p

@@ -270,12 +270,12 @@ class TestTailFunction:
     def test_power_inverse_roundtrip(self):
         L = TailFunction.power(2.0, 1.5)
         for s in (1e-3, 0.05, 0.8, 1.7):
-            assert L.evaluate(L.inverse(s)) == pytest.approx(s, rel=1e-10)
+            assert abs(L.evaluate(L.inverse(s)) - s) <= 1e-10 * s
 
     def test_geometric_inverse_roundtrip(self):
         L = TailFunction.geometric(1.0, 0.4)
         for s in (1e-4, 0.01, 0.3):
-            assert L.evaluate(L.inverse(s)) == pytest.approx(s, rel=1e-10)
+            assert abs(L.evaluate(L.inverse(s)) - s) <= 1e-10 * s
 
     def test_monotonicity_guard(self):
         with pytest.raises(DomainError):
