@@ -137,6 +137,8 @@ def gc_simulate(
         raise DomainError("gc_simulate requires 0 < eps < 1")
     if not (0.0 < eta < eps):
         raise DomainError(f"gc_simulate requires 0 < eta < eps = {eps} (got eta={eta})")
+    if n_max < 1:
+        raise DomainError(f"gc_simulate requires n_max >= 1 (got {n_max})")
     if checkpoints is None:
         checkpoints = [n for n in (10, 25, 50, 75, 100, 200, 500, 1000, 2000) if n <= n_max]
     if any(not 1 <= n <= n_max for n in checkpoints):

@@ -80,7 +80,6 @@ def mdf_first_order(model: DecayModel) -> BoundResult:
         value=phi.value,
         formula_id="cor3.2",
         validity="E[O_eps] equals the error-probability sum; tail phi/k",
-        inputs={"model": model.describe()},
         series=phi,
     )
 
@@ -178,5 +177,4 @@ def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:
         value=value,
         formula_id="thm3.16",
         validity=f"requires 0 < p < rate = {rate:.6g}; tail value * e**(-p k)",
-        inputs={"rate": rate, "p": p, "C": big_c},
     )

@@ -88,6 +88,8 @@ def slln_mdf_report(
         raise DomainError(f"slln_mdf_report requires 0 < p < q - 1 = {q - 1} (got p={p})")
     if eps <= 0:
         raise DomainError("slln_mdf_report requires eps > 0")
+    if n_max < 1:
+        raise DomainError(f"slln_mdf_report requires n_max >= 1 (got {n_max})")
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         # |S_n / n| is built in place, so a chunk holds one (m, n_max) float array

@@ -43,7 +43,6 @@ class BoundResult:
     value: float
     formula_id: str
     validity: str
-    inputs: dict
     minimizer: float | None = None
     closed_form: float | None = None
     series: SeriesValue | None = None
@@ -98,7 +97,6 @@ def nested_moment_identity(weights: WeightSequence, model: DecayModel) -> BoundR
         value=base + series.value,
         formula_id="prop2.1",
         validity="exact for nested families; requires sum a_n P(E_n) < inf",
-        inputs={"weights": weights.describe(), "model": model.describe()},
         series=series,
     )
 
@@ -110,7 +108,6 @@ def general_moment_bound(weights: WeightSequence, model: DecayModel) -> BoundRes
         value=series.value,
         formula_id="thm2.2",
         validity="bounds E[S(O)] for any family; requires sum a_n C_n < inf",
-        inputs={"weights": weights.describe(), "model": model.describe()},
         closed_form=weighted_tail_closed_form(weights, model),
         series=series,
     )
@@ -131,7 +128,6 @@ def poly_moment_bound(p: float, model: DecayModel) -> BoundResult:
         value=(p + 1.0) * series.value,
         formula_id="cor2.3.poly",
         validity=f"bounds E[O**{p + 1.0:g}]; requires K1(p) < inf",
-        inputs={"p": p, "model": model.describe()},
         closed_form=None if closed is None else (p + 1.0) * closed,
         series=series,
     )
@@ -148,7 +144,6 @@ def exp_moment_bound(p: float, model: DecayModel) -> BoundResult:
         value=series.value + 1.0,
         formula_id="cor2.3.exp",
         validity=f"bounds E[exp({p:g} O)]; requires K2(p) < inf",
-        inputs={"p": p, "model": model.describe()},
         closed_form=None if closed is None else closed + 1.0,
         series=series,
     )
@@ -180,7 +175,6 @@ def freedman_exp_bound(r: float, c1: float) -> BoundResult:
         value=value,
         formula_id="thm2.7",
         validity="independent events, C1 = sum P(E_n)",
-        inputs={"r": r, "c1": c1},
     )
 
 
@@ -220,7 +214,6 @@ def improved_exp_bound(r: float, c1: float) -> BoundResult:
         value=1.0 / (1.0 - c1 * math.exp(r)),
         formula_id="thm2.9",
         validity=f"independent events, C1 < 1 and r < |ln(C1)| = {limit:.6g}",
-        inputs={"r": r, "c1": c1},
     )
 
 
@@ -245,7 +238,6 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
         value=math.exp(log_val),
         formula_id="cor2.10",
         validity="independent events; L nonincreasing invertible majorant of the tail sums",
-        inputs={"r": r, "tail": L.label},
         minimizer=math.exp(x),
     )
 

@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -33,15 +34,7 @@ from . import engine
 from .applications import glivenko, lil, mdf, rates, segments, slln
 from . import sde as sde_mod
 from .errors import DomainError, InputError, OverlapBoundsError, TruncationError
-from .series import (
-    DecayModel,
-    Explicit,
-    Geometric,
-    PowerLaw,
-    TailFunction,
-    WeightSequence,
-    tail_sum,
-)
+from .series import Explicit, Geometric, PowerLaw, TailFunction, WeightSequence, tail_sum
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -49,24 +42,17 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
-# The defaults of every subcommand ("all") and of each one.  Argparse defaults
-# stay None, so a flag is set only when given and a config file can override these.
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "all": {
-        "seed": 20240801,
-        "reps": 100_000,
-        "threads": 1,
-        "format": "csv",
-        "tail_tolerance": 1e-6,
-        "out": None,
-        "deterministic": False,
-    },
-    "bound": {"growth_p": 1.0},
-    "verify": {"r_points": 10},
-    "app": {
-        "eps": 0.2, "q": 2, "dist": "gaussian", "mu": "0.5", "symbol": 0, "alpha": 2.0, "p_head": 0.5,
-        "threshold": 1.0, "sweep": "dyadic:4..9", "sde_mu": 0.5, "sde_sigma": 0.1, "x0": 1.0, "horizon": 1.0,
-    },
+# The defaults every subcommand shares.  A formula, check or application
+# declares its own in its Flags; argparse defaults stay None, so a flag is set
+# only when given and a config file can override these.
+DEFAULTS: dict[str, Any] = {
+    "seed": 20240801,
+    "reps": 100_000,
+    "threads": 1,
+    "format": "csv",
+    "tail_tolerance": 1e-6,
+    "out": None,
+    "deterministic": False,
 }
 
 
@@ -79,61 +65,74 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_decay(text: str) -> DecayModel:
-    kind, _, rest = text.partition(":")
+@dataclass(frozen=True)
+class Dist:
+    """A step distribution: slln draws from ``sampler``, cramer reads its cumulant log E[e**(lam X)]."""
+
+    name: str
+    sampler: Callable[[np.random.Generator, tuple], np.ndarray]
+    cumulant: Callable[[float], float]
+
+
+# Each spec kind parses ``name:v1,v2,...``: a name maps to its parameters
+# ("..." takes any number) and the constructor that receives them.
+SPECS: dict[str, dict[str, tuple[str, Callable[..., Any]]]] = {
+    "decay": {"powerlaw": ("c,q", PowerLaw), "geometric": ("c,b", Geometric),
+              "explicit": ("p1,...", lambda *probs: Explicit(probs))},
+    "weights": {"monomial": ("p", WeightSequence.monomial), "exponential": ("p", WeightSequence.exponential)},
+    "tail": {"power": ("c,p", TailFunction.power), "geometric": ("c,b", TailFunction.geometric)},
+    "dist": {
+        "gaussian": ("", partial(Dist, "gaussian", lambda rng, shape: rng.normal(0.0, 1.0, shape),
+                                 lambda lam: 0.5 * lam * lam)),
+        "rademacher": ("", partial(Dist, "rademacher", slln.rademacher, lambda lam: math.log(math.cosh(lam)))),
+    },
+}
+
+
+def spec_usage(kind: str) -> str:
+    return " | ".join(f"{name}:{params}" if params else name for name, (params, _) in SPECS[kind].items())
+
+
+def parse_spec(kind: str, text: str) -> Any:
+    """The object a ``name:v1,v2,...`` spec of ``kind`` names; a malformed or unknown one is a UsageError."""
+    name, _, rest = text.partition(":")
     try:
         values = [float(v) for v in rest.split(",") if v != ""]
     except ValueError as exc:
-        raise UsageError(f"bad decay parameters {rest!r}") from exc
-    if kind == "powerlaw" and len(values) == 2:
-        return PowerLaw(values[0], values[1])
-    if kind == "geometric" and len(values) == 2:
-        return Geometric(values[0], values[1])
-    if kind == "explicit":
-        return Explicit(values)
-    raise UsageError(f"unknown decay spec {text!r} (powerlaw:c,q | geometric:c,b | explicit:p1,...)")
+        raise UsageError(f"bad {kind} parameters {rest!r}") from exc
+    params, make = SPECS[kind].get(name, ("", None))
+    arity = len(params.split(",")) if params else 0
+    if make is None or (not params.endswith("...") and len(values) != arity):
+        raise UsageError(f"unknown {kind} spec {text!r} ({spec_usage(kind)})")
+    return make(*values)
 
 
-def parse_weights(text: str) -> WeightSequence:
+def _parse_sweep(text: str) -> list[float]:
     kind, _, rest = text.partition(":")
     try:
-        p = float(rest)
-    except ValueError as exc:
-        raise UsageError(f"bad weight parameter {rest!r}") from exc
-    if kind == "monomial":
-        return WeightSequence.monomial(p)
-    if kind == "exponential":
-        return WeightSequence.exponential(p)
-    raise UsageError(f"unknown weights spec {text!r} (monomial:p | exponential:p)")
-
-
-def parse_tail(text: str) -> TailFunction:
-    kind, _, rest = text.partition(":")
-    try:
-        values = [float(v) for v in rest.split(",") if v != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad tail parameters {rest!r}") from exc
-    if kind == "power" and len(values) == 2:
-        return TailFunction.power(values[0], values[1])
-    if kind == "geometric" and len(values) == 2:
-        return TailFunction.geometric(values[0], values[1])
-    raise UsageError(f"unknown tail spec {text!r} (power:c,p | geometric:c,b)")
+        a, b = rest.split("..")
+        if kind == "dyadic":
+            return [2.0 ** (-k) for k in range(int(a), int(b) + 1)]
+    except ValueError:
+        pass
+    raise UsageError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
 
 
 PARSERS: dict[str, Callable[[Any], Any]] = {
-    "float": float, "int": int, "decay": parse_decay, "weights": parse_weights, "tail": parse_tail
+    "float": float, "int": int, "str": str, "sweep": _parse_sweep,
+    **{kind: partial(parse_spec, kind) for kind in SPECS},
 }
 
 
 @dataclass(frozen=True)
 class Flag:
-    """A flag a formula reads: how it is parsed and which row column it labels."""
+    """A flag a formula, check or application reads: how it is parsed and which row column it labels."""
 
-    name: str  # argparse dest and the keyword the formula's callable takes
+    name: str  # argparse dest and the keyword the callable takes
     kind: str = "float"  # a key of PARSERS
     grid: bool = False  # comma-separated values, expanded in declaration order
     column: str | None = None  # row key when it differs from the name
-    default: Any = None  # used when the flag is absent
+    default: Any = None  # used when the flag is absent; a callable derives it from the flags before it
 
     @property
     def option(self) -> str:
@@ -153,15 +152,21 @@ class Flag:
             return value.label
         return value.describe() if self.kind in ("decay", "weights") else value
 
+    def usage(self) -> str:
+        if callable(self.default):
+            return f"[{self.option}]"
+        return self.option + "*" * self.grid + ("" if self.default is None else f"={self.default}")
 
-def parse_flags(formula: str, flags: Sequence[Flag], args: argparse.Namespace) -> dict[str, Any]:
-    """Each declared flag parsed once; a missing or malformed one is a UsageError."""
+
+def parse_flags(args: argparse.Namespace) -> dict[str, Any]:
+    """Each flag of the selected entry parsed once, or derived; a missing or malformed one is a UsageError."""
+    name, flags = _selected(args)
     values = {}
     for flag in flags:
-        raw = getattr(args, flag.name, None)
-        if raw is None and flag.default is None:
-            raise UsageError(f"formula {formula} needs {flag.option}")
-        values[flag.name] = flag.parse(flag.default if raw is None else raw)
+        raw = getattr(args, flag.name)
+        if raw is None and not callable(flag.default):
+            raise UsageError(f"{args.command} {name} needs {flag.option}")
+        values[flag.name] = flag.default(values) if raw is None else flag.parse(raw)
     return values
 
 
@@ -172,7 +177,7 @@ class ExactOracleCheck:
     r runs over ``--r-points`` interior points of (0, |ln C1|), or of (0, 1) when C1 >= 1.
     """
 
-    flags: tuple[Flag, ...] = (Flag("decay", "decay"), Flag("r_points", "int"))
+    flags: tuple[Flag, ...] = (Flag("decay", "decay"), Flag("r_points", "int", default=10))
 
     def run(self, formula: str, bound: Callable[..., Any], values: dict, args: argparse.Namespace) -> list[dict]:
         model, n = values["decay"], values["r_points"]
@@ -229,10 +234,12 @@ class MonteCarloCheck:
 
 @dataclass(frozen=True)
 class Formula:
-    """A numbered result: its flags, its value at one grid point and, if it has one, its check."""
+    """A numbered result or an application: its flags, what it computes and, if it has one, its check."""
 
     flags: tuple[Flag, ...]
-    compute: Callable[..., Any]  # a keyword per flag -> a BoundResult or a dict of row fields
+    # a keyword per flag -> a BoundResult or a dict of row fields at one grid point;
+    # an application also takes reps, seed and threads and returns an MDFReport or rows
+    compute: Callable[..., Any]
     check: ExactOracleCheck | MonteCarloCheck | None = None
 
 
@@ -275,105 +282,145 @@ FORMULAS: dict[str, Formula] = {
     "thm3.16": Formula(
         (Flag("rate"), Flag("bigc", column="C"), PS), lambda rate, bigc, p: mdf.ldp_mdf_bound(rate, p, bigc)),
     "vc.bound": Formula(
-        (Flag("eps"), Flag("growth_p"), Flag("ell", "int", grid=True)),
+        (Flag("eps"), Flag("growth_p", default=1.0), Flag("ell", "int", grid=True)),
         lambda eps, growth_p, ell: {"value": mdf.vc_bound(ell, eps, lambda x: float(x) ** growth_p + 1.0)}),
     "sde.mdf": Formula(
         (Flag("kt"), Flag("ct"), Flag("t"), Flag("eps")), lambda kt, ct, t, eps: sde_mod.sde_mdf_bound(kt, ct, t, eps)),
 }
-VERIFIABLE = tuple(fid for fid, entry in FORMULAS.items() if entry.check is not None)
 
 
-def _formula_help() -> str:
-    lines = ["formulas and the flags each reads (* marks a comma-separated grid):"]
-    for fid, entry in FORMULAS.items():
-        lines.append(f"  {fid:<14}" + " ".join(f.option + "*" * f.grid for f in entry.flags))
+def _cramer(dist: Dist, eps: float, **_: int) -> list[dict]:
+    res = rates.cramer_rate(dist.cumulant, 0.0, eps)
+    return [{"application": "cramer", "dist": dist.name, "eps": eps, "rate": res.rate, "argmin": res.argmin,
+             "method": res.method}]
+
+
+def _sanov(mu: str, symbol: int, t: float, **_: int) -> list[dict]:
+    probs = Flag("mu", grid=True).parse(mu)
+    if len(probs) == 1:
+        probs = [probs[0], 1.0 - probs[0]]
+    res = rates.sanov_rate(np.array(probs), symbol, t)
+    return [{"application": "sanov", "mu": mu, "symbol": symbol, "t": t, "rate": res.rate,
+             "minimizer": json.dumps(res.argmin, default=float), "method": res.method}]
+
+
+def _sde(sde_mu: float, sde_sigma: float, x0: float, horizon: float, sweep: list[float],
+         reps: int, seed: int, threads: int) -> list[dict]:
+    problem = sde_mod.SdeProblem.geometric_brownian(sde_mu, sde_sigma, x0, horizon)
+    result = sde_mod.strong_error_estimate(problem, sweep, reps, seed, threads)
+    return [{"application": "sde", "delta": d, "mean_abs_error": e, "stderr": s, "reps": reps, "slope": result.slope,
+             "slope_stderr": result.slope_stderr} for d, e, s in zip(result.deltas, result.mean_errors, result.stderrs)]
+
+
+EPS, DIST = Flag("eps", default=0.2), Flag("dist", "dist", default="gaussian")
+
+APPS: dict[str, Formula] = {
+    "gc": Formula(
+        (EPS, Flag("eta", default=lambda v: v["eps"] / 2.0), Flag("nmax", "int", default=2000)),
+        lambda eps, eta, nmax, reps, seed, threads: glivenko.gc_simulate(
+            glivenko.uniform01, eps, nmax, reps, seed, eta, threads)),
+    "slln": Formula(
+        (Flag("q", "int", default=2), Flag("p", default=lambda v: (v["q"] - 1) / 2.0), EPS,
+         Flag("nmax", "int", default=10_000), DIST),
+        lambda q, p, eps, nmax, dist, reps, seed, threads: slln.slln_mdf_report(
+            dist.sampler, q, p, eps, nmax, reps, seed, threads)),
+    "cramer": Formula((DIST, EPS), _cramer),
+    "sanov": Formula((Flag("mu", "str", default="0.5"), Flag("symbol", "int", default=0), Flag("t")), _sanov),
+    "lil": Formula(
+        (Flag("alpha", default=2.0), Flag("nmax", "int", default=40)),
+        lambda alpha, nmax, reps, seed, threads: lil.lil_simulate(alpha, nmax, reps, seed, threads)),
+    "segments": Formula(
+        (Flag("p_head", default=0.5), Flag("threshold", default=1.0), Flag("nmax", "int", default=2000)),
+        lambda p_head, threshold, nmax, reps, seed, threads: segments.rare_segments(
+            p_head, threshold, nmax, reps, seed, threads=threads)),
+    "sde": Formula(
+        (Flag("sde_mu", default=0.5), Flag("sde_sigma", default=0.1), Flag("x0", default=1.0),
+         Flag("horizon", default=1.0), Flag("sweep", "sweep", default="dyadic:4..9")), _sde),
+}
+
+
+# Each subcommand's entries and the flags each reads; --formula or the application names the one a run reads
+FLAGS: dict[str, dict[str, tuple[Flag, ...]]] = {
+    "bound": {fid: entry.flags for fid, entry in FORMULAS.items()},
+    "verify": {fid: entry.check.flags for fid, entry in FORMULAS.items() if entry.check is not None},
+    "app": {name: app.flags for name, app in APPS.items()},
+}
+
+
+def _selected(args: argparse.Namespace) -> tuple[str, tuple[Flag, ...]]:
+    """The formula, check or application a run names, and the flags it reads."""
+    name = args.application if args.command == "app" else getattr(args, "formula", None)
+    return name, FLAGS.get(args.command, {}).get(name, ())
+
+
+def _table_help(title: str, flags_of: dict[str, tuple[Flag, ...]]) -> str:
+    lines = [f"{title} and the flags each reads (* a comma-separated grid, =x its default, [..] derived):"]
+    lines += [f"  {name:<14}" + " ".join(f.usage() for f in flags) for name, flags in flags_of.items()]
     return "\n".join(lines)
 
 
+def _add_flags(parser: _Parser, flags_of: dict[str, tuple[Flag, ...]]) -> None:
+    """One option per flag name; argparse converts a scalar number, so a header keeps its JSON type."""
+    declared: dict[str, set[tuple[str, bool]]] = {}
+    for flag in itertools.chain(*flags_of.values()):
+        declared.setdefault(flag.name, set()).add((flag.kind, flag.grid))
+    for name, kinds in declared.items():
+        kind, grid = kinds.pop() if len(kinds) == 1 else ("str", True)  # declared two ways: kept as text
+        numeric = kind in ("float", "int") and not grid
+        parser.add_argument(Flag(name).option, dest=name, type=PARSERS[kind] if numeric else None,
+                            help=spec_usage(kind) if kind in SPECS else None)
+
+
+@cache  # argparse does not change a parser while parsing, so each process builds it once
 def build_parser() -> _Parser:
     parser = _Parser(prog="overlapbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def add(command: str, help: str, title: str = "") -> _Parser:
+        flags_of = FLAGS.get(command, {})
+        p = sub.add_parser(command, help=help, formatter_class=argparse.RawDescriptionHelpFormatter,
+                           epilog=_table_help(title, flags_of) if flags_of else None)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json", "jsonl"))
+        p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--seed", type=int)
         p.add_argument("--reps", type=int)
         p.add_argument("--threads", type=int)
         p.add_argument("--tail-tolerance", dest="tail_tolerance", type=float)
         p.add_argument("--deterministic", action="store_true", default=None)
+        _add_flags(p, flags_of)
+        return p
 
-    pb = sub.add_parser(
-        "bound",
-        help="evaluate a bound formula over parameter grids",
-        epilog=_formula_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(pb)
-    pb.add_argument("--formula", required=True, help="formula id, see the list below")
-    pb.add_argument("--decay")
-    pb.add_argument("--weights")
-    pb.add_argument("--tail", help="tail majorant for cor2.10 (power:c,p | geometric:c,b)")
-    for flag in ("--r", "--p", "--k", "--c1", "--c", "--b", "--rate", "--bigc", "--eps"):
-        pb.add_argument(flag)
-    pb.add_argument("--ell")
-    pb.add_argument("--growth-p", dest="growth_p", type=float)
-    pb.add_argument("--kt", type=float)
-    pb.add_argument("--ct", type=float)
-    pb.add_argument("--t", type=float)
-
-    pv = sub.add_parser("verify", help="check a bound against its oracle or Monte Carlo")
-    common(pv)
-    pv.add_argument("--formula", required=True, help="one of " + ", ".join(VERIFIABLE))
-    pv.add_argument("--decay")
-    pv.add_argument("--weights")
-    pv.add_argument("--p", type=float)
-    pv.add_argument("--r-points", dest="r_points", type=int)
-
-    pa = sub.add_parser("app", help="run an application report")
-    common(pa)
-    pa.add_argument("application", choices=("gc", "slln", "cramer", "sanov", "lil", "segments", "sde"))
-    pa.add_argument("--eps", type=float)
-    pa.add_argument("--eta", type=float)
-    pa.add_argument("--nmax", type=int)
-    pa.add_argument("--q", type=int)
-    pa.add_argument("--p", type=float)
-    pa.add_argument("--dist", help="gaussian | rademacher (cramer/slln)")
-    pa.add_argument("--mu", help="sanov base distribution (comma probabilities or one Bernoulli p)")
-    pa.add_argument("--symbol", type=int)
-    pa.add_argument("--t", type=float)
-    pa.add_argument("--alpha", type=float)
-    pa.add_argument("--p-head", dest="p_head", type=float)
-    pa.add_argument("--threshold", type=float)
-    pa.add_argument("--sweep", help="dyadic:a..b step-size sweep (sde)")
-    pa.add_argument("--sde-mu", dest="sde_mu", type=float)
-    pa.add_argument("--sde-sigma", dest="sde_sigma", type=float)
-    pa.add_argument("--x0", type=float)
-    pa.add_argument("--horizon", type=float)
-
-    pe = sub.add_parser("export", help="simulate an event family, write JSONL sample")
-    common(pe)
+    pb = add("bound", "evaluate a bound formula over parameter grids", "formulas")
+    pb.add_argument("--formula", required=True, choices=FORMULAS, metavar="FORMULA", help="formula id, see below")
+    pv = add("verify", "check a bound against its oracle or Monte Carlo", "checks")
+    pv.add_argument("--formula", required=True, choices=FLAGS["verify"], metavar="FORMULA",
+                    help="formula id, see below")
+    add("app", "run an application report", "applications").add_argument("application", choices=APPS)
+    pe = add("export", "simulate an event family, write JSONL sample")
     pe.add_argument("--family", choices=engine.FAMILIES, required=True)
-    pe.add_argument("--decay", required=True)
-
+    pe.add_argument("--decay", required=True, help=spec_usage("decay"))
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge precedence: command-line flag > config file > default."""
-    merged = dict(DEFAULTS["all"])
+    """Merge precedence: command-line flag > config file > default.
+
+    The result holds, in this order, the common keys, the command and what it
+    selects, and the flags the selected formula, check or application reads.
+    """
+    given = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            merged.update(json.load(fh))
-    defaults = DEFAULTS.get(args.command, {})
-    for key, value in vars(args).items():  # a default takes its flag's place, so headers keep one key order
-        if value is not None and key != "config":
-            merged[key] = value
-        elif key in defaults:
-            merged.setdefault(key, defaults[key])
-    for key, value in merged.items():
-        setattr(args, key, value)
+            given = json.load(fh)
+    flags = _selected(args)[1]
+    defaults = {**DEFAULTS, **{f.name: f.default for f in flags if not callable(f.default)}}
+    keys = [*DEFAULTS, "command", "formula", "application", *(f.name for f in flags)]
+    merged = {}
+    for key in dict.fromkeys(k for k in keys if k in DEFAULTS or hasattr(args, k)):
+        value = getattr(args, key, None)
+        merged[key] = given.get(key, defaults.get(key)) if value is None else value
+        setattr(args, key, merged[key])
     return merged
 
 
@@ -400,15 +447,10 @@ def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | 
         if run:
             buf.write("# " + json.dumps(run, default=str, sort_keys=True) + "\n")
         if rows:
-            cols: list[str] = []
-            for row in rows:
-                for key in row:
-                    if key not in cols:
-                        cols.append(key)
+            cols = list(dict.fromkeys(key for row in rows for key in row))
             writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -430,11 +472,8 @@ def _row(formula: str, params: dict, result: bd.BoundResult | dict) -> dict:
     return row
 
 
-def cmd_bound(args: argparse.Namespace, config: dict) -> int:
-    entry = FORMULAS.get(args.formula)
-    if entry is None:
-        raise UsageError(f"unknown formula {args.formula!r}; choose from {', '.join(FORMULAS)}")
-    values = parse_flags(args.formula, entry.flags, args)
+def cmd_bound(args: argparse.Namespace, config: dict, values: dict) -> int:
+    entry = FORMULAS[args.formula]
     grids = [values[f.name] if f.grid else [values[f.name]] for f in entry.flags]
     rows = []
     for point in itertools.product(*grids):
@@ -445,77 +484,32 @@ def cmd_bound(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: dict) -> int:
-    if args.formula not in VERIFIABLE:
-        raise UsageError(f"unknown verification {args.formula!r}; choose from {', '.join(VERIFIABLE)}")
+def cmd_verify(args: argparse.Namespace, config: dict, values: dict) -> int:
     if int(args.reps) < 1:
         raise UsageError("reps must be >= 1")
     entry = FORMULAS[args.formula]
-    values = parse_flags(args.formula, entry.check.flags, args)
     rows = entry.check.run(args.formula, entry.compute, values, args)
     _emit(rows, config, args)
     return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VERIFY
 
 
-def _parse_sweep(text: str) -> list[float]:
-    kind, _, rest = text.partition(":")
-    try:
-        a, b = rest.split("..")
-        if kind == "dyadic":
-            return [2.0 ** (-k) for k in range(int(a), int(b) + 1)]
-    except ValueError:
-        pass
-    raise UsageError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
-
-
-def cmd_app(args: argparse.Namespace, config: dict) -> int:
-    app = args.application
-    reps, seed, threads = int(args.reps), int(args.seed), int(args.threads)
-    report = None  # the MDFReport of gc, slln, lil and segments
-    if app == "gc":
-        eta = args.eta if args.eta is not None else args.eps / 2.0
-        n_max = args.nmax or 2000
-        report = glivenko.gc_simulate(glivenko.uniform01, args.eps, n_max, reps, seed, eta, threads)
-    elif app == "slln":
-        sampler = slln.rademacher if args.dist == "rademacher" else (lambda rng, shape: rng.normal(0.0, 1.0, shape))
-        p = args.p if args.p is not None else (args.q - 1) / 2.0
-        report = slln.slln_mdf_report(sampler, args.q, p, args.eps, args.nmax or 10_000, reps, seed, threads)
-    elif app == "cramer":
-        fn = (lambda lam: 0.5 * lam * lam) if args.dist == "gaussian" else (lambda lam: math.log(math.cosh(lam)))
-        res = rates.cramer_rate(fn, 0.0, args.eps)
-        rows = [{"application": "cramer", "dist": args.dist, "eps": args.eps, "rate": res.rate, "argmin": res.argmin, "method": res.method}]
-    elif app == "sanov":
-        probs = Flag("mu", grid=True).parse(args.mu)
-        if len(probs) == 1:
-            probs = [probs[0], 1.0 - probs[0]]
-        if args.t is None:
-            raise UsageError("sanov needs --t")
-        res = rates.sanov_rate(np.array(probs), args.symbol, args.t)
-        rows = [{"application": "sanov", "mu": args.mu, "symbol": args.symbol, "t": args.t, "rate": res.rate, "minimizer": json.dumps(res.argmin, default=float), "method": res.method}]
-    elif app == "lil":
-        report = lil.lil_simulate(args.alpha, args.nmax or 40, reps, seed, threads)
-    elif app == "segments":
-        report = segments.rare_segments(args.p_head, args.threshold, args.nmax or 2000, reps, seed, threads=threads)
-    else:
-        problem = sde_mod.SdeProblem.geometric_brownian(args.sde_mu, args.sde_sigma, args.x0, args.horizon)
-        sweep = _parse_sweep(args.sweep)
-        result = sde_mod.strong_error_estimate(problem, sweep, reps, seed, threads)
-        rows = [
-            {"application": "sde", "delta": d, "mean_abs_error": e, "stderr": s, "reps": reps, "slope": result.slope, "slope_stderr": result.slope_stderr}
-            for d, e, s in zip(result.deltas, result.mean_errors, result.stderrs)
-        ]
-    run = None
-    if report is not None:
-        run = {"application": report.application, "reps": report.reps, "seed": report.seed, "extra": report.extra}
-        rows = [{"application": report.application, **vars(r), "reps": report.reps, "seed": report.seed} for r in report.rows]
+def cmd_app(args: argparse.Namespace, config: dict, values: dict) -> int:
+    result = APPS[args.application].compute(**values, reps=int(args.reps), seed=int(args.seed),
+                                            threads=int(args.threads))
+    if not isinstance(result, mdf.MDFReport):
+        _emit(result, config, args)
+        return EXIT_OK
+    run = {"application": result.application, "reps": result.reps, "seed": result.seed, "extra": result.extra}
+    rows = [{"application": result.application, **vars(r), "reps": result.reps, "seed": result.seed}
+            for r in result.rows]
     _emit(rows, config, args, run)
     return EXIT_OK
 
 
-def cmd_export(args: argparse.Namespace, config: dict) -> int:
+def cmd_export(args: argparse.Namespace, config: dict, values: dict) -> int:
     if not args.out:
         raise UsageError("export needs --out")
-    model = parse_decay(args.decay)
+    model = parse_spec("decay", args.decay)
     spec = engine.EventFamilySpec.from_model(args.family, model, float(args.tail_tolerance))
     sample = engine.simulate_overlap(spec, int(args.reps), int(args.seed), int(args.threads))
     engine.write_sample_jsonl(sample, args.out)
@@ -523,12 +517,11 @@ def cmd_export(args: argparse.Namespace, config: dict) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
         command = {"bound": cmd_bound, "verify": cmd_verify, "app": cmd_app, "export": cmd_export}[args.command]
-        return command(args, config)
+        return command(args, config, parse_flags(args))
     except (UsageError, InputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

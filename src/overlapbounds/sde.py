@@ -236,5 +236,4 @@ def sde_mdf_bound(k_t: float, c: float, t_end: float, eps: float) -> BoundResult
         value=k1,
         formula_id="sde.mdf",
         validity="E[O_eps] across dyadic refinements; tail K1 / k",
-        inputs={"K_T": k_t, "C": c, "T": t_end, "eps": eps},
     )

@@ -17,9 +17,9 @@ from overlapbounds.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     main,
-    parse_decay,
-    parse_weights,
+    parse_spec,
 )
+from overlapbounds import cli
 from overlapbounds.series import Explicit, Geometric, PowerLaw
 
 
@@ -35,14 +35,53 @@ def read_csv(path):
 
 class TestParsing:
     def test_decay_specs(self):
-        assert isinstance(parse_decay("powerlaw:1,4"), PowerLaw)
-        assert isinstance(parse_decay("geometric:1,0.5"), Geometric)
-        model = parse_decay("explicit:0.5,0.25")
+        assert isinstance(parse_spec("decay", "powerlaw:1,4"), PowerLaw)
+        assert isinstance(parse_spec("decay", "geometric:1,0.5"), Geometric)
+        model = parse_spec("decay", "explicit:0.5,0.25")
         assert isinstance(model, Explicit) and model.probabilities == (0.5, 0.25)
 
     def test_weights_specs(self):
-        assert parse_weights("monomial:1").kind == "monomial"
-        assert parse_weights("exponential:0.25").kind == "exponential"
+        assert parse_spec("weights", "monomial:1").kind == "monomial"
+        assert parse_spec("weights", "exponential:0.25").kind == "exponential"
+
+    def test_tail_and_dist_specs(self):
+        assert parse_spec("tail", "power:1,2").label == "power(c=1.0,p=2.0)"
+        assert parse_spec("dist", "rademacher").name == "rademacher"
+
+    @pytest.mark.parametrize("kind, text", [
+        ("decay", "powerlaw:1"), ("decay", "geometric:1,0.5,2"), ("decay", "nosuch:1"), ("weights", "monomial:"),
+        ("weights", "monomial:1,2"), ("tail", "power:x,2"), ("dist", "gaussian:1"), ("dist", "foo"),
+    ])
+    def test_malformed_spec_is_usage_error(self, kind, text):
+        with pytest.raises(cli.UsageError):
+            parse_spec(kind, text)
+
+
+def _subparsers():
+    action = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return action.choices
+
+
+@pytest.mark.parametrize("command, flags_of", cli.FLAGS.items(), ids=list(cli.FLAGS))
+def test_each_flag_is_one_option(command, flags_of):
+    actions = _subparsers()[command]._actions
+    for flags in flags_of.values():
+        for flag in flags:
+            matches = [a for a in actions if flag.option in a.option_strings]
+            assert len(matches) == 1 and matches[0].dest == flag.name, flag.option
+    names = {flag.name for flags in flags_of.values() for flag in flags}
+    common = {"help", "config", "out", "format", "seed", "reps", "threads", "tail_tolerance", "deterministic"}
+    assert {a.dest for a in actions} - common - {"formula", "application"} == names
+
+
+@pytest.mark.parametrize("command, entries", [("bound", cli.FORMULAS), ("app", cli.APPS)])
+def test_help_lists_every_entry_with_its_flags(command, entries):
+    text = _subparsers()[command].format_help()
+    lines = {line.split()[0]: line.split()[1:] for line in text.splitlines() if line.startswith("  ") and line.split()}
+    for name, entry in entries.items():
+        assert lines[name] == [flag.usage() for flag in entry.flags]
+    if command == "app":
+        assert {"--nmax=2000", "[--eta]"} <= set(lines["gc"]) and "--nmax=40" in lines["lil"]
 
 
 class TestBoundCommand:
@@ -104,6 +143,10 @@ class TestBoundCommand:
         ["export", "--family", "independent", "--decay", "geometric:1,0.5", "--reps", "10"],
         ["app", "sanov", "--mu", "abc", "--t", "0.6"],
         ["app", "sde", "--sweep", "dyadic:a..3"],
+        ["bound", "--formula", "lem2.6", "--c1", "1", "--format", "jsonl"],
+        ["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5", "--format", "jsonl"],
+        ["app", "cramer", "--format", "jsonl"],
+        ["export", "--family", "independent", "--decay", "geometric:1,0.5", "--format", "jsonl", "--out", "x.jsonl"],
     ],
     ids=" ".join,
 )
@@ -165,7 +208,7 @@ class TestVerifyCommand:
     def test_failure_exit_code(self, monkeypatch, tmp_path):
         # force an impossible bound so the oracle comparison must fail
         def tiny_bound(r, c1):
-            return BoundResult(0.5, "thm2.7", "forced", {"r": r, "c1": c1})
+            return BoundResult(0.5, "thm2.7", "forced")
 
         monkeypatch.setattr("overlapbounds.cli.bd.freedman_exp_bound", tiny_bound)
         out = tmp_path / "v.csv"
@@ -202,6 +245,14 @@ class TestAppCommand:
 
     def test_lil_domain(self, capsys):
         assert main(["app", "lil", "--alpha", "0.9", "--reps", "10"]) == EXIT_DOMAIN
+
+    def test_header_lists_only_the_flags_read(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["app", "cramer", "--nmax", "7", "--format", "json", "--deterministic", "--out", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        assert list(config) == ["seed", "reps", "threads", "format", "tail_tolerance", "deterministic", "command",
+                                "application", "dist", "eps"]
+        assert (config["dist"], config["eps"]) == ("gaussian", 0.2)
 
     def test_sde_sweep(self, tmp_path):
         out = tmp_path / "sde.csv"

@@ -1,13 +1,16 @@
-"""Golden rows of the ``bound`` and ``verify`` subcommands.
+"""Golden rows of the ``bound``, ``verify`` and ``app`` subcommands.
 
 Every argv below runs through ``cli.main`` with ``--format json
 --deterministic``; its exit code and its rows must equal the recorded ones
 in ``cli_golden.json``: the same row sequence, the same keys and every
-float identical bit for bit.  The set covers all formula ids, multi-value
-grids, each missing-flag case, the out-of-domain calls that exit 2 and all
-verifiable formulas at small ``--reps``.
+float identical bit for bit.  An ``app`` call also records the report keys
+(application, reps, seed, extra).  The set covers all formula ids, multi-value
+grids, each missing-flag case, the out-of-domain calls that exit 2, all
+verifiable formulas and all seven applications at small ``--reps``, with
+their defaulted and explicit flags and the malformed calls that exit 64.
 
-Regenerate the file from a reference checkout with
+Regenerate the file (bound, verify and app records alike) from a reference
+checkout with
 
     PYTHONPATH=<checkout>/src python tests/test_cli_golden.py tests/cli_golden.json
 """
@@ -106,6 +109,42 @@ VERIFY_CALLS: list[list[str]] = [
     ["nosuch", "--decay", "geometric:1,0.5"],
 ]
 
+APP = ["--reps", "16", "--seed", "5"]
+APP_CALLS: list[list[str]] = [
+    ["gc", "--eps", "0.3", "--nmax", "120", *APP],
+    ["gc", "--eps", "0.3", "--eta", "0.1", "--nmax", "120", *APP],
+    ["gc", "--reps", "4", "--seed", "5"],
+    ["gc", "--nmax", "0", *APP],
+    ["gc", "--eps", "0.3", "--eta", "0.4", "--nmax", "50", *APP],
+    ["slln", "--q", "3", "--dist", "rademacher", "--nmax", "300", *APP],
+    ["slln", "--q", "3", "--p", "0.5", "--eps", "0.3", "--nmax", "300", *APP],
+    ["slln", "--reps", "4", "--seed", "5"],
+    ["slln", "--nmax", "0", *APP],
+    ["slln", "--dist", "foo", "--nmax", "50", *APP],
+    ["slln", "--q", "x"],
+    ["cramer", "--eps", "0.7", "--dist", "rademacher"],
+    ["cramer", "--eps", "1.5", "--dist", "gaussian"],
+    ["cramer"],
+    ["cramer", "--dist", "foo"],
+    ["sanov", "--mu", "0.4", "--t", "0.8", "--symbol", "1"],
+    ["sanov", "--mu", "0.2,0.3,0.5", "--t", "0.4", "--symbol", "2"],
+    ["sanov", "--t", "0.6"],
+    ["sanov", "--mu", "0.4"],
+    ["sanov", "--mu", "abc", "--t", "0.6"],
+    ["lil", "--alpha", "3", "--nmax", "20", *APP],
+    ["lil", *APP],
+    ["lil", "--nmax", "0", *APP],
+    ["lil", "--alpha", "0.9", *APP],
+    ["segments", "--p-head", "0.4", "--threshold", "0.9", "--nmax", "200", *APP],
+    ["segments", "--reps", "4", "--seed", "5"],
+    ["segments", "--nmax", "0", *APP],
+    ["sde", "--sweep", "dyadic:3..5", "--sde-sigma", "0.2", "--reps", "50", "--seed", "3"],
+    ["sde", "--sde-mu", "1", "--x0", "2", "--horizon", "0.5", "--reps", "20", "--seed", "3"],
+    ["sde", "--sweep", "dyadic:a..3"],
+    ["nosuch"],
+    ["gc", "--nmax", "abc"],
+]
+
 
 def _argvs() -> list[list[str]]:
     argvs = []
@@ -120,19 +159,26 @@ def _argvs() -> list[list[str]]:
     argvs.append(["bound", "--formula", "nosuch"])
     argvs += [["bound", "--formula", *call] for call in DOMAIN_CALLS]
     argvs += [["verify", "--formula", *call] for call in VERIFY_CALLS]
+    argvs += [["app", *call] for call in APP_CALLS]
     return argvs
 
 
 ARGVS = _argvs()
 
 
+REPORT_KEYS = ("application", "reps", "seed", "extra")
+
+
 def run(argv: list[str]) -> dict:
-    """Exit code and JSON rows of one call (rows only on success)."""
+    """Exit code, JSON rows and report keys of one call (rows and report only on success)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--format", "json", "--deterministic"])
-    rows = json.loads(out.getvalue())["rows"] if out.getvalue() else None
-    return {"code": code, "rows": rows}
+    payload = json.loads(out.getvalue()) if out.getvalue() else None
+    record = {"code": code, "rows": payload["rows"] if payload else None}
+    if argv[0] == "app":
+        record["report"] = {k: payload[k] for k in REPORT_KEYS if k in payload} if payload else None
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +196,8 @@ def test_golden_covers_every_formula(golden):
     assert bound_ids == set(cli.FORMULAS)
     verified = {argv[2] for argv in ARGVS if argv[0] == "verify" and golden[" ".join(argv)]["code"] in (0, 3)}
     assert verified == {fid for fid, entry in cli.FORMULAS.items() if entry.check is not None}
+    reported = {argv[1] for argv in ARGVS if argv[0] == "app" and golden[" ".join(argv)]["code"] == 0}
+    assert reported == set(cli.APPS)
 
 
 if __name__ == "__main__":

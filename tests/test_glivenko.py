@@ -79,6 +79,12 @@ def test_eta_domain():
         gc_simulate(uniform01, eps=1.2, n_max=10, reps=10, seed=1, eta=0.1)
 
 
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_horizon_below_one_raises(n_max):
+    with pytest.raises(DomainError, match="n_max"):
+        gc_simulate(uniform01, eps=0.2, n_max=n_max, reps=10, seed=1, eta=0.1)
+
+
 def test_exponential_distribution_is_distribution_free():
     # the KS statistic only sees F(X); any continuous model obeys the bounds
     report = gc_simulate(exponential_dist(2.0), eps=0.3, n_max=100, reps=2000, seed=17, eta=0.1)

@@ -100,3 +100,8 @@ class TestMdfReport:
             slln_mdf_report(rademacher, q=2, p=1.5, eps=0.5, n_max=100, reps=10, seed=0)
         with pytest.raises(DomainError):
             slln_mdf_report(rademacher, q=1, p=0.5, eps=0.5, n_max=100, reps=10, seed=0)
+
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_horizon_below_one_raises(self, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            slln_mdf_report(rademacher, q=2, p=0.5, eps=0.5, n_max=n_max, reps=10, seed=0)
