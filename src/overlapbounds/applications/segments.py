@@ -2,8 +2,8 @@
 
 R_n is the length of the longest window inside the first n steps whose
 average is at least the threshold t.  With T_j = S_j - t*j this is the
-widest pair k < l <= n with T_l >= T_k, maintained incrementally with the
-staircase of strictly decreasing prefix minima of T (O(n log n) overall).
+widest pair k < l <= n with T_l >= T_k, found for every l at once by a
+binary search on the running minimum of T (O(n log n) overall).
 R_n / ln(n) converges to the reciprocal of the segment rate, the binary
 relative entropy of t with respect to the head probability.
 """
@@ -11,7 +11,6 @@ relative entropy of t with respect to the head probability.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -37,39 +36,21 @@ def segment_rate(p_head: float, threshold: float) -> float:
 
 
 def running_max_segment(increments: np.ndarray, threshold: float) -> np.ndarray:
-    """R_n for every n, via the prefix-minima staircase.
+    """R_n for every n, from the running minimum of T.
 
-    The earliest prefix index k with T_k <= T_l is always a strict running
-    minimum of T, so a binary search over the recorded minima finds the
-    widest admissible window ending at l.
+    The earliest k with T_k <= T_l + 1e-12 is the first index where the
+    running minimum of T reaches that level, so one search on the running
+    maximum of -T finds the widest admissible window ending at every l.
+    The running maximum at l itself already reaches -T_l - 1e-12, so an l
+    with no admissible k < l gets k = l, a window of width 0.  T is summed
+    in order and never shifted (no per-row offset), so which near-ties fall
+    inside the tolerance is decided by the rounding of a plain running sum.
     """
-    n = len(increments)
-    out = np.zeros(n, dtype=np.int64)
-    neg_record_vals = [0.0]
-    record_idx = [0]
-    best = 0
-    t_val = 0.0
-    for l in range(1, n + 1):
-        t_val += float(increments[l - 1]) - threshold
-        pos = bisect_left(neg_record_vals, -t_val - 1e-12)
-        if pos < len(record_idx):
-            width = l - record_idx[pos]
-            if width > best:
-                best = width
-        out[l - 1] = best
-        if -t_val > neg_record_vals[-1]:
-            neg_record_vals.append(-t_val)
-            record_idx.append(l)
-    return out
-
-
-def first_occurrence_times(r_path: np.ndarray, r_max: int) -> np.ndarray:
-    """tau_r = inf{n : R_n >= r} for r = 1..r_max (0 marks 'not reached')."""
-    taus = np.zeros(r_max, dtype=np.int64)
-    for r in range(1, r_max + 1):
-        hits = np.nonzero(r_path >= r)[0]
-        taus[r - 1] = hits[0] + 1 if len(hits) else 0
-    return taus
+    steps = np.asarray(increments, dtype=np.float64) - threshold
+    t_vals = np.concatenate(([0.0], np.cumsum(steps)))
+    neg_running_min = np.maximum.accumulate(-t_vals)
+    starts = np.searchsorted(neg_running_min, -t_vals[1:] - 1e-12, side="left")
+    return np.maximum.accumulate(np.arange(1, len(t_vals), dtype=np.int64) - starts)
 
 
 def rare_segments(

@@ -1,11 +1,11 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from overlapbounds import DomainError
-from overlapbounds.applications import rare_segments, running_max_segment, segment_rate
-from overlapbounds.applications.segments import first_occurrence_times
+from overlapbounds.applications import rare_segments, running_max_segment, segment_rate, segments
 
 
 def quadratic_oracle(increments, threshold):
@@ -18,14 +18,99 @@ def quadratic_oracle(increments, threshold):
         for k in range(l):
             if t_vals[l] >= t_vals[k] - 1e-12 and l - k > best:
                 best = l - k
-    # recompute properly per prefix (the loop above only handles the last l)
-    best = 0
-    for l in range(1, n + 1):
-        for k in range(l):
-            if t_vals[l] >= t_vals[k] - 1e-12 and l - k > best:
-                best = l - k
         out[l - 1] = best
     return out
+
+
+def staircase_reference(increments, threshold):
+    """R_n for every n by the former loop over the strict prefix minima of T."""
+    n = len(increments)
+    out = np.zeros(n, dtype=np.int64)
+    neg_record_vals = [0.0]
+    record_idx = [0]
+    best = 0
+    t_val = 0.0
+    for l in range(1, n + 1):
+        t_val += float(increments[l - 1]) - threshold
+        pos = bisect_left(neg_record_vals, -t_val - 1e-12)
+        if pos < len(record_idx):
+            width = l - record_idx[pos]
+            if width > best:
+                best = width
+        out[l - 1] = best
+        if -t_val > neg_record_vals[-1]:
+            neg_record_vals.append(-t_val)
+            record_idx.append(l)
+    return out
+
+
+def first_occurrence_times(r_path: np.ndarray, r_max: int) -> np.ndarray:
+    """tau_r = inf{n : R_n >= r} for r = 1..r_max (0 marks 'not reached')."""
+    taus = np.zeros(r_max, dtype=np.int64)
+    for r in range(1, r_max + 1):
+        hits = np.nonzero(r_path >= r)[0]
+        taus[r - 1] = hits[0] + 1 if len(hits) else 0
+    return taus
+
+
+def assert_bitwise_equal(increments, threshold):
+    fast = running_max_segment(increments, threshold)
+    slow = staircase_reference(increments, threshold)
+    assert fast.dtype == slow.dtype
+    assert np.array_equal(fast, slow)
+    return fast
+
+
+class TestAgainstStaircase:
+    @pytest.mark.parametrize(
+        ("threshold", "p_head"),
+        [
+            (t, p)
+            for t in (1.0, 0.9, 0.75, 0.6, 0.55, 1 / 3, 0.5000001)
+            for p in (0.2, 0.5, 0.8)
+            if t > p  # the segment rate is zero unless threshold > p_head
+        ],
+    )
+    def test_bernoulli_paths(self, threshold, p_head):
+        rng = np.random.default_rng(17)
+        bits = (rng.random(2000) < p_head).astype(np.int8)
+        assert_bitwise_equal(bits, threshold)
+
+    def test_float_increments(self):
+        assert_bitwise_equal(np.random.default_rng(4).random(2000), 0.5)
+
+    @pytest.mark.parametrize("bits", [[], [0], [1], [0, 0], [0, 1], [1, 0], [1, 1]])
+    def test_short_paths(self, bits):
+        r = assert_bitwise_equal(np.array(bits, dtype=np.int8), 1.0)
+        assert len(r) == len(bits)
+
+    @pytest.mark.parametrize(
+        ("bits", "threshold", "expected"),
+        [
+            ([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], 0.3, list(range(1, 11))),
+            ([1] * 9 + [0], 0.9, list(range(1, 11))),
+            ([0, 0, 0, 1, 0], 0.2, [0, 0, 0, 4, 5]),
+        ],
+    )
+    def test_ties_inside_tolerance(self, bits, threshold, expected):
+        # The whole path has mean exactly t, but the float T_n lands just
+        # below T_0 = 0; only the 1e-12 tolerance admits the full window.
+        increments = np.array(bits, dtype=np.int8)
+        t_last = np.cumsum(increments - threshold)[-1]
+        assert -1e-12 < t_last < 0.0
+        assert list(assert_bitwise_equal(increments, threshold)) == expected
+
+    def test_tolerance_is_inclusive(self):
+        # T_1 = -1e-12 exactly: the window falls short of t by exactly the
+        # tolerance, and the loop still admits it (T_0 <= T_1 + 1e-12).
+        assert list(assert_bitwise_equal(np.array([0.0]), 1e-12)) == [1]
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.7])
+    def test_report_rows_unchanged(self, threshold, monkeypatch):
+        fast = rare_segments(0.5, threshold, 2000, 64, seed=9)
+        monkeypatch.setattr(segments, "running_max_segment", staircase_reference)
+        slow = rare_segments(0.5, threshold, 2000, 64, seed=9)
+        assert fast.rows == slow.rows
 
 
 class TestScanAlgorithm:
