@@ -3,12 +3,13 @@
 Randomness is organised in fixed-size chunks of replications.  Chunk ``c``
 of a run draws from ``Philox(key=(seed, c))``, a counter-based generator
 with 2**64 independent streams, so the value of every replication is a
-pure function of (seed, chunk index, row).  Worker threads only decide
-which chunks they process; outputs are written into preallocated slots,
-which makes runs bitwise identical for any thread count.  The overlap
-count is sampled by inversion: one binary search on a monotone table of
-length N per nested or union replication, or per independent occurrence,
-so memory is O(N) and N enters the cost only through log N.
+pure function of (seed, chunk index, row).  Threads decide no value: chunk
+workers only pick chunks and fill preallocated slots, and a ``prefetched``
+helper only draws ahead, so runs are bitwise identical for any thread
+count.  The overlap count is sampled by inversion: one binary search on a
+monotone table of length N per nested or union replication, or per
+independent occurrence, so memory is O(N) and N enters the cost only
+through log N.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .series import DecayModel, Explicit, WeightSequence, least_true_index, tail
 CHUNK_SIZE = 4096
 
 FAMILIES = ("independent", "nested", "union")
+
+_EXHAUSTED = object()  # private sentinel: ``None`` is a valid item
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -63,6 +66,25 @@ def run_chunked(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(n_chunks)))
     return np.concatenate([p for p in pieces if p is not None], axis=0)
+
+
+def prefetched(items: Iterable, threads: int = 1) -> Iterator:
+    """Yield ``items`` in order; at ``threads >= 2`` one helper thread
+    produces the next item while the caller uses the current one.
+
+    The helper changes no value.  Its pool is shut down, the helper joined,
+    when the items run out, when producing one raises (the caller gets the
+    exception) and when the caller closes the generator early.
+    """
+    if threads <= 1:
+        yield from items
+        return
+    it = iter(items)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, it, _EXHAUSTED)
+        while (item := ahead.result()) is not _EXHAUSTED:
+            ahead = pool.submit(next, it, _EXHAUSTED)
+            yield item
 
 
 @dataclass(frozen=True)

@@ -25,18 +25,20 @@ for a'b, b'b, b''b**2 and b(bb')' in the order-1.5 Taylor expansion.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import mean_stderr, run_chunked
+from .engine import mean_stderr, prefetched, run_chunked
 from .errors import DomainError, InputError
 from .series import zeta
 from .bounds import BoundResult
 
 SQRT3 = math.sqrt(3.0)
+NOISE_BLOCK = 16  # scheme steps of noise drawn at once by the strong-error sweep
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,15 @@ class SchemeStepInputs:
     dW: np.ndarray
     dZ: np.ndarray
 
+    @classmethod
+    def coupled(cls, dt: float, dw: np.ndarray, dw_hat: np.ndarray) -> "SchemeStepInputs":
+        return cls(dt, dw, 0.5 * dt * (dw + dw_hat / SQRT3))
+
 
 def sample_step_inputs(rng: np.random.Generator, dt: float, size: int | tuple) -> SchemeStepInputs:
     dw = rng.normal(0.0, math.sqrt(dt), size)
     dw_hat = rng.normal(0.0, math.sqrt(dt), size)
-    dz = 0.5 * dt * (dw + dw_hat / SQRT3)
-    return SchemeStepInputs(dt, dw, dz)
+    return SchemeStepInputs.coupled(dt, dw, dw_hat)
 
 
 def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, inputs: SchemeStepInputs) -> np.ndarray:
@@ -187,12 +192,20 @@ def strong_error_estimate(
     The scheme and the exact terminal value are driven by the same Brownian
     increments (the exact map only needs W_T), so the differences measure
     pure discretisation error.
+
+    Stream contract: chunk c of the j-th largest step size draws from
+    ``Philox(seed + j, c)``, dW then dW_hat per step, ``NOISE_BLOCK`` steps
+    per draw.  Chunks run in turn; at ``threads >= 2`` one helper thread
+    draws the next block while the scheme steps (``engine.prefetched``),
+    which changes no value, and the sweep starts no other thread.
     """
     if problem.exact_terminal is None:
         raise InputError("strong_error_estimate needs a problem with an exact terminal map")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
-    if len(deltas) < 3:
-        raise InputError("need at least three step sizes for a slope estimate")
+    if not np.all(np.isfinite(deltas) & (deltas > 0)):
+        raise InputError("step sizes must be finite and positive")
+    if len(np.unique(deltas)) < 3:
+        raise InputError("need at least three distinct step sizes for a slope estimate")
     t_end = problem.horizon
     means, ses = [], []
     for j, delta in enumerate(deltas):
@@ -201,16 +214,19 @@ def strong_error_estimate(
             raise InputError(f"step size {delta} does not divide the horizon {t_end}")
 
         def kernel(rng: np.random.Generator, start: int, m: int, n_steps=n_steps, delta=delta) -> np.ndarray:
+            # a (k, 2, m) block in C order is k successive sample_step_inputs draws
+            blocks = (rng.normal(0.0, math.sqrt(delta), (min(NOISE_BLOCK, n_steps - i), 2, m))
+                      for i in range(0, n_steps, NOISE_BLOCK))
             y = np.full(m, problem.x0)
             w = np.zeros(m)
-            for i in range(n_steps):
-                inputs = sample_step_inputs(rng, delta, m)
-                y = sde15_step(problem, i * delta, y, inputs)
-                w += inputs.dW
+            with contextlib.closing(prefetched(blocks, threads)) as ahead:
+                for i, (dw, dw_hat) in enumerate(step for block in ahead for step in block):
+                    y = sde15_step(problem, i * delta, y, SchemeStepInputs.coupled(delta, dw, dw_hat))
+                    w += dw
             exact = problem.exact_terminal(t_end, w)
             return np.abs(exact - y)
 
-        mean, se = mean_stderr(run_chunked(reps, seed + j, kernel, threads=threads))
+        mean, se = mean_stderr(run_chunked(reps, seed + j, kernel, threads=1))
         means.append(mean)
         ses.append(se)
     means = np.asarray(means)

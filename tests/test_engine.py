@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from overlapbounds import (
     tail_sum,
     write_sample_jsonl,
 )
-from overlapbounds.engine import chunk_rng
+from overlapbounds.engine import chunk_rng, prefetched
 
 
 class TestChooseTruncation:
@@ -282,3 +284,32 @@ def test_jsonl_bool_count_among_integers_raises(tmp_path):
     path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n{"rep": 1, "count": true}\n')
     with pytest.raises(InputError, match="line 3: .*True"):
         read_sample_jsonl(str(path))
+
+
+class TestPrefetched:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_keeps_order(self, n, threads):
+        assert list(prefetched((i * i for i in range(n)), threads)) == [i * i for i in range(n)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_none_items_pass_through(self, threads):
+        assert list(prefetched([None, 0, None], threads)) == [None, 0, None]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_producer_exception_reaches_caller(self, threads):
+        def items():
+            yield 1
+            raise KeyError("producer")
+
+        seen = []
+        with pytest.raises(KeyError, match="producer"):
+            seen.extend(prefetched(items(), threads))
+        assert seen == [1]
+
+    def test_closing_early_joins_the_helper(self):
+        before = set(threading.enumerate())
+        with contextlib.closing(prefetched(iter(range(40)), 2)) as ahead:
+            assert next(ahead) == 0
+            assert len(set(threading.enumerate()) - before) == 1
+        assert set(threading.enumerate()) <= before

@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from overlapbounds import DomainError, InputError
+from overlapbounds.engine import mean_stderr, run_chunked
 from overlapbounds.series import zeta
 from overlapbounds.sde import (
     SchemeStepInputs,
@@ -168,10 +170,81 @@ class TestStrongError:
         with pytest.raises(InputError):
             strong_error_estimate(prob, [0.25, 0.125], reps=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            [0.25, 0.25, 0.125],  # two distinct steps: no slope to fit
+            [0.25, 0.125, 0.0],  # was an OverflowError from int(round(inf))
+            [-0.25, 0.125, 0.0625],  # was a LinAlgError from the fit
+            [0.25, 0.125, math.nan],
+            [0.25, 0.125, math.inf],
+        ],
+    )
+    def test_rejects_bad_step_sizes(self, deltas):
+        prob = SdeProblem.geometric_brownian(0.5, 0.1, 1.0, 1.0)
+        with pytest.raises(InputError):
+            strong_error_estimate(prob, deltas, reps=10, seed=0)
+
     def test_needs_exact_reference(self):
         prob = _const_problem(0.0, 1.0)
         with pytest.raises(InputError):
             strong_error_estimate(prob, [0.25, 0.125, 0.0625], reps=10, seed=0)
+
+
+def per_step_reference(problem, deltas, reps, seed, threads):
+    """Reference sweep: one sample_step_inputs draw and one sde15_step per
+    step, one run_chunked per step size."""
+    deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    t_end = problem.horizon
+    means, ses = [], []
+    for j, delta in enumerate(deltas):
+        n_steps = int(round(t_end / delta))
+
+        def kernel(rng, start, m, n_steps=n_steps, delta=delta):
+            y = np.full(m, problem.x0)
+            w = np.zeros(m)
+            for i in range(n_steps):
+                inputs = sample_step_inputs(rng, delta, m)
+                y = sde15_step(problem, i * delta, y, inputs)
+                w += inputs.dW
+            exact = problem.exact_terminal(t_end, w)
+            return np.abs(exact - y)
+
+        mean, se = mean_stderr(run_chunked(reps, seed + j, kernel, threads=threads))
+        means.append(mean)
+        ses.append(se)
+    means = np.asarray(means)
+    slope, _ = np.polyfit(np.log(deltas), np.log(means), 1)
+    return means, np.asarray(ses), float(slope)
+
+
+class TestBlockedNoise:
+    # dyadic 4..9: 16-512 steps, whole blocks; 3, 6 and 12 steps: partial
+    # blocks; 17 steps: one block plus one step
+    GRIDS = {
+        "dyadic 4..9": (1.0, [2.0**-k for k in range(4, 10)]),
+        "partial blocks": (0.75, [0.25, 0.125, 0.0625]),
+        "block plus one": (1.0, [0.5, 0.25, 1.0 / 17.0]),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("reps", [8192, 10000])  # 10000 leaves a 1808-row last chunk
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_bitwise_equal_to_per_step_draws(self, grid, reps, threads):
+        horizon, deltas = self.GRIDS[grid]
+        prob = SdeProblem.geometric_brownian(0.5, 0.1, 1.0, horizon)
+        sweep = strong_error_estimate(prob, deltas, reps, 20240801, threads=threads)
+        means, ses, slope = per_step_reference(prob, deltas, reps, 20240801, threads)
+        assert np.array_equal(sweep.mean_errors, means)
+        assert np.array_equal(sweep.stderrs, ses)
+        assert sweep.slope == slope
+
+    def test_nonfinite_state_mid_sweep_raises_and_joins_the_helper(self):
+        prob = SdeProblem(lambda t, x: x**3, lambda t, x: 0.1 * x, 1.0, 1.0, exact_terminal=lambda t, w: np.exp(w))
+        before = set(threading.enumerate())
+        with pytest.raises(ArithmeticError, match="non-finite state after the step at t=0.75") as info:
+            strong_error_estimate(prob, [2.0**-k for k in range(2, 8)], reps=64, seed=0, threads=2)
+        assert set(threading.enumerate()) <= before  # while info still holds the exception
 
 
 class TestMdfBound:
