@@ -22,7 +22,6 @@ from .bounds import (
     rate_aware_exp_bound,
     second_moment_bound,
     sn_exact_distribution,
-    tail_cutoff_index,
 )
 from .engine import (
     EmpiricalMoment,
@@ -44,7 +43,6 @@ from .errors import (
     TruncationError,
 )
 from .series import (
-    CustomTail,
     DecayModel,
     Explicit,
     Geometric,

@@ -1,16 +1,14 @@
 from .mdf import (
     MDFReport,
     MDFRow,
-    hoeffding_bound,
     ldp_mdf_bound,
     mdf_exponential,
     mdf_first_order,
     mdf_polynomial,
     vc_bound,
-    vc_lambda_series,
 )
 from .rates import RateFunctionResult, cramer_rate, sanov_rate
-from .glivenko import KnownDistribution, exponential_dist, gc_simulate, uniform01
+from .glivenko import KnownDistribution, gc_simulate, uniform01
 from .slln import partitions_min_two, slln_mdf_report, slln_partition_bound
 from .lil import bridge_max_sample, lil_exceedance_thresholds, lil_simulate
 from .segments import rare_segments, running_max_segment, segment_rate
@@ -18,19 +16,16 @@ from .segments import rare_segments, running_max_segment, segment_rate
 __all__ = [
     "MDFReport",
     "MDFRow",
-    "hoeffding_bound",
     "ldp_mdf_bound",
     "mdf_exponential",
     "mdf_first_order",
     "mdf_polynomial",
     "vc_bound",
-    "vc_lambda_series",
     "RateFunctionResult",
     "cramer_rate",
     "sanov_rate",
     "KnownDistribution",
     "uniform01",
-    "exponential_dist",
     "gc_simulate",
     "partitions_min_two",
     "slln_partition_bound",

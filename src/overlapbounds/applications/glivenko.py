@@ -42,16 +42,6 @@ uniform01 = KnownDistribution(
 )
 
 
-def exponential_dist(rate: float = 1.0) -> KnownDistribution:
-    if rate <= 0:
-        raise DomainError("exponential distribution requires rate > 0")
-    return KnownDistribution(
-        name=f"exponential({rate:g})",
-        cdf=lambda x: -np.expm1(-rate * np.maximum(x, 0.0)),
-        sample=lambda rng, shape: rng.exponential(1.0 / rate, shape),
-    )
-
-
 def scan_window(eps: float, n_max: int, reps: int, miss_probability: float = 1e-6) -> int:
     """Horizon W such that an exceedance beyond W anywhere in the run has
     probability below ``miss_probability`` (union of Hoeffding tails).

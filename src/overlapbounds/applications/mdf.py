@@ -19,7 +19,7 @@ import numpy as np
 from ..bounds import BoundResult, exp_moment_bound, poly_moment_bound
 from ..engine import mean_stderr
 from ..errors import DomainError
-from ..series import DecayModel, SeriesValue, tail_sum
+from ..series import DecayModel, tail_sum
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ def mdf_first_order(model: DecayModel) -> BoundResult:
     )
 
 
-def markov_tail(first_order: BoundResult, k: int) -> float:
-    if k < 1:
-        raise DomainError("tail index k must be >= 1")
-    return first_order.value / k
-
-
 def mdf_polynomial(p: float, model: DecayModel) -> BoundResult:
     """Polynomial deviation-count bound E[O_eps**(p+1)] <= (p+1) phi(eps).
 
@@ -99,10 +93,6 @@ def mdf_polynomial(p: float, model: DecayModel) -> BoundResult:
     return replace(base, formula_id="cor3.4", validity=base.validity + "; tail k**-(p+1) * value")
 
 
-def polynomial_tail(bound: BoundResult, p: float, k: int) -> float:
-    return bound.value * float(k) ** (-(p + 1.0))
-
-
 def mdf_exponential(p: float, model: DecayModel) -> BoundResult:
     """Exponential deviation-count bound E[e**(p O_eps)] <= phi(eps) + 1.
 
@@ -110,19 +100,6 @@ def mdf_exponential(p: float, model: DecayModel) -> BoundResult:
     """
     base = exp_moment_bound(p, model)
     return replace(base, formula_id="cor3.5", validity=base.validity + "; tail e**(-p k) * value")
-
-
-def exponential_tail(bound: BoundResult, p: float, k: int) -> float:
-    return bound.value * math.exp(-p * k)
-
-
-def hoeffding_bound(n: int, eps: float) -> float:
-    """Two-sided Hoeffding tail 2 exp(-2 n eps**2) for a bounded mean."""
-    if n < 1:
-        raise DomainError("hoeffding_bound requires n >= 1")
-    if eps <= 0:
-        raise DomainError("hoeffding_bound requires eps > 0")
-    return 2.0 * math.exp(-2.0 * n * eps * eps)
 
 
 def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> float:
@@ -137,27 +114,6 @@ def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> float:
             f"vc_bound requires ell >= 2/eps**2 = {2.0 / (eps * eps):.6g} (got ell={ell})"
         )
     return 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0)
-
-
-def vc_lambda_series(
-    n_start: int,
-    eps: float,
-    delta: float,
-    growth: Callable[[int], float],
-    horizon: int = 1000,
-) -> SeriesValue:
-    """Partial sums of sum_{l >= N} e**(eps**2 l / 8) / (l**(1+delta) m(2l)).
-
-    For polynomial growth functions the terms increase without bound, so
-    the full series diverges; the partial sum up to ``horizon`` is returned
-    with ``converged=False`` and an infinite remainder flag.
-    """
-    if n_start < 1 or delta <= 0 or eps <= 0:
-        raise DomainError("vc_lambda_series requires N >= 1, eps > 0, delta > 0")
-    total = 0.0
-    for ell in range(n_start, horizon + 1):
-        total += math.exp(eps * eps * ell / 8.0) / (float(ell) ** (1.0 + delta) * float(growth(2 * ell)))
-    return SeriesValue(total, math.inf, horizon - n_start + 1, False)
 
 
 def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:

@@ -8,9 +8,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..bounds import BoundResult, golden_section_min
+from ..bounds import golden_section_min
 from ..errors import DomainError
-from .mdf import ldp_mdf_bound
 
 
 @dataclass(frozen=True)
@@ -20,10 +19,6 @@ class RateFunctionResult:
     rate: float
     argmin: object
     method: str
-
-    def mdf_bound(self, p: float, big_c: float = 1.0) -> BoundResult:
-        """The exponential deviation-count bound this rate induces."""
-        return ldp_mdf_bound(self.rate, p, big_c)
 
 
 def legendre_transform(lambda_fn: Callable[[float], float], x: float) -> float:
@@ -72,13 +67,6 @@ def _as_distribution(mu: Mapping[object, float] | np.ndarray) -> tuple[list[obje
     if abs(weights.sum() - 1.0) > 1e-9:
         raise DomainError("the base distribution must sum to 1")
     return symbols, weights
-
-
-def kl_divergence(nu: np.ndarray, mu: np.ndarray) -> float:
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    mask = nu > 0
-    return float(np.sum(nu[mask] * np.log(nu[mask] / mu[mask])))
 
 
 def sanov_rate(

@@ -18,6 +18,8 @@ from ..engine import run_chunked
 from ..errors import DomainError
 from .mdf import MDFReport, MDFRow
 
+EPS_GRID = (0.25, 0.5)  # the report's epsilons, one O_eps_plus and O_eps_minus column each
+
 
 def segment_rate(p_head: float, threshold: float) -> float:
     """Binary relative entropy t ln(t/p) + (1-t) ln((1-t)/(1-p)); ln(1/p) at t=1."""
@@ -59,7 +61,6 @@ def rare_segments(
     n_max: int,
     reps: int,
     seed: int,
-    eps_grid: tuple[float, ...] = (0.25, 0.5),
     threads: int = 1,
 ) -> MDFReport:
     """Simulate R_n for a Bernoulli(p_head) walk and report deviation counts.
@@ -75,18 +76,18 @@ def rare_segments(
         raise DomainError("n_max must be >= 3")
     ns = np.arange(3, n_max + 1)
     log_ns = np.log(ns.astype(float))
-    plus_eps = [e for e in eps_grid if e < rate]
+    plus_eps = [e for e in EPS_GRID if e < rate]
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         bits = (rng.random((m, n_max)) < p_head).astype(np.int8)
-        rows = np.empty((m, 1 + len(plus_eps) + len(eps_grid)))
+        rows = np.empty((m, 1 + len(plus_eps) + len(EPS_GRID)))
         for i in range(m):
             r_path = running_max_segment(bits[i], threshold)
             ratio = r_path[2:] / log_ns
             cols = [r_path[-1] / math.log(n_max)]
             for e in plus_eps:
                 cols.append(float(np.sum(ratio >= 1.0 / (rate - e))))
-            for e in eps_grid:
+            for e in EPS_GRID:
                 cols.append(float(np.sum(ratio <= 1.0 / (rate + e))))
             rows[i] = cols
         return rows
@@ -95,7 +96,7 @@ def rare_segments(
     limit = 1.0 / rate
     orders = [(0.0, f"R_n/ln(n) at n={n_max} (limit {limit:.6g})")]  # one per table column
     orders += [(e, "E[O_eps_plus] (constant existential)") for e in plus_eps]
-    orders += [(e, "E[O_eps_minus] (constant existential)") for e in eps_grid]
+    orders += [(e, "E[O_eps_minus] (constant existential)") for e in EPS_GRID]
     rows = [MDFRow.from_values(e, order, math.inf, table[:, col]) for col, (e, order) in enumerate(orders)]
     extra = {
         "p_head": p_head,

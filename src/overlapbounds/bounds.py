@@ -28,8 +28,6 @@ from .series import (
     TailFunction,
     WeightSequence,
     lambert_w0,
-    least_true_index,
-    tail_sum,
     weighted_prob_series,
     weighted_tail_closed_form,
     weighted_tail_series,
@@ -242,16 +240,6 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
     )
 
 
-def tail_cutoff_index(model: DecayModel, r: float, delta: float) -> int:
-    """N_r(delta): the smallest m with C_m < e**-r / delta."""
-    if r <= 0 or delta <= 1.0:
-        raise DomainError("tail_cutoff_index requires r > 0 and delta > 1")
-    target = math.exp(-r) / delta
-    return least_true_index(
-        lambda m: tail_sum(model, m).value < target, 1 << 40, DivergenceError("tail never drops below e**-r / delta")
-    )
-
-
 def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
     """Markov-minimised tail 2 exp(inf_r(-k r + (2c)^(1/p) r e^(r/p))).
 
@@ -337,30 +325,9 @@ class ExactOverlapDistribution:
     probabilities: np.ndarray
     elementary_symmetric: np.ndarray
 
-    @property
-    def n_events(self) -> int:
-        return len(self.event_probs)
-
     def exp_moment(self, r: float) -> float:
         k = np.arange(len(self.probabilities))
         return float(np.sum(self.probabilities * np.exp(r * k)))
-
-    def power_moment(self, p: float) -> float:
-        k = np.arange(len(self.probabilities), dtype=float)
-        return float(np.sum(self.probabilities * k**p))
-
-    def tail(self, k: int) -> float:
-        return float(np.sum(self.probabilities[k:]))
-
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.probabilities)), self.probabilities))
-
-    def expect(self, values: Sequence[float]) -> float:
-        """E[a_O] for a payoff sequence a_0..a_N."""
-        a = np.asarray(values, dtype=float)
-        if len(a) != len(self.probabilities):
-            raise DomainError("payoff sequence must have length N + 1")
-        return float(np.dot(a, self.probabilities))
 
 
 def sn_exact_distribution(event_probs: Sequence[float]) -> ExactOverlapDistribution:

@@ -89,6 +89,14 @@ SPECS: dict[str, dict[str, tuple[str, Callable[..., Any]]]] = {
 }
 
 
+def finite_float(text: Any) -> float:
+    """A finite float; nan and inf are a ValueError, so the flag or spec holding one is a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def spec_usage(kind: str) -> str:
     return " | ".join(f"{name}:{params}" if params else name for name, (params, _) in SPECS[kind].items())
 
@@ -97,7 +105,7 @@ def parse_spec(kind: str, text: str) -> Any:
     """The object a ``name:v1,v2,...`` spec of ``kind`` names; a malformed or unknown one is a UsageError."""
     name, _, rest = text.partition(":")
     try:
-        values = [float(v) for v in rest.split(",") if v != ""]
+        values = [finite_float(v) for v in rest.split(",") if v != ""]
     except ValueError as exc:
         raise UsageError(f"bad {kind} parameters {rest!r}") from exc
     params, make = SPECS[kind].get(name, ("", None))
@@ -119,7 +127,7 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 PARSERS: dict[str, Callable[[Any], Any]] = {
-    "float": float, "int": int, "str": str, "sweep": _parse_sweep,
+    "float": finite_float, "int": int, "str": str, "sweep": _parse_sweep,
     **{kind: partial(parse_spec, kind) for kind in SPECS},
 }
 
@@ -386,7 +394,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int)
         p.add_argument("--reps", type=int)
         p.add_argument("--threads", type=int)
-        p.add_argument("--tail-tolerance", dest="tail_tolerance", type=float)
+        p.add_argument("--tail-tolerance", dest="tail_tolerance", type=finite_float)
         p.add_argument("--deterministic", action="store_true", default=None)
         _add_flags(p, flags_of)
         return p
@@ -412,7 +420,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     given = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            given = json.load(fh)
+            try:  # NaN, Infinity or 1e999 would reach the strict-JSON header
+                given = json.load(fh, parse_constant=finite_float, parse_float=finite_float)
+            except ValueError as exc:
+                raise UsageError(f"bad config file {args.config}: {exc}") from exc
     flags = _selected(args)[1]
     defaults = {**DEFAULTS, **{f.name: f.default for f in flags if not callable(f.default)}}
     keys = [*DEFAULTS, "command", "formula", "application", *(f.name for f in flags)]

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, FunctionalOverflowError, InputError, TruncationError
-from .series import DecayModel, Explicit, WeightSequence, least_true_index, tail_sum
+from .series import DecayModel, Explicit, WeightSequence, tail_sum
 
 CHUNK_SIZE = 4096
 
@@ -166,18 +166,32 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
     """Minimal N with exp(rate*N) * (C_{N+1} + certified error) <= tolerance.
 
     With rate 0 this is the plain tail criterion P(O != O_N) <= C_{N+1};
-    the exponential weighting controls unbounded payoffs e**(r O).
+    the exponential weighting controls unbounded payoffs e**(r O).  The
+    criterion stays true once true, so N doubles from 1 until it holds and
+    bisection then finds the least such N.
     """
     if isinstance(model, Explicit):
         return max(1, len(model.probabilities))
-    if tail_tolerance <= 0:
-        raise DomainError("tail_tolerance must be positive for infinite families")
+    if not 0.0 < tail_tolerance < math.inf:
+        raise DomainError(f"tail_tolerance must be positive and finite for infinite families (got {tail_tolerance})")
 
     def ok(n: int) -> bool:
         t = tail_sum(model, n + 1)
         return math.exp(exp_rate * n) * (t.value + t.truncation_error) <= tail_tolerance
 
-    return least_true_index(ok, 1 << 26, DomainError("no feasible truncation below 2**26; decay too slow for this rate"))
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+        if hi > 1 << 26:
+            raise DomainError("no feasible truncation below 2**26; decay too slow for this rate")
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def simulate_overlap(
@@ -233,16 +247,14 @@ def empirical_moment(
     sample: OverlapSample,
     power: float | None = None,
     exp_rate: float | None = None,
-    tail: int | None = None,
     partial_sum_of: WeightSequence | None = None,
 ) -> EmpiricalMoment:
     """Sample mean and standard error of a functional of the overlap count.
 
-    Exactly one of ``power`` (O**p), ``exp_rate`` (e**(rO)), ``tail``
-    (indicator O >= k) or ``partial_sum_of`` (S(O) for a weight sequence)
-    must be given.
+    Exactly one of ``power`` (O**p), ``exp_rate`` (e**(rO)) or
+    ``partial_sum_of`` (S(O) for a weight sequence) must be given.
     """
-    chosen = [x is not None for x in (power, exp_rate, tail, partial_sum_of)]
+    chosen = [x is not None for x in (power, exp_rate, partial_sum_of)]
     if sum(chosen) != 1:
         raise InputError("specify exactly one functional")
     counts = sample.counts
@@ -259,9 +271,6 @@ def empirical_moment(
             )
         values = np.exp(exp_rate * counts.astype(float))
         name = f"E[exp({exp_rate:g} O)]"
-    elif tail is not None:
-        values = (counts >= tail).astype(float)
-        name = f"P(O >= {tail})"
     else:
         table = partial_sum_of.partial_sums_upto(int(counts.max()))
         values = table[counts]

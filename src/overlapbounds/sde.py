@@ -88,12 +88,6 @@ class SchemeStepInputs:
         return cls(dt, dw, 0.5 * dt * (dw + dw_hat / SQRT3))
 
 
-def sample_step_inputs(rng: np.random.Generator, dt: float, size: int | tuple) -> SchemeStepInputs:
-    dw = rng.normal(0.0, math.sqrt(dt), size)
-    dw_hat = rng.normal(0.0, math.sqrt(dt), size)
-    return SchemeStepInputs.coupled(dt, dw, dw_hat)
-
-
 def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, inputs: SchemeStepInputs) -> np.ndarray:
     dt, dw, dz = inputs.dt, inputs.dW, inputs.dZ
     if dt <= 0:
@@ -124,48 +118,6 @@ def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, inputs: SchemeStepI
     if bad.any():
         raise ArithmeticError(f"non-finite state after the step at t={t:.6g}")
     return out
-
-
-@dataclass(frozen=True)
-class SdePath:
-    times: np.ndarray
-    values: np.ndarray
-
-    def at(self, t: float) -> float:
-        """Piecewise-linear interpolant between scheme nodes."""
-        return float(np.interp(t, self.times, self.values))
-
-
-def _partition(partition: Sequence[float]) -> np.ndarray:
-    ts = np.asarray(partition, dtype=float)
-    if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0):
-        raise InputError("the partition must be strictly increasing with at least two nodes")
-    return ts
-
-
-def sde15_solve(problem: SdeProblem, partition: Sequence[float], seed: int) -> SdePath:
-    """Run the scheme over a partition; deterministic in (seed, partition)."""
-    ts = _partition(partition)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    draws = [sample_step_inputs(rng, float(dt), 1) for dt in np.diff(ts)]
-    return sde15_path_from_inputs(problem, ts, [d.dW for d in draws], [d.dZ for d in draws])
-
-
-def sde15_path_from_inputs(
-    problem: SdeProblem, partition: Sequence[float], dws: np.ndarray, dzs: np.ndarray
-) -> SdePath:
-    """Scheme driven by externally supplied noise (refinement/coupling studies)."""
-    ts = _partition(partition)
-    if len(dws) != len(ts) - 1 or len(dzs) != len(ts) - 1:
-        raise InputError("need one (dW, dZ) pair per partition interval")
-    y = np.array([problem.x0])
-    values = [problem.x0]
-    for i in range(len(ts) - 1):
-        dt = float(ts[i + 1] - ts[i])
-        inp = SchemeStepInputs(dt, np.atleast_1d(dws[i]), np.atleast_1d(dzs[i]))
-        y = sde15_step(problem, float(ts[i]), y, inp)
-        values.append(float(y[0]))
-    return SdePath(ts, np.asarray(values))
 
 
 @dataclass(frozen=True)
@@ -214,7 +166,7 @@ def strong_error_estimate(
             raise InputError(f"step size {delta} does not divide the horizon {t_end}")
 
         def kernel(rng: np.random.Generator, start: int, m: int, n_steps=n_steps, delta=delta) -> np.ndarray:
-            # a (k, 2, m) block in C order is k successive sample_step_inputs draws
+            # a (k, 2, m) block in C order is k successive (dW, dW_hat) draws of shape m
             blocks = (rng.normal(0.0, math.sqrt(delta), (min(NOISE_BLOCK, n_steps - i), 2, m))
                       for i in range(0, n_steps, NOISE_BLOCK))
             y = np.full(m, problem.x0)

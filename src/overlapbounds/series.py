@@ -20,8 +20,8 @@ floating-point rounding), and ``hi - lo`` as the truncation error.  Power-law
 remainders reduce to Hurwitz sums sum_{n>=M} n**-s, each enclosed by two
 consecutive Euler-Maclaurin truncations (Johansson 2015); geometric
 remainders use an exponential majorant or, for exponential weights, their
-closed form.  Custom weights, and custom tails, have no certified remainder:
-over an infinite family they raise ``DomainError``.
+closed form.  Custom weights have no certified remainder: over an infinite
+family they raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def _certified_sum(
     returns (lo, hi) with lo <= sum_{n >= M} <= hi.  The head runs over
     start..M-1 in chunks; M starts at max(start, 64) and doubles until
     hi - lo <= 1e-15 * value.  The value is the upper end head + hi; a bracket
-    still wider than that at the 2**26 guard raises ``NonConvergenceError``.
+    still wider than that at the 2**26 guard, or a NaN one at any cut, raises
+    ``NonConvergenceError``.
     """
     cut, done, head = max(start, _FIRST_CUT), start, 0.0
     while True:
@@ -96,6 +97,8 @@ def _certified_sum(
             head += float(np.sum(term(np.arange(a, min(a + _SUM_CHUNK, cut), dtype=float))))
         done = cut
         lo, hi = remainder(cut)
+        if math.isnan(lo) or math.isnan(hi):  # an overflowed bracket never tightens
+            raise NonConvergenceError(f"remainder bracket at {cut} terms is not a number: [{lo}, {hi}]")
         if hi - lo <= _TIGHT * (head + lo):
             return SeriesValue(head + hi, hi - lo, cut - start, True)
         if cut >= _MAX_CUT:
@@ -258,8 +261,8 @@ class TailFunction:
     @staticmethod
     def power(c: float, p: float) -> "TailFunction":
         """L(m) = c / m**p with p > 1 (so it majorises a summable tail)."""
-        if c <= 0 or p <= 0:
-            raise DomainError("power tail requires c > 0 and p > 0")
+        if not (0.0 < c < math.inf and 0.0 < p < math.inf):
+            raise DomainError(f"power tail requires finite c > 0 and p > 0 (got c={c}, p={p})")
         return TailFunction(
             evaluate=lambda m: c / m**p,
             inverse=lambda s: (c / s) ** (1.0 / p),
@@ -269,8 +272,8 @@ class TailFunction:
     @staticmethod
     def geometric(c: float, b: float) -> "TailFunction":
         """L(m) = c * b**m with 0 < b < 1."""
-        if c <= 0 or not (0.0 < b < 1.0):
-            raise DomainError("geometric tail requires c > 0 and 0 < b < 1")
+        if not (0.0 < c < math.inf and 0.0 < b < 1.0):
+            raise DomainError(f"geometric tail requires finite c > 0 and 0 < b < 1 (got c={c}, b={b})")
         lnb = math.log(b)
         return TailFunction(
             evaluate=lambda m: c * b**m,
@@ -363,8 +366,8 @@ class PowerLaw(DecayModel):
     q: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0 or self.q <= 0:
-            raise DomainError("power-law decay requires c > 0 and q > 0")
+        if not (0.0 < self.c < math.inf and 0.0 < self.q < math.inf):
+            raise DomainError(f"power-law decay requires finite c > 0 and q > 0 (got c={self.c}, q={self.q})")
 
     def raw(self, n: int) -> float:
         if n < 1:
@@ -400,8 +403,8 @@ class Geometric(DecayModel):
     b: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise DomainError("geometric decay requires c > 0")
+        if not 0.0 < self.c < math.inf:
+            raise DomainError(f"geometric decay requires finite c > 0 (got c={self.c})")
         if not (0.0 < self.b < 1.0):
             raise DomainError(f"geometric decay requires 0 < b < 1 (got b={self.b})")
 
@@ -425,31 +428,6 @@ class Geometric(DecayModel):
         return f"geometric:{self.c!r},{self.b!r}"
 
 
-@dataclass(frozen=True)
-class CustomTail(DecayModel):
-    """A model specified through its tail majorant: C_m = L(m) exactly.
-
-    Event probabilities are the decrements P(E_n) = L(n) - L(n+1).
-    """
-
-    L: TailFunction
-
-    def raw(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"event index n={n} below the model's first index")
-        return max(0.0, self.L.evaluate(n) - self.L.evaluate(n + 1))
-
-    def tail(self, m: int) -> SeriesValue:
-        return SeriesValue(self.L.evaluate(max(m, 1)), 0.0, 0, True)
-
-    @property
-    def summable(self) -> bool:
-        return True
-
-    def describe(self) -> str:
-        return f"customtail:{self.L.label}"
-
-
 def tail_sum(model: DecayModel, m: int) -> SeriesValue:
     """C_m = sum_{n >= m} P(E_n) with certified truncation error.
 
@@ -463,27 +441,6 @@ def tail_sum(model: DecayModel, m: int) -> SeriesValue:
             f"model {model.describe()} is not summable; tail sums are infinite"
         )
     return model.tail(m)
-
-
-def least_true_index(ok: Callable[[int], bool], cap: int, error: Exception) -> int:
-    """The least n >= 1 with ok(n), for a predicate that stays true once true.
-
-    n doubles from 1 until ok(n) holds, raising ``error`` once n passes
-    ``cap``; bisection on [1, n] then finds the least such n.
-    """
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > cap:
-            raise error
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 @dataclass(frozen=True)
@@ -571,7 +528,7 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
 
     Divergent parameter combinations raise ``DivergenceError`` naming the
     violated condition; combinations without a certified remainder (custom
-    weights or tails over an infinite family) raise ``DomainError``.
+    weights over an infinite family) raise ``DomainError``.
     """
     if isinstance(model, Explicit):
         last = len(model.probabilities)

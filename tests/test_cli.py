@@ -147,6 +147,12 @@ class TestBoundCommand:
         ["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5", "--format", "jsonl"],
         ["app", "cramer", "--format", "jsonl"],
         ["export", "--family", "independent", "--decay", "geometric:1,0.5", "--format", "jsonl", "--out", "x.jsonl"],
+        ["bound", "--formula", "thm2.7", "--c1", "nan", "--r", "1", "--format", "json"],
+        ["bound", "--formula", "thm2.7", "--c1", "inf", "--r", "1", "--format", "json"],
+        ["bound", "--formula", "cor3.2", "--decay", "geometric:nan,0.5"],
+        ["bound", "--formula", "thm2.2", "--decay", "powerlaw:1,inf", "--weights", "monomial:1"],
+        ["app", "gc", "--eps", "nan"],
+        ["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5", "--tail-tolerance", "inf"],
     ],
     ids=" ".join,
 )
@@ -157,6 +163,15 @@ def test_malformed_input_is_usage_error(argv, monkeypatch, capsys):
     monkeypatch.setattr(engine, "simulate_overlap", no_simulation)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("text", ['{"c1": NaN}', '{"c1": 0.5, "tail_tolerance": Infinity}', '{"c1": 1e999}'])
+def test_non_finite_config_value_is_usage_error(text, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["bound", "--formula", "thm2.7", "--config", str(cfg), "--r", "1", "--format", "json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
 
 
 def test_freedman_overflow_is_domain_error(capsys):

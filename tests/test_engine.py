@@ -8,7 +8,6 @@ import pytest
 import scipy.stats
 
 from overlapbounds import (
-    CustomTail,
     DomainError,
     EventFamilySpec,
     Explicit,
@@ -17,7 +16,6 @@ from overlapbounds import (
     InputError,
     PowerLaw,
     TruncationError,
-    TailFunction,
     WeightSequence,
     choose_truncation,
     empirical_moment,
@@ -41,6 +39,11 @@ class TestChooseTruncation:
     def test_powerlaw(self):
         n = choose_truncation(PowerLaw(1, 2), 0.1)
         assert 8 <= n <= 12  # C_{N+1} is about 1/N
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(DomainError, match="tail_tolerance"):
+            choose_truncation(PowerLaw(1, 2), tolerance)
 
     def test_exponential_payoff_control(self):
         plain = choose_truncation(Geometric(1, 0.5), 1e-6)
@@ -191,7 +194,6 @@ class TestSimulation:
         Geometric(1, 0.5),
         Geometric(3, 0.8),
         Explicit([0.4, 0.0, 1.0]),
-        CustomTail(TailFunction.power(1.0, 2.0)),
     ],
     ids=str,
 )
@@ -227,17 +229,13 @@ class TestEmpiricalMoment:
         emp = empirical_moment(self._sample([3, 1, 4]), exp_rate=0.0)
         assert emp.estimate == 1.0
 
-    def test_tail(self):
-        emp = empirical_moment(self._sample([0, 1, 2, 3]), tail=2)
-        assert emp.estimate == pytest.approx(0.5)
-
     def test_overflow(self):
         with pytest.raises(FunctionalOverflowError, match="smaller rate"):
             empirical_moment(self._sample([100, 100]), exp_rate=10.0)
 
     def test_one_functional_only(self):
         with pytest.raises(InputError):
-            empirical_moment(self._sample([1]), power=1.0, tail=2)
+            empirical_moment(self._sample([1]), power=1.0, exp_rate=0.5)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from overlapbounds import DomainError
-from overlapbounds.applications import exponential_dist, gc_simulate, uniform01
+from overlapbounds.applications import gc_simulate, uniform01
 from overlapbounds.applications.glivenko import KnownDistribution, _ks_scan_kernel, scan_window
 from overlapbounds.engine import chunk_rng
+
+
+def exponential_dist(rate):
+    """Exponential(rate) draws with their exact CDF: a second distribution for the distribution-free checks."""
+    return KnownDistribution(
+        name=f"exponential({rate:g})",
+        cdf=lambda x: -np.expm1(-rate * np.maximum(x, 0.0)),
+        sample=lambda rng, shape: rng.exponential(1.0 / rate, shape),
+    )
 
 
 def ks_statistics(v):

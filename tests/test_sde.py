@@ -7,16 +7,14 @@ import pytest
 from overlapbounds import DomainError, InputError
 from overlapbounds.engine import mean_stderr, run_chunked
 from overlapbounds.series import zeta
-from overlapbounds.sde import (
-    SchemeStepInputs,
-    SdeProblem,
-    sample_step_inputs,
-    sde15_path_from_inputs,
-    sde15_solve,
-    sde15_step,
-    sde_mdf_bound,
-    strong_error_estimate,
-)
+from overlapbounds.sde import SchemeStepInputs, SdeProblem, sde15_step, sde_mdf_bound, strong_error_estimate
+
+
+def sample_step_inputs(rng, dt, size):
+    """One step's noise drawn on its own, dW then dW_hat: the reference for the sweep's blocked draws."""
+    dw = rng.normal(0.0, math.sqrt(dt), size)
+    dw_hat = rng.normal(0.0, math.sqrt(dt), size)
+    return SchemeStepInputs.coupled(dt, dw, dw_hat)
 
 
 def _const_problem(a_val, b_val):
@@ -70,58 +68,6 @@ def test_noise_pair_moments():
         assert abs(value - target) <= 4.0 * spread
 
 
-class TestSolve:
-    def test_single_step_equals_step(self):
-        prob = SdeProblem.geometric_brownian(0.2, 0.3, 1.0, 1.0)
-        path = sde15_solve(prob, [0.0, 1.0], seed=5)
-        assert len(path.values) == 2
-        assert path.values[0] == 1.0
-
-    def test_deterministic_in_seed_and_partition(self):
-        prob = SdeProblem.geometric_brownian(0.2, 0.3, 1.0, 1.0)
-        grid = np.linspace(0.0, 1.0, 17)
-        a = sde15_solve(prob, grid, seed=8)
-        b = sde15_solve(prob, grid, seed=8)
-        c = sde15_solve(prob, grid, seed=9)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
-
-    def test_zero_diffusion_ignores_seed(self):
-        prob = SdeProblem(lambda t, x: -x, lambda t, x: 0.0 * x, 1.0, 1.0)
-        grid = np.linspace(0.0, 1.0, 65)
-        a = sde15_solve(prob, grid, seed=1)
-        b = sde15_solve(prob, grid, seed=2)
-        assert np.array_equal(a.values, b.values)
-
-    def test_zero_noise_matches_ode_at_second_order(self):
-        prob = SdeProblem(lambda t, x: -x, lambda t, x: 0.0 * x, 1.0, 1.0)
-        errors = []
-        for n in (32, 64, 128):
-            path = sde15_solve(prob, np.linspace(0.0, 1.0, n + 1), seed=0)
-            errors.append(abs(path.values[-1] - math.exp(-1.0)))
-        assert errors[0] / errors[1] >= 2.0**1.5
-        assert errors[1] / errors[2] >= 2.0**1.5
-
-    def test_interpolation(self):
-        prob = _const_problem(1.0, 0.0)
-        path = sde15_solve(prob, [0.0, 1.0], seed=0)
-        assert path.at(0.5) == pytest.approx(1.5)
-
-    def test_solve_equals_path_from_same_draws(self):
-        prob = SdeProblem.geometric_brownian(0.5, 0.4, 1.0, 1.0)
-        grid = np.concatenate([np.linspace(0.0, 0.5, 9), [0.6, 0.85, 1.0]])
-        rng = np.random.Generator(np.random.Philox(key=np.array([13, 0], dtype=np.uint64)))
-        draws = [sample_step_inputs(rng, float(dt), 1) for dt in np.diff(grid)]
-        dws, dzs = np.array([d.dW[0] for d in draws]), np.array([d.dZ[0] for d in draws])
-        expected = sde15_path_from_inputs(prob, grid, dws, dzs)
-        assert np.array_equal(sde15_solve(prob, grid, seed=13).values, expected.values)
-
-    def test_partition_validation(self):
-        prob = _const_problem(0.0, 0.0)
-        with pytest.raises(InputError):
-            sde15_solve(prob, [0.0, 0.5, 0.25], seed=0)
-
-
 def _terminal_from_inputs(prob, n_steps, dw, dz):
     # vectorised over replications: dw, dz have shape (reps, n_steps)
     h = prob.horizon / n_steps
@@ -129,6 +75,25 @@ def _terminal_from_inputs(prob, n_steps, dw, dz):
     for i in range(n_steps):
         y = sde15_step(prob, i * h, y, SchemeStepInputs(h, dw[:, i], dz[:, i]))
     return y
+
+
+class TestSolve:
+    # the scheme run over a uniform grid, one sde15_step per interval
+
+    def test_zero_diffusion_ignores_seed(self):
+        prob = SdeProblem(lambda t, x: -x, lambda t, x: 0.0 * x, 1.0, 1.0)
+        a, b = (sample_step_inputs(np.random.default_rng(seed), 1.0 / 64, (4, 64)) for seed in (1, 2))
+        assert not np.array_equal(a.dW, b.dW)
+        assert np.array_equal(_terminal_from_inputs(prob, 64, a.dW, a.dZ), _terminal_from_inputs(prob, 64, b.dW, b.dZ))
+
+    def test_zero_noise_matches_ode_at_second_order(self):
+        prob = SdeProblem(lambda t, x: -x, lambda t, x: 0.0 * x, 1.0, 1.0)
+        errors = []
+        for n in (32, 64, 128):
+            zero = np.zeros((1, n))
+            errors.append(abs(_terminal_from_inputs(prob, n, zero, zero)[0] - math.exp(-1.0)))
+        assert errors[0] / errors[1] >= 2.0**1.5
+        assert errors[1] / errors[2] >= 2.0**1.5
 
 
 def test_refinement_coupling_shrinks_gap():

@@ -172,7 +172,7 @@ class TestReport:
         assert 0.7 * limit <= ratio <= 1.3 * limit
 
     def test_one_sided_counts_present(self):
-        report = rare_segments(0.5, 1.0, n_max=500, reps=100, seed=5, eps_grid=(0.25,))
+        report = rare_segments(0.5, 1.0, n_max=500, reps=100, seed=5)
         orders = [row.order for row in report.rows]
         assert any("plus" in o for o in orders)
         assert any("minus" in o for o in orders)

@@ -8,7 +8,6 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from overlapbounds import (
-    CustomTail,
     DivergenceError,
     DomainError,
     Explicit,
@@ -157,6 +156,10 @@ class TestDecayModels:
             Geometric(1.0, 1.5)
         with pytest.raises(DomainError):
             Explicit([0.5, 1.2])
+        for model, args in [(PowerLaw, (math.nan, 2)), (PowerLaw, (1, math.nan)), (PowerLaw, (math.inf, 2)),
+                            (PowerLaw, (1, math.inf)), (Geometric, (math.nan, 0.5)), (Geometric, (math.inf, 0.5))]:
+            with pytest.raises(DomainError, match="finite"):
+                model(*args)
 
     def test_geometric_supports_index_zero(self):
         assert Geometric(0.5, 0.5).raw(0) == pytest.approx(0.5)
@@ -187,7 +190,7 @@ class TestTailSum:
 
     @pytest.mark.parametrize(
         "model",
-        [Geometric(1, 0.5), PowerLaw(1, 3), Explicit([0.5, 0.25, 0.1]), CustomTail(TailFunction.power(1.0, 2.0))],
+        [Geometric(1, 0.5), PowerLaw(1, 3), Explicit([0.5, 0.25, 0.1])],
     )
     def test_nonincreasing_in_m(self, model):
         values = [tail_sum(model, m).value for m in range(1, 8)]
@@ -277,12 +280,12 @@ class TestTailFunction:
         for s in (1e-4, 0.01, 0.3):
             assert abs(L.evaluate(L.inverse(s)) - s) <= 1e-10 * s
 
+    @pytest.mark.parametrize("make, args", [(TailFunction.power, (1.0, math.inf)), (TailFunction.power, (math.inf, 2.0)),
+                                            (TailFunction.geometric, (math.nan, 0.5)), (TailFunction.geometric, (math.inf, 0.5))])
+    def test_non_finite_parameters(self, make, args):
+        with pytest.raises(DomainError, match="finite"):
+            make(*args)
+
     def test_monotonicity_guard(self):
         with pytest.raises(DomainError):
             TailFunction(evaluate=lambda m: m, inverse=lambda s: s, label="increasing")
-
-    def test_custom_tail_model(self):
-        model = CustomTail(TailFunction.power(1.0, 2.0))
-        assert tail_sum(model, 3).value == pytest.approx(1.0 / 9.0)
-        # decrements are the event probabilities
-        assert model.raw(2) == pytest.approx(0.25 - 1.0 / 9.0)

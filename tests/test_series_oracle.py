@@ -17,6 +17,7 @@ lie at or above the series.
 from __future__ import annotations
 
 import math
+import time
 
 import mpmath as mp
 import pytest
@@ -249,3 +250,12 @@ def test_unconverged_series_raises_instead_of_bounding():
     with pytest.raises(NonConvergenceError, match="not certified"):
         poly_moment_bound(2.5, Geometric(1, 1 - 1e-7))
     assert issubclass(NonConvergenceError, DomainError)
+
+
+def test_nan_remainder_bracket_raises_at_once():
+    # at q = 1e30 the Euler-Maclaurin rising factorial overflows to inf and meets
+    # x**-e = 0, so every bracket is NaN; the routine used to double the cut to 2**26
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match="not a number"):
+        weighted_tail_series(WeightSequence.monomial(1), PowerLaw(1, 1e30))
+    assert time.perf_counter() - start < 1.0
