@@ -35,6 +35,9 @@ class KnownDistribution:
     sample: Callable[[np.random.Generator, tuple], np.ndarray]
 
 
+# the indices n at which the per-n exceedance frequency P(D_n >= eps) is reported
+CHECKPOINTS = (10, 25, 50, 75, 100, 200, 500, 1000, 2000)
+
 uniform01 = KnownDistribution(
     name="uniform(0,1)",
     cdf=lambda x: np.clip(x, 0.0, 1.0),
@@ -111,16 +114,14 @@ def gc_simulate(
     seed: int,
     eta: float,
     threads: int = 1,
-    checkpoints: list[int] | None = None,
-    count_from: int | None = None,
 ) -> MDFReport:
     """Simulate KS deviation counts and compare them with the tail bounds.
 
-    The deviation count runs over n >= count_from, which defaults to the
-    validity threshold ceil(2 / eps**2) of the uniform-deviation machinery:
-    below it D_n >= 1/(2n) can reach eps surely, so those indices carry no
+    The deviation count runs over n >= count_from = ceil(2 / eps**2), the
+    validity threshold of the uniform-deviation machinery: below it
+    D_n >= 1/(2n) can reach eps surely, so those indices carry no
     information about convergence.  Exceedances are counted exactly for
-    every n in count_from..n_max; checkpoint indices (in 1..n_max) record
+    every n in count_from..n_max; the ``CHECKPOINTS`` up to n_max record
     the per-n exceedance frequency whatever count_from is.
     """
     if eps <= 0 or eps >= 1:
@@ -129,12 +130,8 @@ def gc_simulate(
         raise DomainError(f"gc_simulate requires 0 < eta < eps = {eps} (got eta={eta})")
     if n_max < 1:
         raise DomainError(f"gc_simulate requires n_max >= 1 (got {n_max})")
-    if checkpoints is None:
-        checkpoints = [n for n in (10, 25, 50, 75, 100, 200, 500, 1000, 2000) if n <= n_max]
-    if any(not 1 <= n <= n_max for n in checkpoints):
-        raise DomainError(f"gc_simulate checkpoints must lie in 1..n_max = {n_max} (got {checkpoints})")
-    if count_from is None:
-        count_from = math.ceil(2.0 / (eps * eps))
+    checkpoints = [n for n in CHECKPOINTS if n <= n_max]
+    count_from = math.ceil(2.0 / (eps * eps))
     kernel = _ks_scan_kernel(dist, eps, n_max, checkpoints, count_from)
     table = run_chunked(reps, seed, kernel, threads=threads)
     counts = table[:, 0].astype(np.int64)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -55,48 +55,39 @@ def cramer_rate(lambda_fn: Callable[[float], float], mean: float, eps: float) ->
     return RateFunctionResult(max(lo, 0.0), mean - eps, "numeric")
 
 
-def _as_distribution(mu: Mapping[object, float] | np.ndarray) -> tuple[list[object], np.ndarray]:
-    if isinstance(mu, Mapping):
-        symbols = list(mu.keys())
-        weights = np.array([float(mu[s]) for s in symbols])
-    else:
-        weights = np.asarray(mu, dtype=float)
-        symbols = list(range(len(weights)))
-    if np.any(weights <= 0.0):
-        raise DomainError("the base distribution must be strictly positive on its alphabet")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise DomainError("the base distribution must sum to 1")
-    return symbols, weights
-
-
 def sanov_rate(
-    mu: Mapping[object, float] | np.ndarray,
-    symbol: object,
+    mu: np.ndarray,
+    symbol: int,
     threshold: float,
 ) -> RateFunctionResult:
     """Minimal relative entropy D(nu || mu) subject to nu(symbol) >= threshold.
+
+    ``mu`` lists the probabilities of the symbols 0, 1, ..., k-1.
 
     Exponential tilting of the constrained coordinate solves the projection
     in closed form: the minimiser keeps the conditional distribution off the
     symbol proportional to mu, and the rate reduces to the binary divergence
     t ln(t/mu_a) + (1-t) ln((1-t)/(1-mu_a)).
     """
-    symbols, weights = _as_distribution(mu)
-    if symbol not in symbols:
+    weights = np.asarray(mu, dtype=float)
+    if np.any(weights <= 0.0):
+        raise DomainError("the base distribution must be strictly positive on its alphabet")
+    if abs(weights.sum() - 1.0) > 1e-9:
+        raise DomainError("the base distribution must sum to 1")
+    if symbol not in range(len(weights)):
         raise DomainError(f"symbol {symbol!r} is not in the alphabet")
     if threshold > 1.0:
         raise DomainError("threshold must be <= 1")
-    idx = symbols.index(symbol)
-    mu_a = float(weights[idx])
+    mu_a = float(weights[symbol])
     if threshold <= mu_a:
-        return RateFunctionResult(0.0, dict(zip(symbols, weights)), "constraint contains the mean")
+        return RateFunctionResult(0.0, dict(enumerate(weights)), "constraint contains the mean")
     t = threshold
     nu = weights * (1.0 - t) / (1.0 - mu_a)
-    nu[idx] = t
+    nu[symbol] = t
     if t >= 1.0:
         nu = np.zeros_like(weights)
-        nu[idx] = 1.0
+        nu[symbol] = 1.0
         rate = -math.log(mu_a)
     else:
         rate = t * math.log(t / mu_a) + (1.0 - t) * math.log((1.0 - t) / (1.0 - mu_a))
-    return RateFunctionResult(rate, dict(zip(symbols, nu)), "closed-form tilt")
+    return RateFunctionResult(rate, dict(enumerate(nu)), "closed-form tilt")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -33,26 +33,19 @@ def partitions_min_two(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def slln_partition_bound(q: int, moments: Sequence[float] | Mapping[int, float], k: int) -> float:
+def slln_partition_bound(q: int, moments: Mapping[int, float], k: int) -> float:
     """Centered-sum moment bound E[(X_1+...+X_k)**(2q)] <= k**q (2q)!/2**q * sum_pi prod E[X**b].
 
-    The sum runs over all partitions of 2q with parts >= 2; ``moments``
-    supplies E[X**j] for j = 2..2q (a sequence of length 2q-1 or a mapping).
-    At q = 1 the bound collapses to the exact variance identity k E[X**2].
+    The sum runs over all partitions of 2q with parts >= 2; ``moments`` maps
+    each order j = 2..2q to E[X**j].  At q = 1 the bound collapses to the
+    exact variance identity k E[X**2].
     """
     if q < 1:
         raise DomainError("slln_partition_bound requires q >= 1")
     if k < 1:
         raise DomainError("slln_partition_bound requires k >= 1")
-    needed = range(2, 2 * q + 1)
-    if isinstance(moments, Mapping):
-        table = {int(j): float(v) for j, v in moments.items()}
-    else:
-        seq = list(moments)
-        if len(seq) != 2 * q - 1:
-            raise InputError(f"expected {2 * q - 1} moments for orders 2..{2 * q}, got {len(seq)}")
-        table = {j: float(seq[j - 2]) for j in needed}
-    missing = [j for j in needed if j not in table]
+    table = {int(j): float(v) for j, v in moments.items()}
+    missing = [j for j in range(2, 2 * q + 1) if j not in table]
     if missing:
         raise InputError(f"missing moment orders {missing}")
     total = 0.0

@@ -108,6 +108,8 @@ class EventFamilySpec:
             raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.truncation < 1:
             raise TruncationError("truncation must be >= 1")
+        if not 0.0 <= self.tail_tolerance < math.inf:  # 0 suits a finite (explicit) family
+            raise DomainError(f"tail_tolerance must be nonnegative and finite (got {self.tail_tolerance})")
         tail = tail_sum(self.model, self.truncation + 1)
         if tail.value + tail.truncation_error > self.tail_tolerance + 1e-15:
             raise TruncationError(
@@ -158,8 +160,6 @@ class OverlapSample:
 class EmpiricalMoment:
     estimate: float
     stderr: float
-    reps: int
-    functional: str
 
 
 def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float = 0.0) -> int:
@@ -262,7 +262,6 @@ def empirical_moment(
         raise InputError("sample is empty")
     if power is not None:
         values = counts.astype(float) ** power
-        name = f"E[O**{power:g}]"
     elif exp_rate is not None:
         top = exp_rate * counts.max()
         if top > 700.0:
@@ -270,12 +269,10 @@ def empirical_moment(
                 f"exp({top:.1f}) overflows double precision; use a smaller rate r"
             )
         values = np.exp(exp_rate * counts.astype(float))
-        name = f"E[exp({exp_rate:g} O)]"
     else:
         table = partial_sum_of.partial_sums_upto(int(counts.max()))
         values = table[counts]
-        name = f"E[S(O)] for {partial_sum_of.describe()}"
-    return EmpiricalMoment(*mean_stderr(values), len(values), name)
+    return EmpiricalMoment(*mean_stderr(values))
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:

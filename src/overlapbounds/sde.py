@@ -129,7 +129,6 @@ class ErrorSweep:
     seed: int
     slope: float
     slope_stderr: float
-    intercept: float
 
 
 def strong_error_estimate(
@@ -188,7 +187,7 @@ def strong_error_estimate(
     resid = ly - (slope * lx + intercept)
     dof = max(len(deltas) - 2, 1)
     slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((lx - lx.mean()) ** 2)))
-    return ErrorSweep(deltas, means, ses, reps, seed, float(slope), slope_se, float(intercept))
+    return ErrorSweep(deltas, means, ses, reps, seed, float(slope), slope_se)
 
 
 def sde_mdf_bound(k_t: float, c: float, t_end: float, eps: float) -> BoundResult:

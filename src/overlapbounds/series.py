@@ -283,24 +283,18 @@ class TailFunction:
 
 
 class DecayModel:
-    """Base class for event-probability sequences P(E_n).
+    """Base class for event-probability sequences P(E_n), indexed from n = 1.
 
-    ``raw`` is the model formula without clamping (used in bound
-    arithmetic, where the majorant may exceed one); ``prob`` clamps into
-    [0, 1] (used in simulation).  Events are indexed from n = 1.
+    ``probs_upto`` clamps the model formula into [0, 1] (used in simulation);
+    ``tail`` sums it unclamped (used in bound arithmetic, where the majorant
+    may exceed one).
     """
 
-    def raw(self, n: int) -> float:
-        raise NotImplementedError
-
-    def prob(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"event index n={n} below the model's first index")
-        return min(1.0, max(0.0, self.raw(n)))
+    summable = True
 
     def probs_upto(self, n: int) -> np.ndarray:
         """The clamped probabilities P(E_1), ..., P(E_n) as one array."""
-        return np.array([self.prob(k) for k in range(1, n + 1)])
+        raise NotImplementedError
 
     def tails_upto(self, n: int) -> np.ndarray:
         """C_1, ..., C_n as reverse cumulative sums of ``probs_upto(n)`` plus C_{n+1}.
@@ -310,10 +304,6 @@ class DecayModel:
         return np.cumsum(self.probs_upto(n)[::-1])[::-1] + tail_sum(self, n + 1).value
 
     def tail(self, m: int) -> SeriesValue:
-        raise NotImplementedError
-
-    @property
-    def summable(self) -> bool:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -335,13 +325,6 @@ class Explicit(DecayModel):
             raise DomainError("explicit probabilities must lie in [0, 1]")
         object.__setattr__(self, "probabilities", probs)
 
-    def raw(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"event index n={n} below the model's first index")
-        if n > len(self.probabilities):
-            return 0.0
-        return self.probabilities[n - 1]
-
     def probs_upto(self, n: int) -> np.ndarray:
         return np.array((self.probabilities + (0.0,) * n)[:n])
 
@@ -349,10 +332,6 @@ class Explicit(DecayModel):
         start = max(m, 1)
         value = float(sum(self.probabilities[start - 1 :]))
         return SeriesValue(value, 0.0, max(0, len(self.probabilities) - start + 1), True)
-
-    @property
-    def summable(self) -> bool:
-        return True
 
     def describe(self) -> str:
         return "explicit:" + ",".join(repr(p) for p in self.probabilities)
@@ -368,11 +347,6 @@ class PowerLaw(DecayModel):
     def __post_init__(self) -> None:
         if not (0.0 < self.c < math.inf and 0.0 < self.q < math.inf):
             raise DomainError(f"power-law decay requires finite c > 0 and q > 0 (got c={self.c}, q={self.q})")
-
-    def raw(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"event index n={n} below the model's first index")
-        return self.c / float(n) ** self.q
 
     def probs_upto(self, n: int) -> np.ndarray:
         return np.minimum(1.0, self.c / np.arange(1, n + 1, dtype=float) ** self.q)
@@ -408,21 +382,12 @@ class Geometric(DecayModel):
         if not (0.0 < self.b < 1.0):
             raise DomainError(f"geometric decay requires 0 < b < 1 (got b={self.b})")
 
-    def raw(self, n: int) -> float:
-        if n < 0:
-            raise DomainError(f"event index n={n} below the model's first index")
-        return self.c * self.b**n
-
     def probs_upto(self, n: int) -> np.ndarray:
         return np.minimum(1.0, self.c * self.b ** np.arange(1, n + 1, dtype=float))
 
     def tail(self, m: int) -> SeriesValue:
         m = max(m, 0)
         return SeriesValue(self.c * self.b**m / (1.0 - self.b), 0.0, 0, True)
-
-    @property
-    def summable(self) -> bool:
-        return True
 
     def describe(self) -> str:
         return f"geometric:{self.c!r},{self.b!r}"
@@ -447,31 +412,34 @@ def tail_sum(model: DecayModel, m: int) -> SeriesValue:
 class WeightSequence:
     """Nonnegative weights a_n with partial sums S(N) = sum_{n=start}^N a_n.
 
-    Monomial weights a_n = n**p run from n = 1 (so S(0) = 0); exponential
-    weights a_n = exp(n*p) run from n = 0 (so S(0) = 1).
+    Exponential weights a_n = exp(n*p) run from n = 0 (so S(0) = 1); monomial
+    weights a_n = n**p and custom weights a_n = term_fn(n) run from n = 1
+    (so S(0) = 0).
     """
 
     kind: str
     p: float = 0.0
-    start: int = 1
     term_fn: Callable[[int], float] | None = None
-    label: str = ""
 
     @staticmethod
     def monomial(p: float) -> "WeightSequence":
-        if p < 0:
-            raise DomainError("monomial weights require p >= 0")
-        return WeightSequence(kind="monomial", p=p, start=1, label=f"monomial:{p!r}")
+        if not 0 <= p < math.inf:
+            raise DomainError(f"monomial weights require finite p >= 0 (got p={p})")
+        return WeightSequence(kind="monomial", p=p)
 
     @staticmethod
     def exponential(p: float) -> "WeightSequence":
-        if p <= 0:
-            raise DomainError("exponential weights require rate p > 0")
-        return WeightSequence(kind="exponential", p=p, start=0, label=f"exponential:{p!r}")
+        if not 0 < p < math.inf:
+            raise DomainError(f"exponential weights require a finite rate p > 0 (got p={p})")
+        return WeightSequence(kind="exponential", p=p)
 
     @staticmethod
-    def custom(term_fn: Callable[[int], float], start: int = 1, label: str = "custom") -> "WeightSequence":
-        return WeightSequence(kind="custom", start=start, term_fn=term_fn, label=label)
+    def custom(term_fn: Callable[[int], float]) -> "WeightSequence":
+        return WeightSequence(kind="custom", term_fn=term_fn)
+
+    @property
+    def start(self) -> int:
+        return 0 if self.kind == "exponential" else 1
 
     def term(self, n: int) -> float:
         if n < self.start:
@@ -481,20 +449,9 @@ class WeightSequence:
         if self.kind == "exponential":
             return math.exp(n * self.p)
         value = self.term_fn(n)  # type: ignore[misc]
-        if value < 0:
-            raise DomainError(f"weight a_{n} = {value} is negative")
+        if not value >= 0:
+            raise DomainError(f"weight a_{n} = {value} is not a nonnegative number")
         return value
-
-    def partial_sum(self, n: int) -> float:
-        """S(N) = sum over the weight support up to N."""
-        if n < self.start:
-            return 0.0
-        if self.kind == "monomial":
-            return float(np.sum(np.arange(1, n + 1, dtype=float) ** self.p))
-        if self.kind == "exponential":
-            ep = math.exp(self.p)
-            return (math.exp(self.p * (n + 1)) - 1.0) / (ep - 1.0)
-        return float(sum(self.term(k) for k in range(self.start, n + 1)))
 
     def partial_sums_upto(self, n: int) -> np.ndarray:
         """Vector of S(0), S(1), ..., S(N) for vectorised evaluation."""
@@ -510,7 +467,7 @@ class WeightSequence:
         return np.cumsum(terms)
 
     def describe(self) -> str:
-        return self.label
+        return "custom" if self.kind == "custom" else f"{self.kind}:{self.p!r}"
 
 
 def _require_bracket(weights: WeightSequence, model: DecayModel) -> None:
@@ -567,13 +524,16 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
 
     # Swapped order: sum_n n**p C_n = c sum_m m**-q S(m), S(m) = sum_{n<=m} n**p.  Past
     # the cut M the rest is c (S(M-1) zeta(q, M) + sum_{n>=M} n**p zeta(q, n)).
+    def partial_sum(m: int) -> float:
+        return float(np.sum(np.arange(1, m + 1, dtype=float) ** p))
+
     def remainder(cut: int) -> tuple[float, float]:
-        s_head = weights.partial_sum(cut - 1)
+        s_head = partial_sum(cut - 1)
         (z_lo, z_hi), (w_lo, w_hi) = _hurwitz(q, cut), _weighted_hurwitz(q, p, cut)
         return c * (s_head * z_lo + w_lo), c * (s_head * z_hi + w_hi)
 
     return _certified_sum(
-        lambda m: c * m**-q * (weights.partial_sum(int(m[0]) - 1) + np.cumsum(m**p)), remainder, 1
+        lambda m: c * m**-q * (partial_sum(int(m[0]) - 1) + np.cumsum(m**p)), remainder, 1
     )
 
 
@@ -583,7 +543,7 @@ def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     Certified like ``weighted_tail_series``, with the same errors.
     """
     if isinstance(model, Explicit):
-        total = sum(weights.term(n) * model.prob(n) for n in range(1, len(model.probabilities) + 1))
+        total = sum(weights.term(n) * p_n for n, p_n in enumerate(model.probabilities, 1))
         return SeriesValue(float(total), 0.0, len(model.probabilities), True)
     _require_bracket(weights, model)
     c, p = model.c, weights.p

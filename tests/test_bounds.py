@@ -45,10 +45,8 @@ class TestNestedIdentity:
         assert res.formula_id == "prop2.1"
 
     def test_constant_payoff_is_one_for_any_model(self):
-        # a_0 = 1 and nothing else: S(N) = 1 surely, so E[S(O)] = 1
-        w = WeightSequence.custom(lambda n: 1.0 if n == 0 else 0.0, start=0)
-        assert nested_moment_identity(w, Explicit([0.5, 0.25])).value == pytest.approx(1.0, abs=1e-9)
         # over an infinite family custom weights have no certified remainder
+        w = WeightSequence.custom(lambda n: 1.0)
         for model in (Geometric(1, 0.5), PowerLaw(1, 3)):
             with pytest.raises(DomainError, match="no certified remainder"):
                 nested_moment_identity(w, model)
@@ -77,6 +75,10 @@ class TestGeneralBound:
     def test_empty_family(self):
         res = general_moment_bound(WeightSequence.monomial(1), Explicit([0.0]))
         assert res.value == 0.0
+
+    def test_nan_custom_weight_raises(self):
+        with pytest.raises(DomainError, match="a_1 = nan"):
+            general_moment_bound(WeightSequence.custom(lambda n: math.nan), Explicit([0.5]))
 
     def test_dominates_nested_identity(self):
         # the weighted tail sum majorises the exact nested value

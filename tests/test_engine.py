@@ -29,6 +29,17 @@ from overlapbounds import (
 from overlapbounds.engine import chunk_rng, prefetched
 
 
+def scalar_probs(model, n):
+    """P(E_1), ..., P(E_n) one index at a time from each model's formula, clamped into [0, 1]."""
+    if isinstance(model, PowerLaw):
+        raw = [model.c / float(k) ** model.q for k in range(1, n + 1)]
+    elif isinstance(model, Geometric):
+        raw = [model.c * model.b**k for k in range(1, n + 1)]
+    else:
+        raw = [model.probabilities[k - 1] if k <= len(model.probabilities) else 0.0 for k in range(1, n + 1)]
+    return np.array([min(1.0, max(0.0, x)) for x in raw])
+
+
 class TestChooseTruncation:
     def test_geometric(self):
         assert choose_truncation(Geometric(1, 0.5), 0.26) == 2  # C_3 = 0.25
@@ -63,6 +74,12 @@ class TestSpecValidation:
     def test_unknown_family(self):
         with pytest.raises(InputError):
             EventFamilySpec("other", Geometric(1, 0.5), 30)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tail_tolerance_raises(self, tolerance):
+        # 0.0625 of tail mass lies beyond N = 3
+        with pytest.raises(DomainError, match="tail_tolerance"):
+            EventFamilySpec("independent", Geometric(1, 0.5), 3, tail_tolerance=tolerance)
 
 
 class TestSimulation:
@@ -163,7 +180,7 @@ class TestSimulation:
         spec = EventFamilySpec.from_model("nested", model)
         reps, seed = 10_000, 23  # three chunks, the last one partial
         counts = simulate_overlap(spec, reps, seed).counts
-        probs = np.array([model.prob(n) for n in range(1, spec.truncation + 1)])
+        probs = scalar_probs(model, spec.truncation)
         dense = []
         for c, start in enumerate(range(0, reps, 4096)):
             u = chunk_rng(seed, c).random(min(4096, reps - start))
@@ -199,7 +216,7 @@ class TestSimulation:
 )
 def test_probability_and_tail_tables(model):
     n = 50
-    scalar = np.array([model.prob(k) for k in range(1, n + 1)])
+    scalar = scalar_probs(model, n)
     np.testing.assert_array_max_ulp(model.probs_upto(n), scalar, maxulp=4)
     # clamping leaves min(1, C_k) alone; both sides carry tail_sum's certified error
     tails = np.minimum(1.0, model.tails_upto(n))

@@ -35,11 +35,8 @@ def fixed_path(path):
 
 def test_single_sample_statistic_always_large():
     # D_1 = max(U, 1-U) >= 1/2, so with eps = 0.45 every index-1 scan exceeds
-    report = gc_simulate(
-        uniform01, eps=0.45, n_max=1, reps=4000, seed=3, eta=0.2, checkpoints=[1], count_from=1
-    )
-    assert report.extra["checkpoints"][0]["empirical"] == 1.0
-    assert report.extra["tail_counts"][1] == 1.0
+    table = _ks_scan_kernel(uniform01, 0.45, 1, [1], 1)(chunk_rng(3, 0), 0, 4000)
+    assert np.all(table == 1)  # the count over n = 1 and the checkpoint flag at n = 1
 
 
 def test_large_eps_counts_mostly_zero():
@@ -50,9 +47,8 @@ def test_large_eps_counts_mostly_zero():
 
 
 def test_checkpoint_exceedance_below_cell_bound():
-    report = gc_simulate(
-        uniform01, eps=0.2, n_max=200, reps=3000, seed=11, eta=0.1, checkpoints=[10, 50, 100, 200]
-    )
+    report = gc_simulate(uniform01, eps=0.2, n_max=200, reps=3000, seed=11, eta=0.1)
+    assert [cp["n"] for cp in report.extra["checkpoints"]] == [10, 25, 50, 75, 100, 200]
     for cp in report.extra["checkpoints"]:
         assert cp["empirical"] <= cp["cell_hoeffding"] + 1e-12
 
@@ -159,9 +155,3 @@ def test_checkpoint_flags_match_direct_sort():
         d = np.maximum((grid / n - s).max(axis=1), (s - (grid - 1) / n).max(axis=1))
         assert np.array_equal(table[:, 1 + idx], d >= eps)
 
-
-def test_checkpoints_outside_the_scan_raise():
-    with pytest.raises(DomainError, match="checkpoints"):
-        gc_simulate(uniform01, eps=0.2, n_max=50, reps=10, seed=1, eta=0.1, checkpoints=[10, 60])
-    with pytest.raises(DomainError, match="checkpoints"):
-        gc_simulate(uniform01, eps=0.2, n_max=50, reps=10, seed=1, eta=0.1, checkpoints=[0])

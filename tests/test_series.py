@@ -141,15 +141,9 @@ class TestLambertW:
 
 class TestDecayModels:
     def test_eval_examples(self):
-        assert Geometric(1, 0.5).prob(3) == pytest.approx(0.125)
-        assert PowerLaw(2, 1).prob(1) == 1.0  # clamped from 2
-        assert Explicit([0.3, 0.2]).prob(2) == pytest.approx(0.2)
-
-    def test_index_errors(self):
-        with pytest.raises(DomainError):
-            PowerLaw(1, 2).prob(0)
-        with pytest.raises(DomainError):
-            Explicit([0.5]).prob(0)
+        assert Geometric(1, 0.5).probs_upto(3)[2] == pytest.approx(0.125)
+        assert PowerLaw(2, 1).probs_upto(1)[0] == 1.0  # clamped from 2
+        assert Explicit([0.3, 0.2]).probs_upto(2)[1] == pytest.approx(0.2)
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
@@ -160,9 +154,6 @@ class TestDecayModels:
                             (PowerLaw, (1, math.inf)), (Geometric, (math.nan, 0.5)), (Geometric, (math.inf, 0.5))]:
             with pytest.raises(DomainError, match="finite"):
                 model(*args)
-
-    def test_geometric_supports_index_zero(self):
-        assert Geometric(0.5, 0.5).raw(0) == pytest.approx(0.5)
 
 
 class TestTailSum:
@@ -201,8 +192,13 @@ class TestWeightSequence:
     def test_start_indices(self):
         mono = WeightSequence.monomial(1.0)
         expo = WeightSequence.exponential(0.3)
-        assert mono.partial_sum(0) == 0.0
-        assert expo.partial_sum(0) == 1.0  # a_0 = e^0
+        custom = WeightSequence.custom(lambda n: 2.0)
+        assert mono.partial_sums_upto(0).tolist() == [0.0]
+        assert expo.partial_sums_upto(0).tolist() == [1.0]  # a_0 = e^0
+        assert custom.partial_sums_upto(1).tolist() == [0.0, 2.0]
+        # start and the label that CLI headers and verify rows carry follow from kind and p
+        assert [(w.start, w.describe()) for w in (mono, expo, custom)] == [
+            (1, "monomial:1.0"), (0, "exponential:0.3"), (1, "custom")]
 
     def test_partial_sums_table(self):
         w = WeightSequence.monomial(2.0)
@@ -218,6 +214,12 @@ class TestWeightSequence:
             WeightSequence.exponential(0.0)
         with pytest.raises(DomainError):
             WeightSequence.monomial(-1.0)
+
+    @pytest.mark.parametrize("make, p", [(WeightSequence.monomial, math.nan), (WeightSequence.exponential, math.nan),
+                                         (WeightSequence.exponential, math.inf)])
+    def test_non_finite_rate_raises(self, make, p):
+        with pytest.raises(DomainError, match=f"p={p}"):
+            make(p)
 
 
 class TestWeightedTailSeries:

@@ -68,14 +68,9 @@ class TestPartitionBound:
         for k in (1, 2, 5):
             assert 15.0 * k**3 <= slln_partition_bound(3, {2: 1, 3: 0, 4: 3, 5: 0, 6: 15}, k)
 
-    def test_sequence_input(self):
-        assert slln_partition_bound(2, [1.0, 0.0, 1.0], 2) == pytest.approx(48.0)
-
     def test_missing_moment(self):
         with pytest.raises(InputError, match="missing moment"):
             slln_partition_bound(2, {2: 1.0, 4: 1.0}, 3)
-        with pytest.raises(InputError):
-            slln_partition_bound(2, [1.0, 0.0], 3)
 
 
 class TestMdfReport:
