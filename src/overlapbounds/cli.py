@@ -7,10 +7,11 @@ Subcommands
     export  simulate an event family and dump the sample as JSONL
 
 Exit codes: 0 success, 1 I/O error, 2 domain/precondition error,
-3 verification failure, 64 usage error.  Flags override values from a JSON
-config file (--config), which overrides the defaults.  The output of bound,
-verify and app starts with the fully resolved configuration, so a run can be
-reproduced from its own header.
+3 verification failure, 64 usage error.  Each setting is its flag, else its
+value in a JSON config file (--config), else its default, and is parsed the
+same way wherever it comes from.  The output of bound, verify and app starts
+with the fully resolved configuration, so a run can be reproduced from its own
+header.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,20 +42,6 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
-
-# The defaults every subcommand shares.  A formula, check or application
-# declares its own in its Flags; argparse defaults stay None, so a flag is set
-# only when given and a config file can override these.
-DEFAULTS: dict[str, Any] = {
-    "seed": 20240801,
-    "reps": 100_000,
-    "threads": 1,
-    "format": "csv",
-    "tail_tolerance": 1e-6,
-    "out": None,
-    "deterministic": False,
-}
-
 
 class UsageError(Exception):
     pass
@@ -89,11 +76,27 @@ SPECS: dict[str, dict[str, tuple[str, Callable[..., Any]]]] = {
 }
 
 
+# A number or spec is read from the text of its value, so a config file's true
+# is no number and its 2.5 no integer but a ValueError, which Flag.parse turns
+# into a usage error, as it does the same text on the command line.
 def finite_float(text: Any) -> float:
-    """A finite float; nan and inf are a ValueError, so the flag or spec holding one is a usage error."""
-    value = float(text)
+    """A finite float; nan and inf are a ValueError, so the flag, spec or config value holding one is a usage error."""
+    value = float(str(text))
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _one_of(allowed: tuple, value: Any) -> Any:
+    """``value`` if it equals one of ``allowed`` and has its type, so neither 1 nor "true" is True."""
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        raise ValueError(f"expected one of {', '.join(map(json.dumps, allowed))}")
     return value
 
 
@@ -101,9 +104,9 @@ def spec_usage(kind: str) -> str:
     return " | ".join(f"{name}:{params}" if params else name for name, (params, _) in SPECS[kind].items())
 
 
-def parse_spec(kind: str, text: str) -> Any:
+def parse_spec(kind: str, text: Any) -> Any:
     """The object a ``name:v1,v2,...`` spec of ``kind`` names; a malformed or unknown one is a UsageError."""
-    name, _, rest = text.partition(":")
+    name, _, rest = str(text).partition(":")
     try:
         values = [finite_float(v) for v in rest.split(",") if v != ""]
     except ValueError as exc:
@@ -115,8 +118,8 @@ def parse_spec(kind: str, text: str) -> Any:
     return make(*values)
 
 
-def _parse_sweep(text: str) -> list[float]:
-    kind, _, rest = text.partition(":")
+def _parse_sweep(text: Any) -> list[float]:
+    kind, _, rest = str(text).partition(":")
     try:
         a, b = rest.split("..")
         if kind == "dyadic":
@@ -126,15 +129,16 @@ def _parse_sweep(text: str) -> list[float]:
     raise UsageError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
 
 
+CHOICES: dict[str, tuple] = {"format": ("csv", "json"), "family": engine.FAMILIES, "bool": (False, True)}
 PARSERS: dict[str, Callable[[Any], Any]] = {
-    "float": finite_float, "int": int, "str": str, "sweep": _parse_sweep,
-    **{kind: partial(parse_spec, kind) for kind in SPECS},
+    "float": finite_float, "int": lambda text: int(str(text)), "str": _string, "sweep": _parse_sweep,
+    **{kind: partial(parse_spec, kind) for kind in SPECS}, **{kind: partial(_one_of, v) for kind, v in CHOICES.items()},
 }
 
 
 @dataclass(frozen=True)
 class Flag:
-    """A flag a formula, check or application reads: how it is parsed and which row column it labels."""
+    """A setting a run reads: how it is parsed and which row column it labels."""
 
     name: str  # argparse dest and the keyword the callable takes
     kind: str = "float"  # a key of PARSERS
@@ -166,18 +170,6 @@ class Flag:
         return self.option + "*" * self.grid + ("" if self.default is None else f"={self.default}")
 
 
-def parse_flags(args: argparse.Namespace) -> dict[str, Any]:
-    """Each flag of the selected entry parsed once, or derived; a missing or malformed one is a UsageError."""
-    name, flags = _selected(args)
-    values = {}
-    for flag in flags:
-        raw = getattr(args, flag.name)
-        if raw is None and not callable(flag.default):
-            raise UsageError(f"{args.command} {name} needs {flag.option}")
-        values[flag.name] = flag.default(values) if raw is None else flag.parse(raw)
-    return values
-
-
 @dataclass(frozen=True)
 class ExactOracleCheck:
     """E[e**(rO)] of the exact Poisson-binomial law of an explicit family against the bound at its C1.
@@ -187,7 +179,7 @@ class ExactOracleCheck:
 
     flags: tuple[Flag, ...] = (Flag("decay", "decay"), Flag("r_points", "int", default=10))
 
-    def run(self, formula: str, bound: Callable[..., Any], values: dict, args: argparse.Namespace) -> list[dict]:
+    def run(self, formula: str, bound: Callable[..., Any], values: dict, common: dict) -> list[dict]:
         model, n = values["decay"], values["r_points"]
         if not isinstance(model, Explicit):
             raise UsageError(f"{formula} verification needs an explicit decay (exact oracle)")
@@ -222,15 +214,15 @@ class MonteCarloCheck:
     theoretical: Callable[..., float] | None = None  # None: the formula's own bound at these flags
     equality: bool = False
 
-    def run(self, formula: str, bound: Callable[..., Any], values: dict, args: argparse.Namespace) -> list[dict]:
+    def run(self, formula: str, bound: Callable[..., Any], values: dict, common: dict) -> list[dict]:
         theoretical = self.theoretical(**values) if self.theoretical else bound(**values).value
         functional = self.functional(**values)
         rows = []
         for family in self.families:
             # an exponential functional needs a deeper truncation
             exp_rate = functional.get("exp_rate", 0.0)
-            spec = engine.EventFamilySpec.from_model(family, values["decay"], float(args.tail_tolerance), exp_rate)
-            sample = engine.simulate_overlap(spec, int(args.reps), int(args.seed), int(args.threads))
+            spec = engine.EventFamilySpec.from_model(family, values["decay"], common["tail_tolerance"], exp_rate)
+            sample = engine.simulate_overlap(spec, common["reps"], common["seed"], common["threads"])
             emp = engine.empirical_moment(sample, **functional)
             slack = 4.0 * emp.stderr
             ok = abs(emp.estimate - theoretical) <= slack if self.equality else emp.estimate <= theoretical + slack
@@ -347,18 +339,20 @@ APPS: dict[str, Formula] = {
 }
 
 
-# Each subcommand's entries and the flags each reads; --formula or the application names the one a run reads
+# The settings every subcommand reads, in the order its header lists them
+COMMON = (Flag("seed", "int", default=20240801), Flag("reps", "int", default=100_000),
+          Flag("threads", "int", default=1), Flag("format", "format", default="csv"),
+          Flag("tail_tolerance", default=1e-6), Flag("out", "str", default=""),
+          Flag("deterministic", "bool", default=False))
+
+# Each subcommand's entries and the flags each reads; a run reads the one its --formula or application names,
+# or export's only one
 FLAGS: dict[str, dict[str, tuple[Flag, ...]]] = {
     "bound": {fid: entry.flags for fid, entry in FORMULAS.items()},
     "verify": {fid: entry.check.flags for fid, entry in FORMULAS.items() if entry.check is not None},
     "app": {name: app.flags for name, app in APPS.items()},
+    "export": {"export": (Flag("family", "family"), DECAY)},
 }
-
-
-def _selected(args: argparse.Namespace) -> tuple[str, tuple[Flag, ...]]:
-    """The formula, check or application a run names, and the flags it reads."""
-    name = args.application if args.command == "app" else getattr(args, "formula", None)
-    return name, FLAGS.get(args.command, {}).get(name, ())
 
 
 def _table_help(title: str, flags_of: dict[str, tuple[Flag, ...]]) -> str:
@@ -367,16 +361,18 @@ def _table_help(title: str, flags_of: dict[str, tuple[Flag, ...]]) -> str:
     return "\n".join(lines)
 
 
-def _add_flags(parser: _Parser, flags_of: dict[str, tuple[Flag, ...]]) -> None:
+def _add_flags(parser: _Parser, flags: Iterable[Flag]) -> None:
     """One option per flag name; argparse converts a scalar number, so a header keeps its JSON type."""
     declared: dict[str, set[tuple[str, bool]]] = {}
-    for flag in itertools.chain(*flags_of.values()):
+    for flag in flags:
         declared.setdefault(flag.name, set()).add((flag.kind, flag.grid))
     for name, kinds in declared.items():
         kind, grid = kinds.pop() if len(kinds) == 1 else ("str", True)  # declared two ways: kept as text
         numeric = kind in ("float", "int") and not grid
-        parser.add_argument(Flag(name).option, dest=name, type=PARSERS[kind] if numeric else None,
-                            help=spec_usage(kind) if kind in SPECS else None)
+        options = {"action": "store_true"} if kind == "bool" else {
+            "type": PARSERS[kind] if numeric else None, "choices": CHOICES.get(kind),
+            "help": spec_usage(kind) if kind in SPECS else None}
+        parser.add_argument(Flag(name).option, dest=name, default=None, **options)
 
 
 @cache  # argparse does not change a parser while parsing, so each process builds it once
@@ -385,18 +381,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(command: str, help: str, title: str = "") -> _Parser:
-        flags_of = FLAGS.get(command, {})
         p = sub.add_parser(command, help=help, formatter_class=argparse.RawDescriptionHelpFormatter,
-                           epilog=_table_help(title, flags_of) if flags_of else None)
+                           epilog=_table_help(title, FLAGS[command]) if title else None)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--tail-tolerance", dest="tail_tolerance", type=finite_float)
-        p.add_argument("--deterministic", action="store_true", default=None)
-        _add_flags(p, flags_of)
+        _add_flags(p, itertools.chain(COMMON, *FLAGS[command].values()))
         return p
 
     pb = add("bound", "evaluate a bound formula over parameter grids", "formulas")
@@ -405,17 +393,18 @@ def build_parser() -> _Parser:
     pv.add_argument("--formula", required=True, choices=FLAGS["verify"], metavar="FORMULA",
                     help="formula id, see below")
     add("app", "run an application report", "applications").add_argument("application", choices=APPS)
-    pe = add("export", "simulate an event family, write JSONL sample")
-    pe.add_argument("--family", choices=engine.FAMILIES, required=True)
-    pe.add_argument("--decay", required=True, help=spec_usage("decay"))
+    add("export", "simulate an event family, write JSONL sample")
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge precedence: command-line flag > config file > default.
+def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
+    """A run's header, its common settings and the flags its entry reads, each setting parsed once.
 
-    The result holds, in this order, the common keys, the command and what it
-    selects, and the flags the selected formula, check or application reads.
+    A setting takes its command-line value, else its config-file value, else
+    its default; a missing or malformed one is a UsageError.  The header holds
+    the raw values, in this order: the common keys, the command and what it
+    selects, and the flags the selected formula, check, application or export
+    reads.  A derived flag that is not given stays out of it.
     """
     given = {}
     if args.config:
@@ -424,18 +413,28 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 given = json.load(fh, parse_constant=finite_float, parse_float=finite_float)
             except ValueError as exc:
                 raise UsageError(f"bad config file {args.config}: {exc}") from exc
-    flags = _selected(args)[1]
-    defaults = {**DEFAULTS, **{f.name: f.default for f in flags if not callable(f.default)}}
-    keys = [*DEFAULTS, "command", "formula", "application", *(f.name for f in flags)]
-    merged = {}
-    for key in dict.fromkeys(k for k in keys if k in DEFAULTS or hasattr(args, k)):
-        value = getattr(args, key, None)
-        merged[key] = given.get(key, defaults.get(key)) if value is None else value
-        setattr(args, key, merged[key])
-    return merged
+        if not isinstance(given, dict):
+            raise UsageError(f"bad config file {args.config}: not a JSON object")
+    name = args.application if args.command == "app" else getattr(args, "formula", args.command)
+    where = args.command if name == args.command else f"{args.command} {name}"
+    config, common, values = {}, {}, {}
+    for flags, parsed in ((COMMON, common), (FLAGS[args.command][name], values)):
+        for flag in flags:
+            raw = getattr(args, flag.name)
+            raw = given.get(flag.name) if raw is None else raw
+            if raw is None and not callable(flag.default):
+                if flag.default is None:
+                    raise UsageError(f"{where} needs {flag.option}")
+                raw = flag.default
+            if raw is not None:
+                config[flag.name] = raw
+            parsed[flag.name] = flag.default(parsed) if raw is None else flag.parse(raw)
+        if parsed is common:
+            config.update((k, getattr(args, k)) for k in ("command", "formula", "application") if hasattr(args, k))
+    return config, common, values
 
 
-def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | None = None) -> None:
+def _emit(rows: list[dict], config: dict, common: dict, run: dict | None = None) -> None:
     """Write rows under the resolved configuration: the one writer of every bound, verify and app result.
 
     ``run`` holds the keys that describe the run as a whole (an MDF report's
@@ -443,12 +442,11 @@ def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | 
     ``# `` line in CSV.  In JSON a report row whose bound diverges carries
     ``theoretical: null`` and ``diverged: true``, so the file is strict JSON.
     """
-    fmt = config.get("format") or "csv"
-    header = {k: v for k, v in config.items() if v is not None and k != "out"}
-    if not config.get("deterministic"):
+    header = {k: v for k, v in config.items() if k != "out"}
+    if not common["deterministic"]:
         header["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     run = run or {}
-    if fmt == "json":
+    if common["format"] == "json":
         if run:
             rows = [{**r, "theoretical": None, "diverged": True} if math.isinf(r["theoretical"]) else r for r in rows]
         text = json.dumps({"config": header, **run, "rows": rows}, indent=2, default=str) + "\n"
@@ -463,8 +461,8 @@ def _emit(rows: list[dict], config: dict, args: argparse.Namespace, run: dict | 
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    if common["out"]:
+        with open(common["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -483,56 +481,54 @@ def _row(formula: str, params: dict, result: bd.BoundResult | dict) -> dict:
     return row
 
 
-def cmd_bound(args: argparse.Namespace, config: dict, values: dict) -> int:
-    entry = FORMULAS[args.formula]
+def cmd_bound(config: dict, common: dict, values: dict) -> int:
+    entry = FORMULAS[config["formula"]]
     grids = [values[f.name] if f.grid else [values[f.name]] for f in entry.flags]
     rows = []
     for point in itertools.product(*grids):
         params = {f.column or f.name: f.cell(v) for f, v in zip(entry.flags, point)}
         result = entry.compute(**{f.name: v for f, v in zip(entry.flags, point)})
-        rows.append(_row(args.formula, params, result))
-    _emit(rows, config, args)
+        rows.append(_row(config["formula"], params, result))
+    _emit(rows, config, common)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: dict, values: dict) -> int:
-    if int(args.reps) < 1:
+def cmd_verify(config: dict, common: dict, values: dict) -> int:
+    if common["reps"] < 1:
         raise UsageError("reps must be >= 1")
-    entry = FORMULAS[args.formula]
-    rows = entry.check.run(args.formula, entry.compute, values, args)
-    _emit(rows, config, args)
+    entry = FORMULAS[config["formula"]]
+    rows = entry.check.run(config["formula"], entry.compute, values, common)
+    _emit(rows, config, common)
     return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VERIFY
 
 
-def cmd_app(args: argparse.Namespace, config: dict, values: dict) -> int:
-    result = APPS[args.application].compute(**values, reps=int(args.reps), seed=int(args.seed),
-                                            threads=int(args.threads))
+def cmd_app(config: dict, common: dict, values: dict) -> int:
+    result = APPS[config["application"]].compute(**values, reps=common["reps"], seed=common["seed"],
+                                                 threads=common["threads"])
     if not isinstance(result, mdf.MDFReport):
-        _emit(result, config, args)
+        _emit(result, config, common)
         return EXIT_OK
     run = {"application": result.application, "reps": result.reps, "seed": result.seed, "extra": result.extra}
     rows = [{"application": result.application, **vars(r), "reps": result.reps, "seed": result.seed}
             for r in result.rows]
-    _emit(rows, config, args, run)
+    _emit(rows, config, common, run)
     return EXIT_OK
 
 
-def cmd_export(args: argparse.Namespace, config: dict, values: dict) -> int:
-    if not args.out:
+def cmd_export(config: dict, common: dict, values: dict) -> int:
+    if not common["out"]:
         raise UsageError("export needs --out")
-    model = parse_spec("decay", args.decay)
-    spec = engine.EventFamilySpec.from_model(args.family, model, float(args.tail_tolerance))
-    sample = engine.simulate_overlap(spec, int(args.reps), int(args.seed), int(args.threads))
-    engine.write_sample_jsonl(sample, args.out)
+    spec = engine.EventFamilySpec.from_model(values["family"], values["decay"], common["tail_tolerance"])
+    sample = engine.simulate_overlap(spec, common["reps"], common["seed"], common["threads"])
+    engine.write_sample_jsonl(sample, common["out"])
     return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = resolve_config(args)
         command = {"bound": cmd_bound, "verify": cmd_verify, "app": cmd_app, "export": cmd_export}[args.command]
-        return command(args, config, parse_flags(args))
+        return command(*resolve(args))
     except (UsageError, InputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,25 +71,16 @@ class SdeProblem:
         )
 
 
-@dataclass(frozen=True)
-class SchemeStepInputs:
-    """One step's noise: dW ~ N(0, dt) and the coupled dZ.
+def _coupled(dt: float, dw: np.ndarray, dw_hat: np.ndarray) -> np.ndarray:
+    """One step's dZ, coupled to dW through an independent dW_hat ~ N(0, dt).
 
-    dZ = dt (dW + dW_hat / sqrt(3)) / 2 with an independent dW_hat ~ N(0, dt)
-    realises E[dZ] = 0, Var[dZ] = dt**3 / 3, Cov[dW, dZ] = dt**2 / 2 exactly.
+    dZ = dt (dW + dW_hat / sqrt(3)) / 2 realises E[dZ] = 0, Var[dZ] = dt**3 / 3
+    and Cov[dW, dZ] = dt**2 / 2 exactly.
     """
-
-    dt: float
-    dW: np.ndarray
-    dZ: np.ndarray
-
-    @classmethod
-    def coupled(cls, dt: float, dw: np.ndarray, dw_hat: np.ndarray) -> "SchemeStepInputs":
-        return cls(dt, dw, 0.5 * dt * (dw + dw_hat / SQRT3))
+    return 0.5 * dt * (dw + dw_hat / SQRT3)
 
 
-def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, inputs: SchemeStepInputs) -> np.ndarray:
-    dt, dw, dz = inputs.dt, inputs.dW, inputs.dZ
+def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, dt: float, dw: np.ndarray, dz: np.ndarray) -> np.ndarray:
     if dt <= 0:
         raise DomainError("step size must be positive")
     sdt = math.sqrt(dt)
@@ -172,7 +163,7 @@ def strong_error_estimate(
             w = np.zeros(m)
             with contextlib.closing(prefetched(blocks, threads)) as ahead:
                 for i, (dw, dw_hat) in enumerate(step for block in ahead for step in block):
-                    y = sde15_step(problem, i * delta, y, SchemeStepInputs.coupled(delta, dw, dw_hat))
+                    y = sde15_step(problem, i * delta, y, delta, dw, _coupled(delta, dw, dw_hat))
                     w += dw
             exact = problem.exact_terminal(t_end, w)
             return np.abs(exact - y)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_each_flag_is_one_option(command, flags_of):
             matches = [a for a in actions if flag.option in a.option_strings]
             assert len(matches) == 1 and matches[0].dest == flag.name, flag.option
     names = {flag.name for flags in flags_of.values() for flag in flags}
-    common = {"help", "config", "out", "format", "seed", "reps", "threads", "tail_tolerance", "deterministic"}
+    common = {"help", "config", *(flag.name for flag in cli.COMMON)}
     assert {a.dest for a in actions} - common - {"formula", "application"} == names
 
 
@@ -141,6 +142,8 @@ class TestBoundCommand:
         ["bound", "--formula", "ex2.12.tail", "--c", "1,2", "--p", "2", "--k", "10"],
         ["bound", "--formula", "freedman.tail", "--c1", "1", "--k", "2.5"],
         ["export", "--family", "independent", "--decay", "geometric:1,0.5", "--reps", "10"],
+        ["export", "--decay", "geometric:1,0.5", "--out", "x.jsonl"],
+        ["export", "--family", "independent", "--out", "x.jsonl"],
         ["app", "sanov", "--mu", "abc", "--t", "0.6"],
         ["app", "sde", "--sweep", "dyadic:a..3"],
         ["bound", "--formula", "lem2.6", "--c1", "1", "--format", "jsonl"],
@@ -172,6 +175,37 @@ def test_non_finite_config_value_is_usage_error(text, tmp_path, capsys):
     assert main(["bound", "--formula", "thm2.7", "--config", str(cfg), "--r", "1", "--format", "json"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error:")
+
+
+VERIFY_MC = ["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5"]
+THM27 = ["bound", "--formula", "thm2.7", "--c1", "1", "--r", "1"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (VERIFY_MC, '{"reps": "abc"}'),
+    (VERIFY_MC, '{"reps": 2.7}'),
+    (VERIFY_MC, '{"reps": true}'),
+    (["app", "lil", "--reps", "8"], '{"nmax": 2.5}'),
+    (THM27, '{"format": "xml"}'),
+    (THM27, '{"deterministic": "no"}'),
+    (VERIFY_MC, '{"tail_tolerance": "x"}'),
+    (THM27, '{"out": 2}'),
+    (THM27, '[]'),
+    (["export", "--decay", "geometric:1,0.5", "--out", "sample.jsonl"], '{"family": "ring"}'),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_malformed_config_value_is_usage_error(argv, text, tmp_path, monkeypatch, capsys):
+    """A config-file value goes through the parse its flag does: never truncated, coerced or ignored."""
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the settings were checked")
+
+    monkeypatch.setattr(engine, "simulate_overlap", no_simulation)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_freedman_overflow_is_domain_error(capsys):
@@ -345,6 +379,13 @@ class TestExportAndConfig:
         assert main(["bound", "--formula", "vc.bound", "--config", str(cfg), "--growth-p", "3", "--out", str(out)]) == EXIT_OK
         assert float(read_csv(out)[1][0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 3.0 + 1.0)
 
+    def test_config_file_sets_export_flags(self, tmp_path):
+        cfg, out = tmp_path / "export.json", tmp_path / "sample.jsonl"
+        cfg.write_text(json.dumps({"family": "nested", "decay": "geometric:1,0.5", "reps": 5, "out": str(out)}))
+        assert main(["export", "--config", str(cfg)]) == EXIT_OK
+        header = json.loads(out.read_text().splitlines()[0])
+        assert (header["spec"]["family"], header["spec"]["model"], header["reps"]) == ("nested", "geometric:1.0,0.5", 5)
+
     def test_config_file_sets_app_sweep(self, tmp_path):
         cfg = tmp_path / "sde.json"
         cfg.write_text(json.dumps({"sweep": "dyadic:2..4", "reps": 50, "seed": 3, "deterministic": True}))
@@ -368,6 +409,12 @@ ROUND_TRIPS = {
     "segments": (["app", "segments", "--p-head", "0.4", "--threshold", "0.9", "--nmax", "200", "--reps", "16"], 2),
     "sde": (["app", "sde", "--sweep", "dyadic:3..5", "--sde-sigma", "0.2", "--reps", "100", "--seed", "3"], 2),
 }
+
+
+# and every golden call that writes a file, with the part argparse requires: the command and --formula or the app
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json").read_text())
+ROUND_TRIPS.update({key: (key.split(" "), 2 if key.startswith("app ") else 3)
+                    for key, record in GOLDEN.items() if record["code"] in (EXIT_OK, EXIT_VERIFY)})
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

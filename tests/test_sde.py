@@ -7,14 +7,14 @@ import pytest
 from overlapbounds import DomainError, InputError
 from overlapbounds.engine import mean_stderr, run_chunked
 from overlapbounds.series import zeta
-from overlapbounds.sde import SchemeStepInputs, SdeProblem, sde15_step, sde_mdf_bound, strong_error_estimate
+from overlapbounds.sde import SdeProblem, _coupled, sde15_step, sde_mdf_bound, strong_error_estimate
 
 
 def sample_step_inputs(rng, dt, size):
-    """One step's noise drawn on its own, dW then dW_hat: the reference for the sweep's blocked draws."""
+    """One step's (dW, dZ) drawn on its own, dW then dW_hat: the reference for the sweep's blocked draws."""
     dw = rng.normal(0.0, math.sqrt(dt), size)
     dw_hat = rng.normal(0.0, math.sqrt(dt), size)
-    return SchemeStepInputs.coupled(dt, dw, dw_hat)
+    return dw, _coupled(dt, dw, dw_hat)
 
 
 def _const_problem(a_val, b_val):
@@ -29,41 +29,38 @@ def _const_problem(a_val, b_val):
 class TestStepAlgebra:
     def test_frozen_system(self):
         prob = _const_problem(0.0, 0.0)
-        inp = SchemeStepInputs(0.1, np.array([0.37]), np.array([0.004]))
-        assert sde15_step(prob, 0.0, np.array([1.0]), inp)[0] == pytest.approx(1.0)
+        assert sde15_step(prob, 0.0, np.array([1.0]), 0.1, np.array([0.37]), np.array([0.004]))[0] == pytest.approx(1.0)
 
     def test_pure_drift_advances_by_dt(self):
         prob = _const_problem(1.0, 0.0)
-        inp = SchemeStepInputs(0.25, np.array([1.3]), np.array([-0.2]))
-        assert sde15_step(prob, 0.0, np.array([2.0]), inp)[0] == pytest.approx(2.25)
+        assert sde15_step(prob, 0.0, np.array([2.0]), 0.25, np.array([1.3]), np.array([-0.2]))[0] == pytest.approx(2.25)
 
     def test_additive_noise_reduces_to_euler(self):
         # constant b: every difference term cancels algebraically
         prob = _const_problem(0.0, 0.7)
         rng = np.random.default_rng(3)
         y = rng.normal(0.0, 1.0, 50)
-        inp = sample_step_inputs(rng, 0.05, 50)
-        out = sde15_step(prob, 0.0, y, inp)
-        assert np.allclose(out, y + 0.7 * inp.dW, atol=1e-14)
+        dw, dz = sample_step_inputs(rng, 0.05, 50)
+        out = sde15_step(prob, 0.0, y, 0.05, dw, dz)
+        assert np.allclose(out, y + 0.7 * dw, atol=1e-14)
 
     def test_nonfinite_detected(self):
         prob = SdeProblem(lambda t, x: x * np.inf, lambda t, x: x, 1.0, 1.0)
-        inp = SchemeStepInputs(0.1, np.array([0.0]), np.array([0.0]))
         with pytest.raises(ArithmeticError):
-            sde15_step(prob, 0.0, np.array([1.0]), inp)
+            sde15_step(prob, 0.0, np.array([1.0]), 0.1, np.array([0.0]), np.array([0.0]))
 
 
 def test_noise_pair_moments():
     rng = np.random.default_rng(12)
     dt = 0.25
-    inp = sample_step_inputs(rng, dt, 1_000_000)
-    n = len(inp.dW)
+    dw, dz = sample_step_inputs(rng, dt, 1_000_000)
+    n = len(dw)
     for value, target, spread in [
-        (inp.dW.mean(), 0.0, math.sqrt(dt / n)),
-        (inp.dW.var(), dt, dt * math.sqrt(2.0 / n)),
-        (inp.dZ.mean(), 0.0, math.sqrt(dt**3 / 3.0 / n)),
-        (inp.dZ.var(), dt**3 / 3.0, dt**3 * math.sqrt(2.0 / n)),
-        (float(np.mean(inp.dW * inp.dZ)), dt * dt / 2.0, dt**2 * math.sqrt(3.0 / n)),
+        (dw.mean(), 0.0, math.sqrt(dt / n)),
+        (dw.var(), dt, dt * math.sqrt(2.0 / n)),
+        (dz.mean(), 0.0, math.sqrt(dt**3 / 3.0 / n)),
+        (dz.var(), dt**3 / 3.0, dt**3 * math.sqrt(2.0 / n)),
+        (float(np.mean(dw * dz)), dt * dt / 2.0, dt**2 * math.sqrt(3.0 / n)),
     ]:
         assert abs(value - target) <= 4.0 * spread
 
@@ -73,7 +70,7 @@ def _terminal_from_inputs(prob, n_steps, dw, dz):
     h = prob.horizon / n_steps
     y = np.full(dw.shape[0], prob.x0)
     for i in range(n_steps):
-        y = sde15_step(prob, i * h, y, SchemeStepInputs(h, dw[:, i], dz[:, i]))
+        y = sde15_step(prob, i * h, y, h, dw[:, i], dz[:, i])
     return y
 
 
@@ -83,8 +80,8 @@ class TestSolve:
     def test_zero_diffusion_ignores_seed(self):
         prob = SdeProblem(lambda t, x: -x, lambda t, x: 0.0 * x, 1.0, 1.0)
         a, b = (sample_step_inputs(np.random.default_rng(seed), 1.0 / 64, (4, 64)) for seed in (1, 2))
-        assert not np.array_equal(a.dW, b.dW)
-        assert np.array_equal(_terminal_from_inputs(prob, 64, a.dW, a.dZ), _terminal_from_inputs(prob, 64, b.dW, b.dZ))
+        assert not np.array_equal(a[0], b[0])
+        assert np.array_equal(_terminal_from_inputs(prob, 64, *a), _terminal_from_inputs(prob, 64, *b))
 
     def test_zero_noise_matches_ode_at_second_order(self):
         prob = SdeProblem(lambda t, x: -x, lambda t, x: 0.0 * x, 1.0, 1.0)
@@ -169,9 +166,9 @@ def per_step_reference(problem, deltas, reps, seed, threads):
             y = np.full(m, problem.x0)
             w = np.zeros(m)
             for i in range(n_steps):
-                inputs = sample_step_inputs(rng, delta, m)
-                y = sde15_step(problem, i * delta, y, inputs)
-                w += inputs.dW
+                dw, dz = sample_step_inputs(rng, delta, m)
+                y = sde15_step(problem, i * delta, y, delta, dw, dz)
+                w += dw
             exact = problem.exact_terminal(t_end, w)
             return np.abs(exact - y)
 
