@@ -37,12 +37,6 @@ class MDFRow:
         """The row of one value per replication: its mean and the standard error of that mean."""
         return cls(epsilon, order, theoretical, *mean_stderr(values))
 
-    def holds(self) -> bool:
-        """The empirical moment lies within 4 standard errors above a finite bound."""
-        if not math.isfinite(self.theoretical):
-            return True
-        return self.empirical <= self.theoretical + 4.0 * self.stderr
-
 
 @dataclass(frozen=True)
 class MDFReport:
@@ -53,9 +47,6 @@ class MDFReport:
     seed: int
     rows: list[MDFRow]
     extra: dict = field(default_factory=dict)
-
-    def within_bounds(self) -> bool:
-        return all(row.holds() for row in self.rows)
 
     def to_json(self, path: str) -> None:
         payload = {
@@ -78,7 +69,6 @@ def mdf_first_order(model: DecayModel) -> BoundResult:
     phi = tail_sum(model, 1)
     return BoundResult(
         value=phi.value,
-        formula_id="cor3.2",
         validity="E[O_eps] equals the error-probability sum; tail phi/k",
         series=phi,
     )
@@ -90,7 +80,7 @@ def mdf_polynomial(p: float, model: DecayModel) -> BoundResult:
     Tail: P(O_eps >= k) <= k**-(p+1) * value.
     """
     base = poly_moment_bound(p, model)
-    return replace(base, formula_id="cor3.4", validity=base.validity + "; tail k**-(p+1) * value")
+    return replace(base, validity=base.validity + "; tail k**-(p+1) * value")
 
 
 def mdf_exponential(p: float, model: DecayModel) -> BoundResult:
@@ -99,7 +89,7 @@ def mdf_exponential(p: float, model: DecayModel) -> BoundResult:
     Tail: P(O_eps >= k) <= e**(-p k) * value.
     """
     base = exp_moment_bound(p, model)
-    return replace(base, formula_id="cor3.5", validity=base.validity + "; tail e**(-p k) * value")
+    return replace(base, validity=base.validity + "; tail e**(-p k) * value")
 
 
 def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> float:
@@ -131,6 +121,5 @@ def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:
     value = big_c / ((1.0 - math.exp(-rate)) * (1.0 - math.exp(-(rate - p))))
     return BoundResult(
         value=value,
-        formula_id="thm3.16",
         validity=f"requires 0 < p < rate = {rate:.6g}; tail value * e**(-p k)",
     )

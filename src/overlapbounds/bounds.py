@@ -36,10 +36,9 @@ from .series import (
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A computed bound with its provenance and validity domain."""
+    """A computed bound with its validity domain."""
 
     value: float
-    formula_id: str
     validity: str
     minimizer: float | None = None
     closed_form: float | None = None
@@ -93,7 +92,6 @@ def nested_moment_identity(weights: WeightSequence, model: DecayModel) -> BoundR
     series = weighted_prob_series(weights, model)
     return BoundResult(
         value=base + series.value,
-        formula_id="prop2.1",
         validity="exact for nested families; requires sum a_n P(E_n) < inf",
         series=series,
     )
@@ -104,7 +102,6 @@ def general_moment_bound(weights: WeightSequence, model: DecayModel) -> BoundRes
     series = weighted_tail_series(weights, model)
     return BoundResult(
         value=series.value,
-        formula_id="thm2.2",
         validity="bounds E[S(O)] for any family; requires sum a_n C_n < inf",
         closed_form=weighted_tail_closed_form(weights, model),
         series=series,
@@ -124,7 +121,6 @@ def poly_moment_bound(p: float, model: DecayModel) -> BoundResult:
     closed = weighted_tail_closed_form(weights, model)
     return BoundResult(
         value=(p + 1.0) * series.value,
-        formula_id="cor2.3.poly",
         validity=f"bounds E[O**{p + 1.0:g}]; requires K1(p) < inf",
         closed_form=None if closed is None else (p + 1.0) * closed,
         series=series,
@@ -140,7 +136,6 @@ def exp_moment_bound(p: float, model: DecayModel) -> BoundResult:
     closed = weighted_tail_closed_form(weights, model)
     return BoundResult(
         value=series.value + 1.0,
-        formula_id="cor2.3.exp",
         validity=f"bounds E[exp({p:g} O)]; requires K2(p) < inf",
         closed_form=None if closed is None else closed + 1.0,
         series=series,
@@ -171,7 +166,6 @@ def freedman_exp_bound(r: float, c1: float) -> BoundResult:
         raise DomainError(f"exp(C1 (e**r - 1)) overflows double precision at r={r}; use a smaller r") from None
     return BoundResult(
         value=value,
-        formula_id="thm2.7",
         validity="independent events, C1 = sum P(E_n)",
     )
 
@@ -210,7 +204,6 @@ def improved_exp_bound(r: float, c1: float) -> BoundResult:
         )
     return BoundResult(
         value=1.0 / (1.0 - c1 * math.exp(r)),
-        formula_id="thm2.9",
         validity=f"independent events, C1 < 1 and r < |ln(C1)| = {limit:.6g}",
     )
 
@@ -234,7 +227,6 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
         raise DivergenceError("rate-aware bound is numerically unbounded for this tail")
     return BoundResult(
         value=math.exp(log_val),
-        formula_id="cor2.10",
         validity="independent events; L nonincreasing invertible majorant of the tail sums",
         minimizer=math.exp(x),
     )

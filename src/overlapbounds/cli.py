@@ -34,7 +34,7 @@ from . import bounds as bd
 from . import engine
 from .applications import glivenko, lil, mdf, rates, segments, slln
 from . import sde as sde_mod
-from .errors import DomainError, InputError, OverlapBoundsError, TruncationError
+from .errors import DomainError, InputError, OverlapBoundsError
 from .series import Explicit, Geometric, PowerLaw, TailFunction, WeightSequence, tail_sum
 
 EXIT_OK = 0
@@ -43,13 +43,9 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise InputError(message)
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,14 @@ def finite_float(text: Any) -> float:
     return value
 
 
+def count(text: Any) -> int:
+    """An integer >= 1: a number of replications, threads or points."""
+    value = int(str(text))
+    if value < 1:
+        raise ValueError(f"{value} is less than 1")
+    return value
+
+
 def _string(value: Any) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{value!r} is not a string")
@@ -105,16 +109,16 @@ def spec_usage(kind: str) -> str:
 
 
 def parse_spec(kind: str, text: Any) -> Any:
-    """The object a ``name:v1,v2,...`` spec of ``kind`` names; a malformed or unknown one is a UsageError."""
+    """The object a ``name:v1,v2,...`` spec of ``kind`` names; a malformed or unknown one is an InputError."""
     name, _, rest = str(text).partition(":")
     try:
         values = [finite_float(v) for v in rest.split(",") if v != ""]
     except ValueError as exc:
-        raise UsageError(f"bad {kind} parameters {rest!r}") from exc
+        raise InputError(f"bad {kind} parameters {rest!r}") from exc
     params, make = SPECS[kind].get(name, ("", None))
     arity = len(params.split(",")) if params else 0
     if make is None or (not params.endswith("...") and len(values) != arity):
-        raise UsageError(f"unknown {kind} spec {text!r} ({spec_usage(kind)})")
+        raise InputError(f"unknown {kind} spec {text!r} ({spec_usage(kind)})")
     return make(*values)
 
 
@@ -126,12 +130,12 @@ def _parse_sweep(text: Any) -> list[float]:
             return [2.0 ** (-k) for k in range(int(a), int(b) + 1)]
     except ValueError:
         pass
-    raise UsageError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
+    raise InputError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
 
 
 CHOICES: dict[str, tuple] = {"format": ("csv", "json"), "family": engine.FAMILIES, "bool": (False, True)}
 PARSERS: dict[str, Callable[[Any], Any]] = {
-    "float": finite_float, "int": lambda text: int(str(text)), "str": _string, "sweep": _parse_sweep,
+    "float": finite_float, "int": lambda text: int(str(text)), "count": count, "str": _string, "sweep": _parse_sweep,
     **{kind: partial(parse_spec, kind) for kind in SPECS}, **{kind: partial(_one_of, v) for kind, v in CHOICES.items()},
 }
 
@@ -157,12 +161,10 @@ class Flag:
         except OverlapBoundsError:
             raise
         except ValueError as exc:
-            raise UsageError(f"bad {self.option} value {raw!r}: {exc}") from exc
+            raise InputError(f"bad {self.option} value {raw!r}: {exc}") from exc
 
     def cell(self, value: Any) -> Any:
-        if self.kind == "tail":
-            return value.label
-        return value.describe() if self.kind in ("decay", "weights") else value
+        return value.describe() if self.kind in ("decay", "weights", "tail") else value
 
     def usage(self) -> str:
         if callable(self.default):
@@ -177,14 +179,12 @@ class ExactOracleCheck:
     r runs over ``--r-points`` interior points of (0, |ln C1|), or of (0, 1) when C1 >= 1.
     """
 
-    flags: tuple[Flag, ...] = (Flag("decay", "decay"), Flag("r_points", "int", default=10))
+    flags: tuple[Flag, ...] = (Flag("decay", "decay"), Flag("r_points", "count", default=10))
 
     def run(self, formula: str, bound: Callable[..., Any], values: dict, common: dict) -> list[dict]:
         model, n = values["decay"], values["r_points"]
         if not isinstance(model, Explicit):
-            raise UsageError(f"{formula} verification needs an explicit decay (exact oracle)")
-        if n < 1:
-            raise UsageError("--r-points must be >= 1")
+            raise InputError(f"{formula} verification needs an explicit decay (exact oracle)")
         dist = bd.sn_exact_distribution(model.probabilities)
         c1 = float(sum(model.probabilities))
         if c1 <= 0:
@@ -340,8 +340,8 @@ APPS: dict[str, Formula] = {
 
 
 # The settings every subcommand reads, in the order its header lists them
-COMMON = (Flag("seed", "int", default=20240801), Flag("reps", "int", default=100_000),
-          Flag("threads", "int", default=1), Flag("format", "format", default="csv"),
+COMMON = (Flag("seed", "int", default=20240801), Flag("reps", "count", default=100_000),
+          Flag("threads", "count", default=1), Flag("format", "format", default="csv"),
           Flag("tail_tolerance", default=1e-6), Flag("out", "str", default=""),
           Flag("deterministic", "bool", default=False))
 
@@ -368,7 +368,7 @@ def _add_flags(parser: _Parser, flags: Iterable[Flag]) -> None:
         declared.setdefault(flag.name, set()).add((flag.kind, flag.grid))
     for name, kinds in declared.items():
         kind, grid = kinds.pop() if len(kinds) == 1 else ("str", True)  # declared two ways: kept as text
-        numeric = kind in ("float", "int") and not grid
+        numeric = kind in ("float", "int", "count") and not grid
         options = {"action": "store_true"} if kind == "bool" else {
             "type": PARSERS[kind] if numeric else None, "choices": CHOICES.get(kind),
             "help": spec_usage(kind) if kind in SPECS else None}
@@ -401,7 +401,7 @@ def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
     """A run's header, its common settings and the flags its entry reads, each setting parsed once.
 
     A setting takes its command-line value, else its config-file value, else
-    its default; a missing or malformed one is a UsageError.  The header holds
+    its default; a missing or malformed one is an InputError.  The header holds
     the raw values, in this order: the common keys, the command and what it
     selects, and the flags the selected formula, check, application or export
     reads.  A derived flag that is not given stays out of it.
@@ -412,9 +412,9 @@ def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
             try:  # NaN, Infinity or 1e999 would reach the strict-JSON header
                 given = json.load(fh, parse_constant=finite_float, parse_float=finite_float)
             except ValueError as exc:
-                raise UsageError(f"bad config file {args.config}: {exc}") from exc
+                raise InputError(f"bad config file {args.config}: {exc}") from exc
         if not isinstance(given, dict):
-            raise UsageError(f"bad config file {args.config}: not a JSON object")
+            raise InputError(f"bad config file {args.config}: not a JSON object")
     name = args.application if args.command == "app" else getattr(args, "formula", args.command)
     where = args.command if name == args.command else f"{args.command} {name}"
     config, common, values = {}, {}, {}
@@ -424,7 +424,7 @@ def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
             raw = given.get(flag.name) if raw is None else raw
             if raw is None and not callable(flag.default):
                 if flag.default is None:
-                    raise UsageError(f"{where} needs {flag.option}")
+                    raise InputError(f"{where} needs {flag.option}")
                 raw = flag.default
             if raw is not None:
                 config[flag.name] = raw
@@ -494,8 +494,6 @@ def cmd_bound(config: dict, common: dict, values: dict) -> int:
 
 
 def cmd_verify(config: dict, common: dict, values: dict) -> int:
-    if common["reps"] < 1:
-        raise UsageError("reps must be >= 1")
     entry = FORMULAS[config["formula"]]
     rows = entry.check.run(config["formula"], entry.compute, values, common)
     _emit(rows, config, common)
@@ -517,7 +515,7 @@ def cmd_app(config: dict, common: dict, values: dict) -> int:
 
 def cmd_export(config: dict, common: dict, values: dict) -> int:
     if not common["out"]:
-        raise UsageError("export needs --out")
+        raise InputError("export needs --out")
     spec = engine.EventFamilySpec.from_model(values["family"], values["decay"], common["tail_tolerance"])
     sample = engine.simulate_overlap(spec, common["reps"], common["seed"], common["threads"])
     engine.write_sample_jsonl(sample, common["out"])
@@ -529,10 +527,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         command = {"bound": cmd_bound, "verify": cmd_verify, "app": cmd_app, "export": cmd_export}[args.command]
         return command(*resolve(args))
-    except (UsageError, InputError) as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, TruncationError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

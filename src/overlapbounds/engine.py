@@ -4,11 +4,11 @@ Randomness is organised in fixed-size chunks of replications.  Chunk ``c``
 of a run draws from ``Philox(key=(seed, c))``, a counter-based generator
 with 2**64 independent streams, so the value of every replication is a
 pure function of (seed, chunk index, row).  Threads decide no value: chunk
-workers only pick chunks and fill preallocated slots, and a ``prefetched``
-helper only draws ahead, so runs are bitwise identical for any thread
-count.  The overlap count is sampled by inversion: one binary search on a
-monotone table of length N per nested or union replication, or per
-independent occurrence, so memory is O(N) and N enters the cost only
+workers only pick chunks, whose rows are joined in chunk order, and a
+``prefetched`` helper only draws ahead, so runs are bitwise identical for
+any thread count.  The overlap count is sampled by inversion: one binary
+search on a monotone table of length N per nested or union replication, or
+per independent occurrence, so memory is O(N) and N enters the cost only
 through log N.
 """
 
@@ -52,20 +52,15 @@ def run_chunked(
     if reps < 1:
         raise InputError("reps must be >= 1")
     n_chunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
-    pieces: list[np.ndarray | None] = [None] * n_chunks
 
-    def work(c: int) -> None:
+    def work(c: int) -> np.ndarray:
         start = c * CHUNK_SIZE
-        m = min(CHUNK_SIZE, reps - start)
-        pieces[c] = np.asarray(kernel(chunk_rng(seed, c), start, m))
+        return np.asarray(kernel(chunk_rng(seed, c), start, min(CHUNK_SIZE, reps - start)))
 
     if threads <= 1 or n_chunks == 1:
-        for c in range(n_chunks):
-            work(c)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_chunks)))
-    return np.concatenate([p for p in pieces if p is not None], axis=0)
+        return np.concatenate([work(c) for c in range(n_chunks)], axis=0)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(work, range(n_chunks))), axis=0)
 
 
 def prefetched(items: Iterable, threads: int = 1) -> Iterator:
@@ -276,9 +271,16 @@ def empirical_moment(
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """The mean of one value per replication and its standard error (0.0 for a single value)."""
-    sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return float(values.mean()), sd / math.sqrt(len(values))
+    """The mean of one value per replication and its standard error (0.0 for a single value).
+
+    Statistics that are not finite raise ``FunctionalOverflowError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+        sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        mean = float(values.mean())
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise FunctionalOverflowError(f"the mean or standard deviation of {len(values)} replications overflows")
+    return mean, sd / math.sqrt(len(values))
 
 
 def write_sample_jsonl(sample: OverlapSample, path: str) -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is an ``InputError`` (CLI exit 64) or a ``DomainError`` (exit 2)."""
 
 
 class OverlapBoundsError(Exception):
@@ -17,12 +17,12 @@ class NonConvergenceError(DomainError):
     """A convergent series could not be certified within the summation guard."""
 
 
-class TruncationError(OverlapBoundsError, ValueError):
+class TruncationError(DomainError):
     """A simulation truncation does not meet its tail tolerance."""
 
 
-class FunctionalOverflowError(OverlapBoundsError, OverflowError):
-    """An empirical functional overflows in double precision."""
+class FunctionalOverflowError(DomainError, OverflowError):
+    """A simulated or summed value overflows double precision."""
 
 
 class InputError(OverlapBoundsError, ValueError):

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .engine import mean_stderr, prefetched, run_chunked
-from .errors import DomainError, InputError
+from .errors import DomainError, FunctionalOverflowError, InputError
 from .series import zeta
 from .bounds import BoundResult
 
@@ -107,7 +107,7 @@ def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, dt: float, dw: np.n
         )
     bad = ~np.isfinite(np.atleast_1d(out))
     if bad.any():
-        raise ArithmeticError(f"non-finite state after the step at t={t:.6g}")
+        raise FunctionalOverflowError(f"non-finite state after the step at t={t:.6g}")
     return out
 
 
@@ -116,8 +116,6 @@ class ErrorSweep:
     deltas: np.ndarray
     mean_errors: np.ndarray
     stderrs: np.ndarray
-    reps: int
-    seed: int
     slope: float
     slope_stderr: float
 
@@ -165,7 +163,10 @@ def strong_error_estimate(
                 for i, (dw, dw_hat) in enumerate(step for block in ahead for step in block):
                     y = sde15_step(problem, i * delta, y, delta, dw, _coupled(delta, dw, dw_hat))
                     w += dw
-            exact = problem.exact_terminal(t_end, w)
+            with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+                exact = problem.exact_terminal(t_end, w)
+            if not np.all(np.isfinite(exact)):
+                raise FunctionalOverflowError(f"non-finite exact terminal value at T={t_end:.6g}")
             return np.abs(exact - y)
 
         mean, se = mean_stderr(run_chunked(reps, seed + j, kernel, threads=1))
@@ -178,7 +179,7 @@ def strong_error_estimate(
     resid = ly - (slope * lx + intercept)
     dof = max(len(deltas) - 2, 1)
     slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((lx - lx.mean()) ** 2)))
-    return ErrorSweep(deltas, means, ses, reps, seed, float(slope), slope_se)
+    return ErrorSweep(deltas, means, ses, float(slope), slope_se)
 
 
 def sde_mdf_bound(k_t: float, c: float, t_end: float, eps: float) -> BoundResult:
@@ -192,6 +193,5 @@ def sde_mdf_bound(k_t: float, c: float, t_end: float, eps: float) -> BoundResult
     k1 = k_t * (c * t_end) ** 1.5 / eps * zeta(1.5).value
     return BoundResult(
         value=k1,
-        formula_id="sde.mdf",
         validity="E[O_eps] across dyadic refinements; tail K1 / k",
     )

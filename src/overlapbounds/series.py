@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, InputError, NonConvergenceError
+from .errors import DivergenceError, DomainError, FunctionalOverflowError, InputError, NonConvergenceError
 
 _SUM_CHUNK = 1 << 16
 _FIRST_CUT = 64
@@ -51,9 +51,6 @@ class SeriesValue:
     truncation_error: float
     terms_used: int
     converged: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @lru_cache(maxsize=None)
@@ -244,42 +241,35 @@ def _lambert_bisect(x: float) -> float:
 class TailFunction:
     """A nonincreasing, invertible majorant L of the tail sums C_m.
 
-    ``evaluate(m)`` returns L(m) and ``inverse(s)`` the m with L(m) = s.
+    ``power``: L(m) = c / m**x; ``geometric``: L(m) = c * x**m.
     """
 
-    evaluate: Callable[[float], float]
-    inverse: Callable[[float], float]
-    label: str = "custom"
-
-    def __post_init__(self) -> None:
-        vals = [self.evaluate(m) for m in (1.0, 33.0, 65.0)]
-        if any(v < 0 for v in vals):
-            raise DomainError("tail function must be nonnegative")
-        if not all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
-            raise DomainError("tail function must be nonincreasing")
+    kind: str
+    c: float
+    x: float
 
     @staticmethod
     def power(c: float, p: float) -> "TailFunction":
-        """L(m) = c / m**p with p > 1 (so it majorises a summable tail)."""
+        """L(m) = c / m**p with p > 0."""
         if not (0.0 < c < math.inf and 0.0 < p < math.inf):
             raise DomainError(f"power tail requires finite c > 0 and p > 0 (got c={c}, p={p})")
-        return TailFunction(
-            evaluate=lambda m: c / m**p,
-            inverse=lambda s: (c / s) ** (1.0 / p),
-            label=f"power(c={c},p={p})",
-        )
+        return TailFunction("power", c, p)
 
     @staticmethod
     def geometric(c: float, b: float) -> "TailFunction":
         """L(m) = c * b**m with 0 < b < 1."""
         if not (0.0 < c < math.inf and 0.0 < b < 1.0):
             raise DomainError(f"geometric tail requires finite c > 0 and 0 < b < 1 (got c={c}, b={b})")
-        lnb = math.log(b)
-        return TailFunction(
-            evaluate=lambda m: c * b**m,
-            inverse=lambda s: math.log(s / c) / lnb,
-            label=f"geometric(c={c},b={b})",
-        )
+        return TailFunction("geometric", c, b)
+
+    def inverse(self, s: float) -> float:
+        """The m with L(m) = s."""
+        if self.kind == "power":
+            return (self.c / s) ** (1.0 / self.x)
+        return math.log(s / self.c) / math.log(self.x)
+
+    def describe(self) -> str:
+        return f"{self.kind}(c={self.c},{'p' if self.kind == 'power' else 'b'}={self.x})"
 
 
 class DecayModel:
@@ -308,9 +298,6 @@ class DecayModel:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.describe()
 
 
 @dataclass(frozen=True)
@@ -444,14 +431,15 @@ class WeightSequence:
     def term(self, n: int) -> float:
         if n < self.start:
             return 0.0
-        if self.kind == "monomial":
-            return float(n) ** self.p
-        if self.kind == "exponential":
-            return math.exp(n * self.p)
-        value = self.term_fn(n)  # type: ignore[misc]
-        if not value >= 0:
-            raise DomainError(f"weight a_{n} = {value} is not a nonnegative number")
-        return value
+        if self.kind == "custom":
+            value = self.term_fn(n)  # type: ignore[misc]
+            if not value >= 0:
+                raise DomainError(f"weight a_{n} = {value} is not a nonnegative number")
+            return value
+        try:
+            return float(n) ** self.p if self.kind == "monomial" else math.exp(n * self.p)
+        except OverflowError:
+            raise FunctionalOverflowError(f"weight a_{n} of {self.describe()} overflows double precision") from None
 
     def partial_sums_upto(self, n: int) -> np.ndarray:
         """Vector of S(0), S(1), ..., S(N) for vectorised evaluation."""
@@ -480,12 +468,20 @@ def _require_bracket(weights: WeightSequence, model: DecayModel) -> None:
         )
 
 
+def _finite_sum(total: float, terms: int) -> SeriesValue:
+    """The exact weighted sum over an explicit family; an overflowed one raises ``FunctionalOverflowError``."""
+    if not math.isfinite(total):
+        raise FunctionalOverflowError(f"the weighted sum over {terms} events overflows double precision")
+    return SeriesValue(total, 0.0, terms, True)
+
+
 def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesValue:
     """The double series sum_{n >= start} a_n * C_n: the upper end of a certified enclosure.
 
     Divergent parameter combinations raise ``DivergenceError`` naming the
     violated condition; combinations without a certified remainder (custom
-    weights over an infinite family) raise ``DomainError``.
+    weights over an infinite family) raise ``DomainError``, and a sum over an
+    explicit family that overflows raises ``FunctionalOverflowError``.
     """
     if isinstance(model, Explicit):
         last = len(model.probabilities)
@@ -494,7 +490,7 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
         for n in range(weights.start, last + 1):
             c_n = suffix[max(n, 1) - 1]
             total += weights.term(n) * float(c_n)
-        return SeriesValue(total, 0.0, last - weights.start + 1, True)
+        return _finite_sum(total, last - weights.start + 1)
     _require_bracket(weights, model)
     p = weights.p
 
@@ -544,7 +540,7 @@ def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     """
     if isinstance(model, Explicit):
         total = sum(weights.term(n) * p_n for n, p_n in enumerate(model.probabilities, 1))
-        return SeriesValue(float(total), 0.0, len(model.probabilities), True)
+        return _finite_sum(float(total), len(model.probabilities))
     _require_bracket(weights, model)
     c, p = model.c, weights.p
 

@@ -42,7 +42,6 @@ class TestNestedIdentity:
     def test_flat_weights_give_expectation(self):
         res = nested_moment_identity(WeightSequence.monomial(0), Explicit([0.5, 0.25]))
         assert res.value == pytest.approx(0.75)
-        assert res.formula_id == "prop2.1"
 
     def test_constant_payoff_is_one_for_any_model(self):
         # over an infinite family custom weights have no certified remainder

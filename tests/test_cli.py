@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from overlapbounds import engine
+from overlapbounds import InputError, engine
 from overlapbounds.applications import mdf
 from overlapbounds.bounds import BoundResult
 from overlapbounds.cli import (
@@ -46,7 +46,8 @@ class TestParsing:
         assert parse_spec("weights", "exponential:0.25").kind == "exponential"
 
     def test_tail_and_dist_specs(self):
-        assert parse_spec("tail", "power:1,2").label == "power(c=1.0,p=2.0)"
+        assert parse_spec("tail", "power:1,2").describe() == "power(c=1.0,p=2.0)"
+        assert parse_spec("tail", "geometric:1,0.5").describe() == "geometric(c=1.0,b=0.5)"
         assert parse_spec("dist", "rademacher").name == "rademacher"
 
     @pytest.mark.parametrize("kind, text", [
@@ -54,7 +55,7 @@ class TestParsing:
         ("weights", "monomial:1,2"), ("tail", "power:x,2"), ("dist", "gaussian:1"), ("dist", "foo"),
     ])
     def test_malformed_spec_is_usage_error(self, kind, text):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(InputError):
             parse_spec(kind, text)
 
 
@@ -192,6 +193,10 @@ THM27 = ["bound", "--formula", "thm2.7", "--c1", "1", "--r", "1"]
     (THM27, '{"out": 2}'),
     (THM27, '[]'),
     (["export", "--decay", "geometric:1,0.5", "--out", "sample.jsonl"], '{"family": "ring"}'),
+    (THM27, '{"reps": 0}'),
+    (THM27, '{"threads": 0}'),
+    (VERIFY_MC, '{"threads": -2}'),
+    (["verify", "--formula", "thm2.7", "--decay", "explicit:0.5,0.2"], '{"r_points": 0}'),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_malformed_config_value_is_usage_error(argv, text, tmp_path, monkeypatch, capsys):
     """A config-file value goes through the parse its flag does: never truncated, coerced or ignored."""
@@ -206,6 +211,34 @@ def test_malformed_config_value_is_usage_error(argv, text, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error:")
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _ones(n: int) -> str:
+    return "explicit:" + ",".join(["1"] * n)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (VERIFY_MC + ["--reps", "10", "--threads", "-2"], EXIT_USAGE),
+    (VERIFY_MC + ["--reps", "10", "--threads", "0"], EXIT_USAGE),
+    (THM27 + ["--reps", "0"], EXIT_USAGE),
+    (["verify", "--formula", "thm2.7", "--decay", "explicit:0.5,0.2", "--r-points", "0"], EXIT_USAGE),
+    (["verify", "--formula", "cor2.3.exp", "--decay", _ones(10), "--p", "70.5", "--reps", "100"], EXIT_DOMAIN),
+    (["bound", "--formula", "cor2.3.exp", "--decay", _ones(800), "--p", "1"], EXIT_DOMAIN),
+    (["bound", "--formula", "cor2.3.exp", "--decay", _ones(1418), "--p", "0.5"], EXIT_DOMAIN),
+    (["bound", "--formula", "thm2.2", "--decay", "explicit:1,1", "--weights", "monomial:2000"], EXIT_DOMAIN),
+    (["app", "sde", "--sde-sigma", "1000", "--reps", "10"], EXIT_DOMAIN),
+    (["app", "sde", "--sde-mu", "800", "--reps", "10"], EXIT_DOMAIN),
+], ids=lambda v: " ".join(a[:20] for a in v) if isinstance(v, list) else str(v))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rejected_run_exits_with_its_code(argv, code, fmt, capsys):
+    """A count below 1 is a usage error; an overflowed weight, sum, functional or SDE state a domain error."""
+    assert main(argv + ["--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    if code == EXIT_USAGE:
+        assert captured.err.startswith("usage error:") and "invalid count value" in captured.err
+    else:
+        assert captured.err.startswith("domain error:")
 
 
 def test_freedman_overflow_is_domain_error(capsys):

@@ -53,19 +53,19 @@ def test_checkpoint_exceedance_below_cell_bound():
         assert cp["empirical"] <= cp["cell_hoeffding"] + 1e-12
 
 
-def test_report_is_within_bounds():
+def test_report_is_within_bounds(within_bounds):
     report = gc_simulate(uniform01, eps=0.2, n_max=300, reps=2000, seed=7, eta=0.1)
-    assert report.within_bounds()
+    assert within_bounds(report)
     exp_row = report.rows[0]
     assert math.isfinite(exp_row.theoretical)
     assert exp_row.empirical <= exp_row.theoretical
 
 
-def test_single_replication_is_within_bounds():
+def test_single_replication_is_within_bounds(within_bounds):
     # one replication has standard error 0, not the NaN of std(ddof=1) of one value
     report = gc_simulate(uniform01, 0.3, 50, 1, 1, 0.1)
     assert all(row.stderr == 0.0 for row in report.rows)
-    assert report.within_bounds()
+    assert within_bounds(report)
 
 
 def test_thread_invariance():
@@ -90,10 +90,10 @@ def test_horizon_below_one_raises(n_max):
         gc_simulate(uniform01, eps=0.2, n_max=n_max, reps=10, seed=1, eta=0.1)
 
 
-def test_exponential_distribution_is_distribution_free():
+def test_exponential_distribution_is_distribution_free(within_bounds):
     # the KS statistic only sees F(X); any continuous model obeys the bounds
     report = gc_simulate(exponential_dist(2.0), eps=0.3, n_max=100, reps=2000, seed=17, eta=0.1)
-    assert report.within_bounds()
+    assert within_bounds(report)
     for cp in report.extra["checkpoints"]:
         assert cp["empirical"] <= cp["cell_hoeffding"] + 1e-12
 

@@ -67,7 +67,6 @@ class TestCramer:
     def test_pairs_with_mdf_bound(self):
         res = cramer_rate(gaussian_cumulant, 0.0, 1.0)
         bound = ldp_mdf_bound(res.rate, p=0.1, big_c=1.0)
-        assert bound.formula_id == "thm3.16"
         assert bound.value > 1.0
 
 

@@ -171,12 +171,12 @@ class TestReport:
         ratio = report.rows[0].empirical
         assert 0.7 * limit <= ratio <= 1.3 * limit
 
-    def test_one_sided_counts_present(self):
+    def test_one_sided_counts_present(self, within_bounds):
         report = rare_segments(0.5, 1.0, n_max=500, reps=100, seed=5)
         orders = [row.order for row in report.rows]
         assert any("plus" in o for o in orders)
         assert any("minus" in o for o in orders)
-        assert report.within_bounds()
+        assert within_bounds(report)
 
     def test_thread_invariance(self):
         a = rare_segments(0.5, 1.0, 400, 100, seed=3, threads=1)

@@ -74,10 +74,10 @@ class TestPartitionBound:
 
 
 class TestMdfReport:
-    def test_rademacher_counts_finite(self):
+    def test_rademacher_counts_finite(self, within_bounds):
         report = slln_mdf_report(rademacher, q=2, p=0.5, eps=0.5, n_max=2000, reps=400, seed=3)
         assert report.extra["all_finite"]
-        assert report.within_bounds()
+        assert within_bounds(report)
 
     def test_degenerate_sampler(self):
         zero = lambda rng, shape: np.zeros(shape)
