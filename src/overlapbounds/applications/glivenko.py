@@ -40,7 +40,7 @@ CHECKPOINTS = (10, 25, 50, 75, 100, 200, 500, 1000, 2000)
 
 uniform01 = KnownDistribution(
     name="uniform(0,1)",
-    cdf=lambda x: np.clip(x, 0.0, 1.0),
+    cdf=lambda x: np.clip(x, 0.0, 1.0, out=x),  # the sample is a fresh array
     sample=lambda rng, shape: rng.random(shape),
 )
 
@@ -74,33 +74,35 @@ def _ks_scan_kernel(
     One more draw changes n (F_hat_n(x) - x) by 1{V <= x} - x, in [-1, 1], so
     (n+j) D_(n+j) <= n D_n + j: a row with gap g_n = n (eps - D_n) > 0 cannot
     reach eps before index n + g_n / (1 - eps).  Each row keeps the next
-    index at which it is due; only due rows are evaluated, plus every row at
-    a checkpoint.  The slack 1e-9 n keeps rounding in D_n from ever skipping
-    a true exceedance.
+    index at which it is due, starting at first = max(count_from, 1); only
+    due rows are evaluated.  A row not due at a checkpoint has D_n < eps by
+    that bound, so its flag is 0; checkpoints below ``first`` evaluate every
+    row.  The slack 1e-9 n keeps rounding in D_n from ever skipping a true
+    exceedance.
     """
-    stops, first = sorted(set(checkpoints)), max(count_from, 1)
+    first = max(count_from, 1)
+    early = sorted({c for c in checkpoints if c < first})
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         v = np.asarray(dist.cdf(dist.sample(rng, (m, n_max))), dtype=float)
         counts = np.zeros(m, dtype=np.int64)
         cp_flags = np.zeros((m, len(checkpoints)), dtype=np.int64)
         due = np.full(m, first, dtype=np.int64)
-        n = min([first, *stops])
+        n = min([first, *early])
         while n <= n_max:
-            at_checkpoint = n in stops
-            rows = slice(None) if at_checkpoint else np.flatnonzero(due == n)
-            s = v[:, :n].copy() if at_checkpoint else v[rows, :n]
+            rows = np.arange(m) if n < first else np.flatnonzero(due == n)
+            s = v[rows, :n]
             s.sort(axis=1)
             grid = np.arange(1, n + 1, dtype=float)
             d_n = np.maximum((grid / n - s).max(axis=1), (s - (grid - 1.0) / n).max(axis=1))
             exceed = d_n >= eps
             if n >= count_from:
                 counts[rows] += exceed
-            if at_checkpoint:
-                cp_flags[:, np.equal(checkpoints, n)] = exceed[:, None]
+            for col in np.flatnonzero(np.equal(checkpoints, n)):
+                cp_flags[rows, col] = exceed
             step = np.maximum(1.0, np.ceil((n * (eps - d_n) - 1e-9 * n) / (1.0 - eps)))
             due[rows] = np.maximum(due[rows], n + step.astype(np.int64))
-            n = min(int(due.min()), next((c for c in stops if c > n), n_max + 1))
+            n = min(int(due.min()), next((c for c in early if c > n), n_max + 1))
         return np.column_stack([counts, cp_flags])
 
     return kernel

@@ -92,7 +92,7 @@ def slln_mdf_report(
         np.abs(x, out=x)
         return (x >= eps).sum(axis=1).astype(np.int64)
 
-    counts = run_chunked(reps, seed, kernel, threads=threads)
+    counts = run_chunked(reps, seed, kernel, threads=threads, row_width=n_max)
     payoff = counts.astype(float) ** p
     rows = [
         MDFRow.from_values(eps, f"E[O_eps**{p:g}] (finite; constant existential)", math.inf, payoff)

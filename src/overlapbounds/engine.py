@@ -1,15 +1,18 @@
 """Deterministic, replication-parallel Monte-Carlo engine.
 
-Randomness is organised in fixed-size chunks of replications.  Chunk ``c``
-of a run draws from ``Philox(key=(seed, c))``, a counter-based generator
-with 2**64 independent streams, so the value of every replication is a
-pure function of (seed, chunk index, row).  Threads decide no value: chunk
-workers only pick chunks, whose rows are joined in chunk order, and a
-``prefetched`` helper only draws ahead, so runs are bitwise identical for
-any thread count.  The overlap count is sampled by inversion: one binary
-search on a monotone table of length N per nested or union replication, or
-per independent occurrence, so memory is O(N) and N enters the cost only
-through log N.
+Randomness is organised in chunks of replications.  A chunk has
+``CHUNK_SIZE`` = 4096 rows, halved while the rows times the values one row
+holds (the kernel's declared ``row_width``) exceed ``CHUNK_VALUES`` = 2**22,
+so a chunk of wide rows stays near 32 MB of float64.  Chunk ``c`` of a run
+draws from ``Philox(key=(seed, c))``, a counter-based generator with 2**64
+independent streams, so the value of every replication is a pure function
+of (seed, row width, chunk index, row).  Threads decide no value: each
+worker runs one contiguous block of chunks, whose rows are joined in chunk
+order, and a ``prefetched`` helper only draws ahead, so runs are bitwise
+identical for any thread count.  The overlap count is sampled by
+inversion: one binary search on a monotone table of length N per nested or
+union replication, or per independent occurrence, so memory is O(N) and N
+enters the cost only through log N.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import DomainError, FunctionalOverflowError, InputError, Truncation
 from .series import DecayModel, Explicit, WeightSequence, tail_sum
 
 CHUNK_SIZE = 4096
+CHUNK_VALUES = 1 << 22  # values one chunk may hold: 32 MB of float64
 
 FAMILIES = ("independent", "nested", "union")
 
@@ -43,24 +47,36 @@ def run_chunked(
     seed: int,
     kernel: Callable[[np.random.Generator, int, int], np.ndarray],
     threads: int = 1,
+    row_width: int = 1,
 ) -> np.ndarray:
     """Run ``kernel(rng, start, m)`` over all replications, chunk by chunk.
 
     The kernel returns one row per replication (scalar or vector); rows are
-    assembled in replication order regardless of scheduling.
+    assembled in replication order regardless of scheduling.  ``row_width``
+    is the number of values the kernel holds per row: chunks have
+    ``CHUNK_SIZE`` rows, halved until a chunk holds at most ``CHUNK_VALUES``
+    values (but at least one row).
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
-    n_chunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
+    rows = CHUNK_SIZE
+    while rows > 1 and rows * row_width > CHUNK_VALUES:
+        rows //= 2
+    n_chunks = (reps + rows - 1) // rows
 
-    def work(c: int) -> np.ndarray:
-        start = c * CHUNK_SIZE
-        return np.asarray(kernel(chunk_rng(seed, c), start, min(CHUNK_SIZE, reps - start)))
+    def work(first: int, stop: int) -> list[np.ndarray]:
+        return [
+            np.asarray(kernel(chunk_rng(seed, c), c * rows, min(rows, reps - c * rows)))
+            for c in range(first, stop)
+        ]
 
-    if threads <= 1 or n_chunks == 1:
-        return np.concatenate([work(c) for c in range(n_chunks)], axis=0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(work, range(n_chunks))), axis=0)
+    workers = min(threads, n_chunks)
+    if workers <= 1:
+        return np.concatenate(work(0, n_chunks), axis=0)
+    bounds = [n_chunks * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = list(pool.map(work, bounds[:-1], bounds[1:]))
+    return np.concatenate([piece for block in blocks for piece in block], axis=0)
 
 
 def prefetched(items: Iterable, threads: int = 1) -> Iterator:

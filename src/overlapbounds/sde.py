@@ -87,24 +87,47 @@ def sde15_step(problem: SdeProblem, t: float, y: np.ndarray, dt: float, dw: np.n
     with np.errstate(invalid="ignore", over="ignore"):  # finiteness checked below
         a0 = problem.drift(t, y)
         b0 = problem.diffusion(t, y)
-        up = y + a0 * dt + b0 * sdt
-        um = y + a0 * dt - b0 * sdt
+        mid, spread = y + a0 * dt, b0 * sdt
+        up, um = mid + spread, mid - spread
         a_up, a_um = problem.drift(t, up), problem.drift(t, um)
         b_up, b_um = problem.diffusion(t, up), problem.diffusion(t, um)
-        fp = up + b_up * sdt
-        fm = up - b_up * sdt
-        b_fp, b_fm = problem.diffusion(t, fp), problem.diffusion(t, fm)
+        spread_up = b_up * sdt
+        b_fp, b_fm = problem.diffusion(t, up + spread_up), problem.diffusion(t, up - spread_up)
 
+        # The six terms are summed left to right into ``out``, each in its own
+        # operation order, so the result is bitwise that of one expression.
+        # Only arrays made here are updated in place: a coefficient may return
+        # a scalar or its own input.
         dw2 = dw * dw
-        out = (
-            y
-            + b0 * dw
-            + (a_up - a_um) * dz / (2.0 * sdt)
-            + (a_up + 2.0 * a0 + a_um) * dt / 4.0
-            + (b_up - b_um) * (dw2 - dt) / (4.0 * sdt)
-            + (b_up - 2.0 * b0 + b_um) * (dw * dt - dz) / (2.0 * dt)
-            + (b_fp - b_fm - b_up + b_um) * (dw2 / 3.0 - dt) * dw / (4.0 * dt)
-        )
+        out = y + b0 * dw
+        term = (a_up - a_um) * dz
+        term /= 2.0 * sdt
+        out += term
+        term = a_up + 2.0 * a0
+        term += a_um
+        term *= dt
+        term /= 4.0
+        out += term
+        term = dw2 - dt
+        term *= b_up - b_um
+        term /= 4.0 * sdt
+        out += term
+        term = dw * dt
+        term -= dz
+        coef = b_up - 2.0 * b0
+        coef += b_um
+        term *= coef
+        term /= 2.0 * dt
+        out += term
+        term = dw2 / 3.0
+        term -= dt
+        coef = b_fp - b_fm
+        coef -= b_up
+        coef += b_um
+        term *= coef
+        term *= dw
+        term /= 4.0 * dt
+        out += term
     bad = ~np.isfinite(np.atleast_1d(out))
     if bad.any():
         raise FunctionalOverflowError(f"non-finite state after the step at t={t:.6g}")

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from overlapbounds import (
     tail_sum,
     write_sample_jsonl,
 )
-from overlapbounds.engine import chunk_rng, prefetched
+from overlapbounds import engine
+from overlapbounds.engine import CHUNK_SIZE, CHUNK_VALUES, chunk_rng, prefetched, run_chunked
 
 
 def scalar_probs(model, n):
@@ -299,6 +301,44 @@ def test_jsonl_bool_count_among_integers_raises(tmp_path):
     path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n{"rep": 1, "count": true}\n')
     with pytest.raises(InputError, match="line 3: .*True"):
         read_sample_jsonl(str(path))
+
+
+class TestRunChunked:
+    @pytest.mark.parametrize(
+        "row_width, rows",
+        [(1, 4096), (1000, 4096), (1024, 4096), (1025, 2048), (10**4, 256), (1 << 22, 1), ((1 << 22) + 1, 1),
+         (10**9, 1)],
+    )
+    def test_chunk_rows(self, row_width, rows):
+        # CHUNK_SIZE rows, halved while a chunk would hold more than CHUNK_VALUES values, at least
+        # one row; chunk c draws from chunk_rng(seed, c)
+        assert CHUNK_SIZE == 4096 and CHUNK_VALUES == 1 << 22
+        calls = []
+
+        def kernel(rng, start, m):
+            calls.append((start, m))
+            return rng.random(m)
+
+        out = run_chunked(2 * rows + 1, 7, kernel, row_width=row_width)
+        assert calls == [(0, rows), (rows, rows), (2 * rows, 1)]
+        assert np.array_equal(out, np.concatenate([chunk_rng(7, c).random(m) for c, (_, m) in enumerate(calls)]))
+
+    @pytest.mark.parametrize("threads, n_chunks", [(1, 5), (2, 1), (2, 5), (3, 4), (8, 5)])
+    def test_one_future_per_worker(self, monkeypatch, threads, n_chunks):
+        # each worker is handed one contiguous block of chunks; rows come back in chunk order
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+        reps = 2 * n_chunks - 1  # two rows per chunk at this row width
+        out = run_chunked(reps, 11, lambda rng, start, m: start + np.arange(m), threads=threads, row_width=1 << 21)
+        assert np.array_equal(out, np.arange(reps))
+        workers = min(threads, n_chunks)
+        assert len(submitted) == (workers if workers > 1 else 0)
 
 
 class TestPrefetched:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -115,10 +116,17 @@ def test_scan_window_covers_requested_tail():
         (uniform01, 0.15, 400, 89, [25, 100, 400]),
         (exponential_dist(2.0), 0.2, 300, 50, [10, 75, 300]),
         (uniform01, 0.45, 60, 3, [2, 7, 60]),
+    ]
+    + [
+        # checkpoints below, at and above count_from, one of them repeated
+        (uniform01, eps, n_max, count_from, [max(count_from - 4, 1), count_from, count_from + 5, 50, n_max,
+                                             count_from + 5])
+        for eps, n_max, count_from in itertools.product((0.12, 0.2, 0.3), (90, 240), (1, 13, 30))
     ],
 )
 def test_skip_scan_matches_full_scan(dist, eps, n_max, count_from, checkpoints):
-    # every n up to n_max evaluated from scratch: counts and checkpoint flags agree bitwise
+    # every n up to n_max evaluated from scratch: counts and checkpoint flags agree bitwise;
+    # above count_from a checkpoint evaluates only the rows due there
     m = 300
     table = _ks_scan_kernel(dist, eps, n_max, checkpoints, count_from)(chunk_rng(29, 0), 0, m)
     v = np.asarray(dist.cdf(dist.sample(chunk_rng(29, 0), (m, n_max))), dtype=float)

@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 
@@ -15,6 +16,30 @@ def sample_step_inputs(rng, dt, size):
     dw = rng.normal(0.0, math.sqrt(dt), size)
     dw_hat = rng.normal(0.0, math.sqrt(dt), size)
     return dw, _coupled(dt, dw, dw_hat)
+
+
+def sde15_step_reference(problem, t, y, dt, dw, dz):
+    """The scheme's step as one expression: the reference for sde15_step's in-place sums."""
+    sdt = math.sqrt(dt)
+    a0 = problem.drift(t, y)
+    b0 = problem.diffusion(t, y)
+    up = y + a0 * dt + b0 * sdt
+    um = y + a0 * dt - b0 * sdt
+    a_up, a_um = problem.drift(t, up), problem.drift(t, um)
+    b_up, b_um = problem.diffusion(t, up), problem.diffusion(t, um)
+    fp = up + b_up * sdt
+    fm = up - b_up * sdt
+    b_fp, b_fm = problem.diffusion(t, fp), problem.diffusion(t, fm)
+    dw2 = dw * dw
+    return (
+        y
+        + b0 * dw
+        + (a_up - a_um) * dz / (2.0 * sdt)
+        + (a_up + 2.0 * a0 + a_um) * dt / 4.0
+        + (b_up - b_um) * (dw2 - dt) / (4.0 * sdt)
+        + (b_up - 2.0 * b0 + b_um) * (dw * dt - dz) / (2.0 * dt)
+        + (b_fp - b_fm - b_up + b_um) * (dw2 / 3.0 - dt) * dw / (4.0 * dt)
+    )
 
 
 def _const_problem(a_val, b_val):
@@ -43,6 +68,27 @@ class TestStepAlgebra:
         dw, dz = sample_step_inputs(rng, 0.05, 50)
         out = sde15_step(prob, 0.0, y, 0.05, dw, dz)
         assert np.allclose(out, y + 0.7 * dw, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "drift, diffusion",
+        [
+            (lambda t, x: 0.5 * x, lambda t, x: 0.4 * x),  # geometric Brownian motion
+            (lambda t, x: x**3, lambda t, x: 0.1 * x),
+            (lambda t, x: 0.3, lambda t, x: 0.7 - 0.2 * t),  # coefficients that return Python scalars
+            (lambda t, x: -x, lambda t, x: x),  # a diffusion that returns its input array
+            (lambda t, x: x, lambda t, x: np.sin(x)),
+        ],
+    )
+    def test_bitwise_equal_to_one_expression(self, drift, diffusion):
+        prob = SdeProblem(drift, diffusion, 1.0, 1.0)
+        rng = np.random.default_rng(41)
+        for dt in (0.25, 1.0 / 512):
+            y = rng.normal(1.0, 0.3, 2000)
+            dw, dz = sample_step_inputs(rng, dt, 2000)
+            y_before = y.copy()
+            out = sde15_step(prob, 0.3, y, dt, dw, dz)
+            assert np.array_equal(y, y_before)  # the state passed in is never written
+            assert np.array_equal(out, sde15_step_reference(prob, 0.3, y, dt, dw, dz))
 
     def test_nonfinite_detected(self):
         prob = SdeProblem(lambda t, x: x * np.inf, lambda t, x: x, 1.0, 1.0)
@@ -153,7 +199,7 @@ class TestStrongError:
             strong_error_estimate(prob, [0.25, 0.125, 0.0625], reps=10, seed=0)
 
 
-def per_step_reference(problem, deltas, reps, seed, threads):
+def per_step_reference(problem, deltas, reps, seed):
     """Reference sweep: one sample_step_inputs draw and one sde15_step per
     step, one run_chunked per step size."""
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
@@ -172,7 +218,7 @@ def per_step_reference(problem, deltas, reps, seed, threads):
             exact = problem.exact_terminal(t_end, w)
             return np.abs(exact - y)
 
-        mean, se = mean_stderr(run_chunked(reps, seed + j, kernel, threads=threads))
+        mean, se = mean_stderr(run_chunked(reps, seed + j, kernel))
         means.append(mean)
         ses.append(se)
     means = np.asarray(means)
@@ -180,23 +226,34 @@ def per_step_reference(problem, deltas, reps, seed, threads):
     return means, np.asarray(ses), float(slope)
 
 
-class TestBlockedNoise:
+BLOCKED_NOISE_GRIDS = {
     # dyadic 4..9: 16-512 steps, whole blocks; 3, 6 and 12 steps: partial
     # blocks; 17 steps: one block plus one step
-    GRIDS = {
-        "dyadic 4..9": (1.0, [2.0**-k for k in range(4, 10)]),
-        "partial blocks": (0.75, [0.25, 0.125, 0.0625]),
-        "block plus one": (1.0, [0.5, 0.25, 1.0 / 17.0]),
-    }
+    "dyadic 4..9": (1.0, [2.0**-k for k in range(4, 10)]),
+    "partial blocks": (0.75, [0.25, 0.125, 0.0625]),
+    "block plus one": (1.0, [0.5, 0.25, 1.0 / 17.0]),
+}
 
+
+def _gbm(horizon):
+    return SdeProblem.geometric_brownian(0.5, 0.1, 1.0, horizon)
+
+
+@functools.cache
+def blocked_noise_reference(grid, reps):
+    """The per-step reference sweep of one grid, computed once for every thread count."""
+    horizon, deltas = BLOCKED_NOISE_GRIDS[grid]
+    return per_step_reference(_gbm(horizon), deltas, reps, 20240801)
+
+
+class TestBlockedNoise:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("reps", [8192, 10000])  # 10000 leaves a 1808-row last chunk
-    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("grid", list(BLOCKED_NOISE_GRIDS))
     def test_bitwise_equal_to_per_step_draws(self, grid, reps, threads):
-        horizon, deltas = self.GRIDS[grid]
-        prob = SdeProblem.geometric_brownian(0.5, 0.1, 1.0, horizon)
-        sweep = strong_error_estimate(prob, deltas, reps, 20240801, threads=threads)
-        means, ses, slope = per_step_reference(prob, deltas, reps, 20240801, threads)
+        horizon, deltas = BLOCKED_NOISE_GRIDS[grid]
+        sweep = strong_error_estimate(_gbm(horizon), deltas, reps, 20240801, threads=threads)
+        means, ses, slope = blocked_noise_reference(grid, reps)
         assert np.array_equal(sweep.mean_errors, means)
         assert np.array_equal(sweep.stderrs, ses)
         assert sweep.slope == slope

@@ -8,6 +8,17 @@ import pytest
 from overlapbounds import DomainError, InputError
 from overlapbounds.applications import partitions_min_two, slln_mdf_report, slln_partition_bound
 from overlapbounds.applications.slln import rademacher
+from overlapbounds.engine import chunk_rng, mean_stderr
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape)
+
+
+def reference_counts(rng, m, n_max, eps):
+    """#{n <= n_max : |S_n / n| >= eps} for m paths of Gaussian draws, out of place."""
+    x = gaussian(rng, (m, n_max))
+    return (np.abs(np.cumsum(x, axis=1) / np.arange(1, n_max + 1)) >= eps).sum(axis=1)
 
 
 def brute_force_partitions(total):
@@ -95,6 +106,26 @@ class TestMdfReport:
             slln_mdf_report(rademacher, q=2, p=1.5, eps=0.5, n_max=100, reps=10, seed=0)
         with pytest.raises(DomainError):
             slln_mdf_report(rademacher, q=1, p=0.5, eps=0.5, n_max=100, reps=10, seed=0)
+
+    @staticmethod
+    def assert_counts(report, counts):
+        assert (report.rows[0].empirical, report.rows[0].stderr) == mean_stderr(counts.astype(float) ** 0.5)
+        assert report.extra["max_count"] == counts.max()
+        assert report.extra["tail_counts"] == {k: float(np.mean(counts >= k)) for k in range(1, 11)}
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_wide_rows_are_chunked(self, threads):
+        # n_max = 10**4 gives 256-row chunks (2**22 values at most), so 1024 replications are
+        # four chunks, chunk c drawn from chunk_rng(seed, c)
+        counts = np.concatenate([reference_counts(chunk_rng(19, c), 256, 10**4, 0.2) for c in range(4)])
+        report = slln_mdf_report(gaussian, q=2, p=0.5, eps=0.2, n_max=10**4, reps=1024, seed=19, threads=threads)
+        self.assert_counts(report, counts)
+
+    @pytest.mark.parametrize("n_max, reps", [(10**4, 256), (10**4, 7), (1024, 4096), (3000, 1024)])
+    def test_single_chunk_counts(self, n_max, reps):
+        # up to 2**22 values a run is one chunk: the counts of one draw from chunk_rng(seed, 0)
+        report = slln_mdf_report(gaussian, q=2, p=0.5, eps=0.1, n_max=n_max, reps=reps, seed=4, threads=2)
+        self.assert_counts(report, reference_counts(chunk_rng(4, 0), reps, n_max, 0.1))
 
     @pytest.mark.parametrize("n_max", [0, -5])
     def test_horizon_below_one_raises(self, n_max):
