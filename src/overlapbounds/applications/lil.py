@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ..engine import run_chunked
-from ..errors import DomainError
+from ..errors import DomainError, FunctionalOverflowError
 from .mdf import MDFReport, MDFRow
 
 
@@ -68,10 +68,19 @@ def lil_simulate(
         raise DomainError("n_max must be >= 1")
     n0 = lil_start_index(alpha)
     indices = np.arange(n0, n0 + n_max)
-    t_left = alpha ** indices.astype(float)
-    t_right = alpha ** (indices + 1.0)
-    dts = t_right - t_left
-    thresholds = lil_exceedance_thresholds(alpha, indices)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, before any sampling
+        t_left = alpha ** indices.astype(float)
+        t_right = alpha ** (indices + 1.0)
+        dts = t_right - t_left
+        thresholds = lil_exceedance_thresholds(alpha, indices)
+        # the kernel's d**2 - 2 dt ln U stays below 256 t_right for U >= 2**-53 and draws within 9 sd
+        finite = np.isfinite(t_left) & np.isfinite(dts) & np.isfinite(thresholds) & np.isfinite(256.0 * t_right)
+    if not finite.all():
+        usable = int(np.argmin(finite))
+        raise FunctionalOverflowError(
+            f"n_max={n_max} overflows double precision on the grid alpha**n at alpha={alpha:g}; "
+            f"the largest usable n_max is {usable}"
+        )
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         w0 = rng.normal(0.0, math.sqrt(t_left[0]), m)

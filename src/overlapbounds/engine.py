@@ -13,10 +13,20 @@ identical for any thread count.  The overlap count is sampled by
 inversion: one binary search on a monotone table of length N per nested or
 union replication, or per independent occurrence, so memory is O(N) and N
 enters the cost only through log N.
+
+A sample's JSONL file is one header record, then one row
+``{"rep": i, "count": c}`` per replication, exactly as ``json.dumps`` writes
+it.  The row format is fixed and byte-stable: ``_rows_bytes`` alone defines
+it, and the writer encodes blocks of rows with numpy through it.  The reader
+parses a block of whole lines with numpy and accepts the result only if the
+block re-encodes to exactly its own bytes; any other block (other spacing or
+key order, CRLF, 19-digit counts, an invalid row) goes through ``json.loads``.
 """
 
 from __future__ import annotations
 
+import array
+import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -299,9 +309,44 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, sd / math.sqrt(len(values))
 
 
+_ROW_PARTS = (b'{"rep": ', b', "count": ', b"}\n")  # around the two digit fields of a row
+_WRITE_ROWS = 4096  # rows the writer encodes at a time
+_READ_BYTES = 1 << 16  # bytes the reader takes at a time, cut back to whole lines
+_FAST_DIGITS = 18  # longer counts (up to 2**63 - 1) take the json path
+
+
+def _digit_rows(values: np.ndarray) -> np.ndarray:
+    """Decimal ASCII of nonnegative int64 ``values``, right-aligned: one row of
+    the (width, len(values)) uint8 result per digit place, leading pads 0."""
+    width = len(str(int(values.max()))) if len(values) else 1
+    out = np.empty((width, len(values)), np.uint8)
+    for j in range(width - 1, -1, -1):
+        rest = values // 10
+        out[j] = values - 10 * rest + 48
+        if j < width - 1:
+            out[j][values == 0] = 0
+        values = rest
+    return out
+
+
+def _rows_bytes(first: int, counts: np.ndarray) -> bytes:
+    """The rows ``{"rep": i, "count": c}`` for i = first, first + 1, ..., each
+    ending in a newline: the one definition of the row format, byte for byte
+    ``json.dumps``.  ``counts`` are nonnegative int64."""
+    reps = np.arange(first, first + len(counts), dtype=np.int64)
+    pre, mid, post = (np.frombuffer(part, np.uint8)[:, None] for part in _ROW_PARTS)
+    columns = [np.broadcast_to(f, (len(f), len(counts))) for f in (pre, _digit_rows(reps), mid, _digit_rows(counts), post)]
+    rows = np.ascontiguousarray(np.concatenate(columns).T)
+    return rows[rows != 0].tobytes()
+
+
 def write_sample_jsonl(sample: OverlapSample, path: str) -> None:
     """One metadata header record, then {"rep": i, "count": c} per replication."""
-    with open(path, "w", encoding="utf-8") as fh:
+    counts = np.asarray(sample.counts)
+    if counts.dtype.kind not in "iu" or (len(counts) and not 0 <= counts.min() <= counts.max() < 1 << 63):
+        raise InputError("counts must be nonnegative integers below 2**63")
+    counts = counts.astype(np.int64, copy=False)
+    with open(path, "wb") as fh:
         header = {
             "record": "header",
             "spec": sample.spec,
@@ -310,25 +355,77 @@ def write_sample_jsonl(sample: OverlapSample, path: str) -> None:
             "truncation": sample.truncation,
             "tail_tolerance": sample.tail_tolerance,
         }
-        fh.write(json.dumps(header) + "\n")
-        fh.writelines(f'{{"rep": {i}, "count": {c}}}\n' for i, c in enumerate(map(int, sample.counts)))
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        for first in range(0, len(counts), _WRITE_ROWS):
+            fh.write(_rows_bytes(first, counts[first:first + _WRITE_ROWS]))
+
+
+def _parse_canonical(first: int, block: bytes) -> np.ndarray | None:
+    """The counts of ``block`` if it is exactly ``_rows_bytes(first, counts)``, else None.
+
+    Each line's count is the digits after its last space and before ``}``;
+    re-encoding them is the whole validity check.
+    """
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if len(ends) == 0 or ends[-1] != len(buf) - 1:
+        return None
+    spaces = np.flatnonzero(buf == ord(" "))
+    last = np.searchsorted(spaces, ends) - 1
+    if last.min() < 0:
+        return None
+    stop = ends - 1  # the closing brace
+    widths = stop - spaces[last] - 1
+    if widths.min() < 1 or widths.max() > _FAST_DIGITS:
+        return None
+    width = int(widths.max())
+    cols = np.arange(width - 1, -1, -1)
+    # each count's digits right-aligned, pads 0; a non-digit byte parses as 9
+    digits = np.minimum(buf[np.maximum(stop[:, None] - 1 - cols, 0)] - np.uint8(48), 9)
+    digits[cols >= widths[:, None]] = 0
+    counts = digits.astype(np.int64) @ 10 ** cols
+    return counts if _rows_bytes(first, counts) == block else None
+
+
+def _parse_json(first: int, block: bytes) -> np.ndarray:
+    """The counts of any block of rows, through ``json.loads``."""
+    lines = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8").readlines()
+    values = [rec["count"] for rec in json.loads("[" + ",".join(lines) + "]")]
+    for i, c in enumerate(values):
+        if not (type(c) is int and 0 <= c < 1 << 63):  # a bool is not an int here
+            raise InputError(f"line {first + i + 2}: count must be a nonnegative integer (got {c!r})")
+    return np.array(values, dtype=np.int64)
 
 
 def read_sample_jsonl(path: str) -> OverlapSample:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+    """Read a sample written by ``write_sample_jsonl``, or any JSONL of the same records.
+
+    Blocks of whole lines that re-encode exactly are parsed with numpy; any
+    other block goes through ``json.loads`` (key order, spacing, CRLF, a
+    ``rep`` that is not the row index, 19-digit counts, invalid rows).  A
+    count that is not an integer in [0, 2**63) raises ``InputError`` naming
+    its line.
+    """
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
         if header.get("record") != "header":
             raise InputError("missing header record")
-        values: list = []
-        while block := fh.readlines(1 << 16):  # parse 64 KiB of rows at a time: flat memory
-            values += [rec["count"] for rec in json.loads("[" + ",".join(block) + "]")]
-    counts = np.asarray(values)
-    # a float, bool, str, negative or huge count (a bool among ints still gives an int array)
-    if values and (counts.dtype.kind != "i" or counts.min() < 0 or bool in set(map(type, values))):
-        i = next(i for i, c in enumerate(values) if not (type(c) is int and 0 <= c < 1 << 63))
-        raise InputError(f"line {i + 2}: count must be a nonnegative integer (got {values[i]!r})")
+        counts = array.array("q")  # grows in place: no second copy of the counts
+        pending = b""
+        while True:
+            data = fh.read(_READ_BYTES)
+            pending += data
+            cut = pending.rfind(b"\n") + 1 if data else len(pending)  # at the end, an unterminated line too
+            if cut:
+                block, pending = pending[:cut], pending[cut:]
+                parsed = _parse_canonical(len(counts), block)
+                if parsed is None:
+                    parsed = _parse_json(len(counts), block)
+                counts.frombytes(parsed.view(np.uint8))
+            if not data:
+                break
     return OverlapSample(
-        counts=counts.astype(np.int64, copy=False),
+        counts=np.frombuffer(counts, np.int64),
         reps=header["reps"],
         seed=header["seed"],
         truncation=header["truncation"],

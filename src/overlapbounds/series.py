@@ -86,16 +86,20 @@ def _certified_sum(
     start..M-1 in chunks; M starts at max(start, 64) and doubles until
     hi - lo <= 1e-15 * value.  The value is the upper end head + hi; a bracket
     still wider than that at the 2**26 guard, or a NaN one at any cut, raises
-    ``NonConvergenceError``.
+    ``NonConvergenceError``; a head or a lower end that is not finite (the sum
+    overflows double precision) raises ``FunctionalOverflowError``.
     """
     cut, done, head = max(start, _FIRST_CUT), start, 0.0
     while True:
-        for a in range(done, cut, _SUM_CHUNK):
-            head += float(np.sum(term(np.arange(a, min(a + _SUM_CHUNK, cut), dtype=float))))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed head is reported below
+            for a in range(done, cut, _SUM_CHUNK):
+                head += float(np.sum(term(np.arange(a, min(a + _SUM_CHUNK, cut), dtype=float))))
         done = cut
         lo, hi = remainder(cut)
         if math.isnan(lo) or math.isnan(hi):  # an overflowed bracket never tightens
             raise NonConvergenceError(f"remainder bracket at {cut} terms is not a number: [{lo}, {hi}]")
+        if not math.isfinite(head + lo):
+            raise FunctionalOverflowError(f"series exceeds double precision: {head:.6g} + [{lo:.6g}, {hi:.6g}] at {cut} terms")
         if hi - lo <= _TIGHT * (head + lo):
             return SeriesValue(head + hi, hi - lo, cut - start, True)
         if cut >= _MAX_CUT:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,29 @@ def test_freedman_overflow_is_domain_error(capsys):
     assert main(["bound", "--formula", "thm2.7", "--c1", "1", "--r", "1000"]) == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert "overflows" in err and "r=1000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--formula", "thm2.2", "--decay", "geometric:1,0.5", "--weights", "monomial:2000"],
+    ["bound", "--formula", "prop2.1", "--decay", "geometric:1,0.5", "--weights", "monomial:300"],
+], ids=["thm2.2", "prop2.1"])
+def test_overflowed_series_is_domain_error_not_inf(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--format", "json"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("domain error: series exceeds double precision")
+
+
+def test_lil_grid_overflow_is_domain_error(capsys):
+    argv = ["app", "lil", "--reps", "16", "--seed", "3", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--nmax", "1100"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "the largest usable n_max is 1013" in captured.err
+        assert main(argv + ["--nmax", "1013"]) == EXIT_OK  # the named n_max runs without a warning
+    assert json.loads(capsys.readouterr().out)["extra"]["intervals"] == 1013
 
 
 def test_unconverged_series_is_domain_error(capsys):

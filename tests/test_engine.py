@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from overlapbounds import (
     DomainError,
@@ -301,6 +302,113 @@ def test_jsonl_bool_count_among_integers_raises(tmp_path):
     path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n{"rep": 1, "count": true}\n')
     with pytest.raises(InputError, match="line 3: .*True"):
         read_sample_jsonl(str(path))
+
+
+def jsonl_header(reps):
+    return json.dumps({"record": "header", "spec": {}, "seed": 1, "reps": reps, "truncation": 3, "tail_tolerance": 1e-6}) + "\n"
+
+
+ROW_EDGES = [n for k in (0, 1, 2) for n in (k * engine._WRITE_ROWS - 1, k * engine._WRITE_ROWS, k * engine._WRITE_ROWS + 1) if n >= 0]
+
+
+def hand_sample(counts):
+    counts = np.asarray(counts)
+    return engine.OverlapSample(counts=counts, reps=len(counts), seed=1, truncation=3, tail_tolerance=1e-6)
+
+
+def mixed_counts(rng, n, special):
+    """n counts of every magnitude from 0 to 2**63 - 1, with the ``special`` values scattered among them."""
+    counts = (rng.random(n) * 2.0 ** rng.integers(0, 63, n)).astype(np.int64)
+    if n:
+        counts[rng.integers(0, n, len(special))] = special
+    return counts
+
+
+def json_reference_counts(path):
+    """The counts of a JSONL sample through ``json.loads`` alone, line by line."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line)["count"] for line in fh.readlines()[1:]]
+
+
+class TestJsonlRows:
+    @given(
+        n=st.sampled_from(ROW_EDGES),
+        special=st.lists(st.integers(0, 2**63 - 1), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_writer_bytes_equal_json_dumps(self, tmp_path, n, special, seed):
+        counts = mixed_counts(np.random.default_rng(seed), n, special)
+        path = tmp_path / "s.jsonl"
+        write_sample_jsonl(hand_sample(counts), str(path))
+        rows = "".join(json.dumps({"rep": i, "count": int(c)}) + "\n" for i, c in enumerate(counts))
+        assert path.read_bytes() == (jsonl_header(n) + rows).encode()
+        back = read_sample_jsonl(str(path)).counts
+        assert back.dtype == np.int64 and np.array_equal(back, counts)
+
+    VARIANTS = {
+        "canonical": lambda i, c: json.dumps({"rep": i, "count": c}) + "\n",
+        "key order": lambda i, c: json.dumps({"count": c, "rep": i}) + "\n",
+        "no spaces": lambda i, c: json.dumps({"rep": i, "count": c}, separators=(",", ":")) + "\n",
+        "crlf": lambda i, c: json.dumps({"rep": i, "count": c}) + "\r\n",
+        "rep not the row index": lambda i, c: json.dumps({"rep": 7, "count": c}) + "\n",
+        "extra key": lambda i, c: json.dumps({"rep": i, "count": c, "note": "x"}) + "\n",
+        "one odd row per block": lambda i, c: json.dumps({"rep": i, "count": c}, separators=(", ", ":") if i % 3000 == 0 else None) + "\n",
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("digits", [1, 18, 19])
+    def test_reader_equals_json_reference(self, tmp_path, variant, final_newline, digits):
+        rng = np.random.default_rng(digits)
+        counts = [int(c) for c in rng.integers(0, min(10**digits, 2**63 - 1), 7000)]
+        text = jsonl_header(len(counts)) + "".join(self.VARIANTS[variant](i, c) for i, c in enumerate(counts))
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(text.encode() if final_newline else text.rstrip("\r\n").encode())
+        back = read_sample_jsonl(str(path)).counts
+        assert back.dtype == np.int64 and back.tolist() == json_reference_counts(path) == counts
+
+    def test_canonical_blocks_never_take_the_json_path(self, tmp_path, monkeypatch):
+        counts = mixed_counts(np.random.default_rng(5), 3 * engine._WRITE_ROWS, [0, 10**18 - 1])
+        counts[counts >= 10**18] //= 10  # 19-digit counts take the json path
+        path = tmp_path / "s.jsonl"
+        write_sample_jsonl(hand_sample(counts), str(path))
+        monkeypatch.setattr(engine, "_parse_json", lambda first, block: pytest.fail(f"json path at row {first}"))
+        assert np.array_equal(read_sample_jsonl(str(path)).counts, counts)
+
+    @pytest.mark.parametrize("bad", ['{"rep": 5000, "count": -4}', '{"rep": 5000, "count": 1.5}', '{"count": true, "rep": 5000}'])
+    def test_bad_row_after_the_first_block_reports_its_line(self, tmp_path, bad):
+        path = tmp_path / "s.jsonl"
+        write_sample_jsonl(hand_sample(np.arange(8000)), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len("".join(lines[1:5002]).encode()) > engine._READ_BYTES
+        lines[5001] = bad + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(InputError, match=r"^line 5002: count must be a nonnegative integer"):
+            read_sample_jsonl(str(path))
+
+    def test_malformed_row_after_the_first_block_raises(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_sample_jsonl(hand_sample(np.arange(8000)), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5001] = '{"rep": 5000, "count": }\n'
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError):
+            read_sample_jsonl(str(path))
+
+    @pytest.mark.parametrize("counts", [[3, -1], [0.5, 1.0], [True, False]], ids=["negative", "float", "bool"])
+    def test_writer_rejects_what_the_reader_would(self, tmp_path, counts):
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(InputError, match="nonnegative integers"):
+            write_sample_jsonl(hand_sample(counts), str(path))
+        assert not path.exists()
+
+    def test_empty_sample_round_trips(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_sample_jsonl(hand_sample(np.zeros(0, np.int64)), str(path))
+        assert path.read_text() == jsonl_header(0)
+        back = read_sample_jsonl(str(path))
+        assert back.reps == 0 and back.counts.dtype == np.int64 and len(back.counts) == 0
 
 
 class TestRunChunked:
