@@ -390,7 +390,11 @@ def _parse_canonical(first: int, block: bytes) -> np.ndarray | None:
 def _parse_json(first: int, block: bytes) -> np.ndarray:
     """The counts of any block of rows, through ``json.loads``."""
     lines = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8").readlines()
-    values = [rec["count"] for rec in json.loads("[" + ",".join(lines) + "]")]
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError as exc:  # its line counts from the block's first row
+        raise InputError(f"line {first + exc.lineno + 1}: {exc.msg}") from exc
+    values = [rec["count"] for rec in records]
     for i, c in enumerate(values):
         if not (type(c) is int and 0 <= c < 1 << 63):  # a bool is not an int here
             raise InputError(f"line {first + i + 2}: count must be a nonnegative integer (got {c!r})")

@@ -1,14 +1,17 @@
 """Decay models, weight sequences and certified series primitives.
 
 Everything downstream (bound calculators, simulation truncation, rate
-reports) rests on the quantities computed here:
+reports) rests on the quantities computed here, each stated once:
 
-* ``DecayModel`` describes an event-probability sequence ``P(E_n)``.
+* ``DecayModel`` describes an event-probability sequence ``P(E_n)``; a
+  closed-form model states it as ``raw(n)``, unclamped.
+* ``WeightSequence`` holds weights ``a_n``; ``terms(n)`` is their one
+  vectorised formula.
 * ``tail_sum`` evaluates the tail ``C_m = sum_{n>=m} P(E_n)`` with a
   certified truncation error.
 * ``weighted_tail_series`` evaluates the double series
-  ``sum_n a_n * C_n`` for a ``WeightSequence`` ``(a_n)``, and
-  ``weighted_prob_series`` the nested identity's ``sum_n a_n * P(E_n)``.
+  ``sum_n a_n * C_n`` and ``weighted_prob_series`` the nested identity's
+  ``sum_n a_n * P(E_n)``.
 * ``faulhaber_sum``, ``zeta`` and ``lambert_w0`` are the special-function
   helpers the closed-form bounds need.
 
@@ -16,12 +19,15 @@ Every infinite sum goes through one routine, ``_certified_sum``: a
 vectorised head over n < M plus a certified bracket [lo, hi] of the rest,
 with M doubled from 64 until hi - lo <= 1e-15 of the value.  It reports
 ``head + hi``, so a value is never below the sum it stands for (up to
-floating-point rounding), and ``hi - lo`` as the truncation error.  Power-law
-remainders reduce to Hurwitz sums sum_{n>=M} n**-s, each enclosed by two
-consecutive Euler-Maclaurin truncations (Johansson 2015); geometric
-remainders use an exponential majorant or, for exponential weights, their
-closed form.  Custom weights have no certified remainder: over an infinite
-family they raise ``DomainError``.
+floating-point rounding), and ``hi - lo`` as the truncation error.  The
+rests of sum_{n>=M} a_n * raw(n) form one table, ``_weighted_rest``: a cell
+per (model, weight kind) with its convergence condition.  Power-law cells
+reduce to Hurwitz sums sum_{n>=M} n**-s, each enclosed by two consecutive
+Euler-Maclaurin truncations (Johansson 2015); geometric cells use an
+exponential majorant or a closed form.  A geometric decay's tails C_n =
+c b**n / (1 - b) are geometric too, so its weighted tail series reads the
+same table; a power-law one sums in swapped order.  Custom weights have no
+cell: over an infinite family they raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -105,9 +111,6 @@ def _certified_sum(
         if cut >= _MAX_CUT:
             raise NonConvergenceError(f"series not certified within {_MAX_CUT} terms: {head:.6g} + [{lo:.6g}, {hi:.6g}]")
         cut *= 2
-
-
-_UNBRACKETED = (0.0, math.inf)
 
 
 def _widen(bracket: tuple[float, float], r: float) -> tuple[float, float]:
@@ -279,16 +282,17 @@ class TailFunction:
 class DecayModel:
     """Base class for event-probability sequences P(E_n), indexed from n = 1.
 
-    ``probs_upto`` clamps the model formula into [0, 1] (used in simulation);
-    ``tail`` sums it unclamped (used in bound arithmetic, where the majorant
-    may exceed one).
+    A closed-form model states its formula once, as ``raw(n)`` for an index
+    or an array of indices (floats).  ``probs_upto`` clamps it into [0, 1]
+    (used in simulation); ``tail`` and the weighted series sum it unclamped
+    (used in bound arithmetic, where the majorant may exceed one).
     """
 
     summable = True
 
     def probs_upto(self, n: int) -> np.ndarray:
         """The clamped probabilities P(E_1), ..., P(E_n) as one array."""
-        raise NotImplementedError
+        return np.minimum(1.0, self.raw(np.arange(1, n + 1, dtype=float)))
 
     def tails_upto(self, n: int) -> np.ndarray:
         """C_1, ..., C_n as reverse cumulative sums of ``probs_upto(n)`` plus C_{n+1}.
@@ -330,7 +334,7 @@ class Explicit(DecayModel):
 
 @dataclass(frozen=True)
 class PowerLaw(DecayModel):
-    """P(E_n) = c / n**q for n >= 1; summable tails require q > 1."""
+    """P(E_n) = c * n**-q for n >= 1; summable tails require q > 1."""
 
     c: float
     q: float
@@ -339,18 +343,15 @@ class PowerLaw(DecayModel):
         if not (0.0 < self.c < math.inf and 0.0 < self.q < math.inf):
             raise DomainError(f"power-law decay requires finite c > 0 and q > 0 (got c={self.c}, q={self.q})")
 
-    def probs_upto(self, n: int) -> np.ndarray:
-        return np.minimum(1.0, self.c / np.arange(1, n + 1, dtype=float) ** self.q)
+    def raw(self, n: Any) -> Any:
+        return self.c * n**-self.q
 
     def tail(self, m: int) -> SeriesValue:
         if not self.summable:
             raise DivergenceError(
                 f"power-law tail sums require q > 1 (got q={self.q}); sum P(E_n) diverges"
             )
-        c, q = self.c, self.q
-        return _certified_sum(
-            lambda n: c * n**-q, lambda cut: tuple(c * h for h in _hurwitz(q, cut)), max(m, 1)
-        )
+        return _certified_sum(self.raw, lambda cut: tuple(self.c * h for h in _hurwitz(self.q, cut)), max(m, 1))
 
     @property
     def summable(self) -> bool:
@@ -373,8 +374,8 @@ class Geometric(DecayModel):
         if not (0.0 < self.b < 1.0):
             raise DomainError(f"geometric decay requires 0 < b < 1 (got b={self.b})")
 
-    def probs_upto(self, n: int) -> np.ndarray:
-        return np.minimum(1.0, self.c * self.b ** np.arange(1, n + 1, dtype=float))
+    def raw(self, n: Any) -> Any:
+        return self.c * self.b**n
 
     def tail(self, m: int) -> SeriesValue:
         m = max(m, 0)
@@ -445,31 +446,55 @@ class WeightSequence:
         except OverflowError:
             raise FunctionalOverflowError(f"weight a_{n} of {self.describe()} overflows double precision") from None
 
+    def terms(self, n: np.ndarray) -> np.ndarray:
+        """a_n for an array of indices n >= start (floats)."""
+        if self.kind == "monomial":
+            return n**self.p
+        if self.kind == "exponential":
+            return np.exp(n * self.p)
+        return np.array([self.term(int(k)) for k in n], dtype=float)
+
     def partial_sums_upto(self, n: int) -> np.ndarray:
         """Vector of S(0), S(1), ..., S(N) for vectorised evaluation."""
         terms = np.zeros(n + 1)
-        idx = np.arange(self.start, n + 1)
-        if self.kind == "monomial":
-            terms[idx] = idx.astype(float) ** self.p
-        elif self.kind == "exponential":
-            terms[idx] = np.exp(idx * self.p)
-        else:
-            for k in idx:
-                terms[k] = self.term(int(k))
+        terms[self.start :] = self.terms(np.arange(self.start, n + 1, dtype=float))
         return np.cumsum(terms)
 
     def describe(self) -> str:
         return "custom" if self.kind == "custom" else f"{self.kind}:{self.p!r}"
 
 
-def _require_bracket(weights: WeightSequence, model: DecayModel) -> None:
-    """Raise unless a certified remainder exists for a_n over an infinite model."""
-    if weights.kind == "custom" or not isinstance(model, (PowerLaw, Geometric)):
-        raise DomainError(
-            f"no certified remainder for weights {weights.describe()} over {model.describe()}; "
-            "only monomial and exponential weights over power-law and geometric decays, "
-            "or explicit (finite) families, are summed"
-        )
+# sum_{n >= M} a_n * raw(n) per (model, weight kind): whether it converges, the condition it
+# names when it does not, and a certified bracket (lo, hi) of it as a function of the cut M
+_WEIGHTED_REST: dict[tuple[type, str], tuple[Callable, str, Callable | None]] = {
+    (PowerLaw, "monomial"): (
+        lambda m, p: p < m.q - 1.0, "monomial weights over a power-law decay require p < q - 1 (got p={p}, q={m.q})",
+        lambda m, p, cut: tuple(m.c * h for h in _hurwitz(m.q - p, cut))),
+    (PowerLaw, "exponential"): (
+        lambda m, p: False, "exponential weights over a power-law decay diverge for every rate p > 0 (got p={p})", None),
+    (Geometric, "monomial"): (lambda m, p: True, "", lambda m, p, cut: (0.0, m.c * _geometric_majorant(m.b, p, cut))),
+    (Geometric, "exponential"): (
+        lambda m, p: p < abs(math.log(m.b)) and math.exp(p) * m.b < 1.0,
+        "exponential weights over a geometric decay require p < |ln(b)|, and e**p * b < 1 in floating point "
+        "(got p={p}, b={m.b})",
+        lambda m, p, cut: (m.c * (math.exp(p) * m.b) ** cut / (1.0 - math.exp(p) * m.b),) * 2),
+}
+
+
+def _weighted_rest(weights: WeightSequence, model: DecayModel) -> Callable[[int], tuple[float, float]]:
+    """The bracket of sum_{n >= M} a_n * raw(n) as a function of M, from ``_WEIGHTED_REST``.
+
+    A divergent cell raises ``DivergenceError`` naming its condition; custom
+    weights and other models have no cell and raise ``DomainError``.
+    """
+    cell = next((v for (cls, kind), v in _WEIGHTED_REST.items() if isinstance(model, cls) and kind == weights.kind), None)
+    if cell is None:
+        raise DomainError(f"no certified remainder for weights {weights.describe()} over {model.describe()}; only monomial "
+                          "and exponential weights over power-law and geometric decays, or explicit families, are summed")
+    converges, condition, bracket = cell
+    if not converges(model, weights.p):
+        raise DivergenceError(condition.format(p=weights.p, m=model))
+    return lambda cut: bracket(model, weights.p, cut)
 
 
 def _finite_sum(total: float, terms: int) -> SeriesValue:
@@ -489,34 +514,23 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     """
     if isinstance(model, Explicit):
         last = len(model.probabilities)
-        suffix = np.concatenate([np.cumsum(model.probabilities[::-1])[::-1], [0.0]])
+        tails = np.append(np.cumsum(model.probabilities[::-1])[::-1], 0.0)  # C_1, ..., C_N and 0
         total = 0.0
         for n in range(weights.start, last + 1):
-            c_n = suffix[max(n, 1) - 1]
-            total += weights.term(n) * float(c_n)
+            total += weights.term(n) * float(tails[max(n, 1) - 1])
         return _finite_sum(total, last - weights.start + 1)
-    _require_bracket(weights, model)
-    p = weights.p
-
     if isinstance(model, Geometric):
-        b, coeff = model.b, model.c / (1.0 - model.b)
-        if weights.kind == "exponential":
-            lnb_abs = abs(math.log(b))
-            if p >= lnb_abs:
-                raise DivergenceError(
-                    f"exponential weights over a geometric tail require p < |ln(b)| "
-                    f"(got p={p}, |ln(b)|={lnb_abs})"
-                )
-            return SeriesValue(model.c / ((1.0 - b) * (1.0 - math.exp(p) * b)), 0.0, 0, True)
-        return _certified_sum(
-            lambda n: coeff * n**p * b**n, lambda cut: (0.0, coeff * _geometric_majorant(b, p, cut)), 1
-        )
-
-    c, q = model.c, model.q
-    if weights.kind == "exponential":
-        raise DivergenceError("exponential weights over a power-law tail diverge for every rate p > 0")
-    if not model.summable:
-        raise DivergenceError(f"power-law tails require q > 1 (got q={q})")
+        if not model.c / (1.0 - model.b) < math.inf:
+            raise FunctionalOverflowError(f"series exceeds double precision: C_0 = c / (1 - b) of {model.describe()}")
+        tails = Geometric(model.c / (1.0 - model.b), model.b)  # C_n = c b**n / (1 - b)
+        rest = _weighted_rest(weights, tails)
+        closed = weighted_tail_closed_form(weights, model)  # exact for exponential weights
+        if closed is not None:
+            return SeriesValue(closed, 0.0, 0, True)
+        return _certified_sum(lambda n: weights.terms(n) * tails.raw(n), rest, weights.start)
+    if weights.kind != "monomial" or not isinstance(model, PowerLaw):
+        _weighted_rest(weights, model)  # raises: no cell, or exponential weights over a power law
+    c, q, p = model.c, model.q, weights.p
     if p >= q - 2.0:
         raise DivergenceError(
             f"monomial weights over a power-law tail require p < q - 2 (got p={p}, q={q})"
@@ -525,7 +539,8 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     # Swapped order: sum_n n**p C_n = c sum_m m**-q S(m), S(m) = sum_{n<=m} n**p.  Past
     # the cut M the rest is c (S(M-1) zeta(q, M) + sum_{n>=M} n**p zeta(q, n)).
     def partial_sum(m: int) -> float:
-        return float(np.sum(np.arange(1, m + 1, dtype=float) ** p))
+        with np.errstate(over="ignore"):  # an overflowed partial sum makes a NaN bracket, reported by _certified_sum
+            return float(np.sum(weights.terms(np.arange(1, m + 1, dtype=float))))
 
     def remainder(cut: int) -> tuple[float, float]:
         s_head = partial_sum(cut - 1)
@@ -533,7 +548,7 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
         return c * (s_head * z_lo + w_lo), c * (s_head * z_hi + w_hi)
 
     return _certified_sum(
-        lambda m: c * m**-q * (partial_sum(int(m[0]) - 1) + np.cumsum(m**p)), remainder, 1
+        lambda m: model.raw(m) * (partial_sum(int(m[0]) - 1) + np.cumsum(weights.terms(m))), remainder, 1
     )
 
 
@@ -545,42 +560,13 @@ def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     if isinstance(model, Explicit):
         total = sum(weights.term(n) * p_n for n, p_n in enumerate(model.probabilities, 1))
         return _finite_sum(float(total), len(model.probabilities))
-    _require_bracket(weights, model)
-    c, p = model.c, weights.p
-
-    if isinstance(model, PowerLaw):
-        q = model.q
-        if weights.kind == "exponential":
-            raise DivergenceError("exponential weights over a power-law decay diverge")
-        if p >= q - 1.0:
-            raise DivergenceError(
-                f"sum n**p P(E_n) over a power law requires p < q - 1 (got p={p}, q={q})"
-            )
-        # past the clamped indices (c n**-q >= 1) the rest is c zeta(q - p, M)
-        return _certified_sum(
-            lambda n: n**p * np.minimum(1.0, c * n**-q),
-            lambda cut: tuple(c * h for h in _hurwitz(q - p, cut)) if c * float(cut) ** -q <= 1.0 else _UNBRACKETED,
-            1,
-        )
-
-    b = model.b
-    if weights.kind == "monomial":
-        return _certified_sum(
-            lambda n: n**p * np.minimum(1.0, c * b**n),
-            lambda cut: (0.0, c * _geometric_majorant(b, p, cut)) if c * b**cut <= 1.0 else _UNBRACKETED,
-            1,
-        )
-    if p >= abs(math.log(b)):
-        raise DivergenceError(
-            f"sum e^(pn) P(E_n) over a geometric decay requires p < |ln(b)| (got p={p})"
-        )
-    growth = math.exp(p) * b
-
-    def geometric_rest(cut: int) -> tuple[float, float]:
-        rest = c * growth**cut / (1.0 - growth)
-        return (rest, rest) if c * b**cut <= 1.0 else _UNBRACKETED
-
-    return _certified_sum(lambda n: np.exp(p * n) * np.minimum(1.0, c * b**n), geometric_rest, 1)
+    rest = _weighted_rest(weights, model)
+    # past the clamped indices (raw(n) > 1) the table's bracket is the rest
+    return _certified_sum(
+        lambda n: weights.terms(n) * np.minimum(1.0, model.raw(n)),
+        lambda cut: rest(cut) if model.raw(float(cut)) <= 1.0 else (0.0, math.inf),
+        1,
+    )
 
 
 def weighted_tail_closed_form(weights: WeightSequence, model: DecayModel) -> float | None:
@@ -595,6 +581,7 @@ def weighted_tail_closed_form(weights: WeightSequence, model: DecayModel) -> flo
     if isinstance(model, PowerLaw) and weights.kind == "monomial" and p < model.q - 2.0:
         c, q = model.c, model.q
         return c * (zeta(q - 1.0 - p).value / (q - 1.0) + zeta(q - p).value)
-    if isinstance(model, Geometric) and weights.kind == "exponential" and p < abs(math.log(model.b)):
-        return model.c / ((1.0 - model.b) * (1.0 - math.exp(p) * model.b))
+    if isinstance(model, Geometric) and weights.kind == "exponential":
+        growth = math.exp(p) * model.b
+        return model.c / ((1.0 - model.b) * (1.0 - growth)) if p < abs(math.log(model.b)) and growth < 1.0 else None
     return None

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from overlapbounds import (
     DivergenceError,
@@ -36,6 +36,17 @@ from overlapbounds.bounds import (
 
 ZETA2 = math.pi**2 / 6.0
 ZETA3 = 1.2020569031595942854  # Apery's constant
+
+
+def elementary_symmetric(probs):
+    """Q_0..Q_N, the coefficients of prod_j (1 + p_j x): the sums of n-fold intersection probabilities."""
+    q = np.array([1.0])
+    for p in probs:
+        nxt = np.zeros(len(q) + 1)
+        nxt[:-1] = q
+        nxt[1:] += q * p
+        q = nxt
+    return q
 
 
 class TestNestedIdentity:
@@ -258,7 +269,7 @@ class TestExactDistribution:
         d = sn_exact_distribution(probs)
         assert abs(d.probabilities.sum() - 1.0) <= 1e-12
         assert np.all(d.probabilities >= -1e-15)
-        assert d.elementary_symmetric[0] == pytest.approx(1.0)
+        assert elementary_symmetric(probs)[0] == pytest.approx(1.0)
 
     @given(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=20), st.floats(0.05, 1.5))
     @settings(max_examples=150, deadline=None)
@@ -266,6 +277,7 @@ class TestExactDistribution:
         # E[a_O] = sum_n Q_n * (forward difference)^n a(0), the classical
         # symmetric-sum representation, for a_k in {k, k^2, e^(rk)}
         d = sn_exact_distribution(probs)
+        q = elementary_symmetric(probs)
         n = len(probs)
         k = np.arange(n + 1, dtype=float)
         for payoff in (k, k**2, np.exp(r * k)):
@@ -273,9 +285,32 @@ class TestExactDistribution:
             diffs = payoff.copy()
             rhs = 0.0
             for order in range(n + 1):
-                rhs += d.elementary_symmetric[order] * diffs[0]
+                rhs += q[order] * diffs[0]
                 diffs = np.diff(diffs)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    @example([0.3, 0.2, 0.1, 0.05])
+    @settings(max_examples=150, deadline=None)
+    def test_symmetric_sums_dominated_and_match_exp_moment(self, probs):
+        # Q_n <= C1**n, and E[e^(rO)] = sum_n Q_n (e^r - 1)**n, the n-th forward difference of e^(rk) at 0
+        d = sn_exact_distribution(probs)
+        q = elementary_symmetric(probs)
+        c1 = float(np.sum(probs))
+        idx = np.arange(len(q))
+        assert np.all(q <= np.where(idx == 0, 1.0, c1**idx) * (1.0 + 1e-9) + 1e-15)
+        for r in (0.05, 0.25, 1.0):
+            lhs = d.exp_moment(r)
+            assert abs(lhs - float(np.sum(q * np.expm1(r) ** idx))) <= 1e-9 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
+    def test_exp_moment_with_underflowed_pmf(self, r):
+        # P(O = k) underflows to 0 long before k = 5000, where e^(rk) overflows: no 0 * inf
+        probs = [0.01] * 5000
+        d = sn_exact_distribution(probs)
+        assert d.probabilities[-1] == 0.0 and r * 5000 > math.log(np.finfo(float).max)
+        exact = math.exp(math.fsum(math.log1p(p * math.expm1(r)) for p in probs))
+        assert d.exp_moment(r) == pytest.approx(exact, rel=1e-12)
 
     @given(st.lists(st.floats(0.0005, 0.045), min_size=1, max_size=20), st.data())
     @settings(max_examples=100, deadline=None)

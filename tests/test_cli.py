@@ -227,6 +227,7 @@ def _ones(n: int) -> str:
     (["bound", "--formula", "cor2.3.exp", "--decay", _ones(800), "--p", "1"], EXIT_DOMAIN),
     (["bound", "--formula", "cor2.3.exp", "--decay", _ones(1418), "--p", "0.5"], EXIT_DOMAIN),
     (["bound", "--formula", "thm2.2", "--decay", "explicit:1,1", "--weights", "monomial:2000"], EXIT_DOMAIN),
+    (["bound", "--formula", "cor2.3.poly", "--decay", "powerlaw:1,1000", "--p", "900"], EXIT_DOMAIN),
     (["app", "sde", "--sde-sigma", "1000", "--reps", "10"], EXIT_DOMAIN),
     (["app", "sde", "--sde-mu", "800", "--reps", "10"], EXIT_DOMAIN),
 ], ids=lambda v: " ".join(a[:20] for a in v) if isinstance(v, list) else str(v))
@@ -251,7 +252,8 @@ def test_freedman_overflow_is_domain_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["bound", "--formula", "thm2.2", "--decay", "geometric:1,0.5", "--weights", "monomial:2000"],
     ["bound", "--formula", "prop2.1", "--decay", "geometric:1,0.5", "--weights", "monomial:300"],
-], ids=["thm2.2", "prop2.1"])
+    ["bound", "--formula", "thm2.2", "--decay", "geometric:1e308,0.5", "--weights", "monomial:1"],
+], ids=["thm2.2", "prop2.1", "thm2.2-tails"])
 def test_overflowed_series_is_domain_error_not_inf(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -293,6 +295,15 @@ class TestVerifyCommand:
             "--reps", "20000", "--seed", "5", "--out", str(out), "--deterministic",
         ])
         assert code == EXIT_OK
+
+    def test_exact_oracle_with_underflowed_pmf(self, capsys):
+        # P(O = k) underflows to 0 where e^(rk) overflows; the exact value stays a strict-JSON number
+        decay = "explicit:" + ",".join(["0.01"] * 5000)
+        assert main(["verify", "--formula", "thm2.7", "--decay", decay, "--r-points", "3", "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} in output"))["rows"]
+        for row in rows:
+            exact = math.exp(5000 * math.log1p(0.01 * math.expm1(row["r"])))
+            assert row["pass"] and row["empirical"] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_r_points_below_one_is_usage_error(self, points):

@@ -393,7 +393,7 @@ class TestJsonlRows:
         lines = path.read_text().splitlines(keepends=True)
         lines[5001] = '{"rep": 5000, "count": }\n'
         path.write_text("".join(lines))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^line 5002: Expecting value"):
             read_sample_jsonl(str(path))
 
     @pytest.mark.parametrize("counts", [[3, -1], [0.5, 1.0], [True, False]], ids=["negative", "float", "bool"])

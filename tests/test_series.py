@@ -23,6 +23,7 @@ from overlapbounds import (
     weighted_tail_series,
     zeta,
 )
+from overlapbounds.series import weighted_prob_series
 
 ZETA2 = math.pi**2 / 6.0
 ZETA4 = math.pi**4 / 90.0
@@ -269,6 +270,59 @@ class TestWeightedTailSeries:
             weighted_tail_series(WeightSequence.exponential(0.1), PowerLaw(1, 4))
         with pytest.raises(DivergenceError, match=r"\|ln\(b\)\|"):
             weighted_tail_series(WeightSequence.exponential(1.0), Geometric(1, 0.5))
+
+
+LN2 = math.log(2.0)
+SMALLEST_RATE = math.ulp(0.0)  # exponential weights need p > 0; no rate lies closer to the cells' boundary p = 0
+
+
+class TestDivergenceBoundaries:
+    """Every (series, model, weight kind) cell: an exponent one ulp inside its condition converges, one on it diverges."""
+
+    @pytest.mark.parametrize("series, model, kind, inside, outside, condition", [
+        (weighted_tail_series, PowerLaw(1, 4), "monomial", math.nextafter(2.0, 0.0), 2.0, "p < q - 2"),
+        (weighted_tail_series, PowerLaw(1, 3.5), "monomial", math.nextafter(1.5, 0.0), 1.5, "p < q - 2"),
+        (weighted_prob_series, PowerLaw(1, 4), "monomial", math.nextafter(3.0, 0.0), 3.0, "p < q - 1"),
+        (weighted_prob_series, PowerLaw(3, 2.5), "monomial", math.nextafter(1.5, 0.0), 1.5, "p < q - 1"),
+        (weighted_tail_series, Geometric(1, 0.5), "exponential", math.nextafter(LN2, 0.0), LN2, r"p < \|ln\(b\)\|"),
+        (weighted_prob_series, Geometric(1, 0.5), "exponential", math.nextafter(LN2, 0.0), LN2, r"p < \|ln\(b\)\|"),
+        (weighted_tail_series, Geometric(2, 0.25), "exponential", math.nextafter(2 * LN2, 0.0), 2 * LN2,
+         r"p < \|ln\(b\)\|"),
+        (weighted_prob_series, Geometric(2, 0.25), "exponential", math.nextafter(2 * LN2, 0.0), 2 * LN2,
+         r"p < \|ln\(b\)\|"),
+        (weighted_tail_series, PowerLaw(1, 4), "exponential", None, SMALLEST_RATE, "every rate p > 0"),
+        (weighted_prob_series, PowerLaw(1, 4), "exponential", None, SMALLEST_RATE, "every rate p > 0"),
+    ], ids=lambda v: getattr(v, "__name__", None) or (v.describe() if hasattr(v, "describe") else None))
+    def test_condition_is_sharp(self, series, model, kind, inside, outside, condition):
+        make = WeightSequence.monomial if kind == "monomial" else WeightSequence.exponential
+        if inside is not None:
+            sv = series(make(inside), model)
+            assert sv.converged and math.isfinite(sv.value) and sv.value > 1e15  # the sum blows up at the boundary
+        with pytest.raises(DivergenceError, match=condition):
+            series(make(outside), model)
+
+    @pytest.mark.parametrize("series", [weighted_tail_series, weighted_prob_series])
+    @pytest.mark.parametrize("b, p", [(0.5, 30.0), (0.99, 5.0)])
+    def test_monomial_weights_over_a_geometric_decay_have_no_condition(self, series, b, p):
+        sv = series(WeightSequence.monomial(p), Geometric(1, b))
+        with mpmath.workdps(30):
+            oracle = mpmath.polylog(-p, b) / ((1 - mpmath.mpf(b)) if series is weighted_tail_series else 1)
+        assert sv.converged and sv.value == pytest.approx(float(oracle), rel=1e-12)
+
+    @pytest.mark.parametrize("series", [weighted_tail_series, weighted_prob_series])
+    def test_growth_rounding_to_one_diverges(self, series):
+        # p is one ulp below |ln(0.9)|, but e**p * 0.9 rounds to 1: the closed form would divide by zero
+        p = math.nextafter(-math.log(0.9), 0.0)
+        assert p < -math.log(0.9) and math.exp(p) * 0.9 == 1.0
+        with pytest.raises(DivergenceError, match="floating point"):
+            series(WeightSequence.exponential(p), Geometric(1, 0.9))
+        assert weighted_tail_closed_form(WeightSequence.exponential(p), Geometric(1, 0.9)) is None
+
+    @pytest.mark.parametrize("series", [weighted_tail_series, weighted_prob_series])
+    @pytest.mark.parametrize("model", [PowerLaw(1, 4), Geometric(1, 0.5)], ids=lambda m: m.describe())
+    def test_custom_weights_have_no_cell(self, series, model):
+        with pytest.raises(DomainError, match="no certified remainder"):
+            series(WeightSequence.custom(lambda n: 1.0), model)
 
 
 class TestTailFunction:
