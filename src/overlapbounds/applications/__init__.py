@@ -1,12 +1,4 @@
-from .mdf import (
-    MDFReport,
-    MDFRow,
-    ldp_mdf_bound,
-    mdf_exponential,
-    mdf_first_order,
-    mdf_polynomial,
-    vc_bound,
-)
+from .mdf import MDFReport, MDFRow, ldp_mdf_bound, mdf_first_order, vc_bound
 from .rates import RateFunctionResult, cramer_rate, sanov_rate
 from .glivenko import KnownDistribution, gc_simulate, uniform01
 from .slln import partitions_min_two, slln_mdf_report, slln_partition_bound
@@ -17,9 +9,7 @@ __all__ = [
     "MDFReport",
     "MDFRow",
     "ldp_mdf_bound",
-    "mdf_exponential",
     "mdf_first_order",
-    "mdf_polynomial",
     "vc_bound",
     "RateFunctionResult",
     "cramer_rate",

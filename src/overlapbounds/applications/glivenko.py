@@ -20,10 +20,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..bounds import exp_moment_bound
 from ..engine import run_chunked
 from ..errors import DomainError
 from ..series import Geometric
-from .mdf import MDFReport, MDFRow, mdf_exponential, mdf_first_order
+from .mdf import MDFReport, MDFRow, mdf_first_order, tail_counts
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def gc_simulate(
     cells = math.ceil(1.0 / eps)
     majorant = Geometric(c=2.0 * cells, b=math.exp(-2.0 * eps * eps))
     rate = 2.0 * eta * eta
-    exp_bound = mdf_exponential(rate, majorant)
+    exp_bound = exp_moment_bound(rate, majorant)
     first_bound = mdf_first_order(majorant)
 
     payoff = np.exp(rate * counts.astype(float))
@@ -150,7 +151,6 @@ def gc_simulate(
         MDFRow.from_values(eps, f"E[exp(2*{eta:g}^2 O_eps)]", exp_bound.value, payoff),
         MDFRow.from_values(eps, "E[O_eps]", first_bound.value, counts),
     ]
-    tail_counts = {k: float(np.mean(counts >= k)) for k in range(1, 11)}
     extra = {
         "distribution": dist.name,
         "eta": eta,
@@ -165,7 +165,7 @@ def gc_simulate(
             }
             for i, n in enumerate(checkpoints)
         ],
-        "tail_counts": tail_counts,
+        "tail_counts": tail_counts(counts, 10),
         "counts_mean": float(counts.mean()),
     }
     return MDFReport("gc", reps, seed, rows, extra)

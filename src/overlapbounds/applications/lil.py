@@ -19,7 +19,7 @@ import numpy as np
 
 from ..engine import run_chunked
 from ..errors import DomainError, FunctionalOverflowError
-from .mdf import MDFReport, MDFRow
+from .mdf import MDFReport, MDFRow, tail_counts
 
 
 def bridge_max_sample(
@@ -62,11 +62,9 @@ def lil_simulate(
     ``n_max`` is the number of grid intervals simulated, starting at the
     first index where the envelope is defined.
     """
-    if alpha <= 1.0:
-        raise DomainError("the grid ratio alpha must exceed 1")
+    n0 = lil_start_index(alpha)  # raises unless alpha > 1
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    n0 = lil_start_index(alpha)
     indices = np.arange(n0, n0 + n_max)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, before any sampling
         t_left = alpha ** indices.astype(float)
@@ -102,6 +100,6 @@ def lil_simulate(
         "alpha": alpha,
         "first_index": n0,
         "intervals": n_max,
-        "tail_counts": {k: float(np.mean(counts >= k)) for k in range(1, 6)},
+        "tail_counts": tail_counts(counts, 5),
     }
     return MDFReport("lil", reps, seed, rows, extra)

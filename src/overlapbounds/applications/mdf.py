@@ -1,24 +1,26 @@
 """Mean-deviation-frequency bounds and the report container.
 
 A sequence converging almost surely has a deviation count
-O_eps = #{n : |X_n - X| >= eps}.  The calculators here translate tail
-summability of the error probabilities into moment bounds for O_eps,
-and ``MDFReport`` pairs those bounds with empirical moments from the
-simulation layer.
+O_eps = #{n : |X_n - X| >= eps}.  Corollaries 3.4 and 3.5 are
+Theorem 2.2's polynomial and exponential moment bounds read for O_eps, so
+they are ``bounds.poly_moment_bound`` and ``bounds.exp_moment_bound`` with a
+Markov tail (the CLI's cor3.4 and cor3.5).  The calculators here are the
+other deviation-count bounds, and ``MDFReport`` pairs bounds with empirical
+moments from the simulation layer.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..bounds import BoundResult, exp_moment_bound, poly_moment_bound
+from ..bounds import BoundResult
 from ..engine import mean_stderr
-from ..errors import DomainError
+from ..errors import DomainError, overflow_checked
 from ..series import DecayModel, tail_sum
 
 
@@ -61,6 +63,11 @@ class MDFReport:
             fh.write("\n")
 
 
+def tail_counts(counts: np.ndarray, k_max: int) -> dict[int, float]:
+    """The empirical P(O >= k) for k = 1, ..., k_max: the fraction of replications counting at least k."""
+    return {k: float(np.mean(counts >= k)) for k in range(1, k_max + 1)}
+
+
 def mdf_first_order(model: DecayModel) -> BoundResult:
     """First-order deviation bound E[O_eps] = phi(eps) = sum_{n>=1} P(E_n).
 
@@ -74,36 +81,18 @@ def mdf_first_order(model: DecayModel) -> BoundResult:
     )
 
 
-def mdf_polynomial(p: float, model: DecayModel) -> BoundResult:
-    """Polynomial deviation-count bound E[O_eps**(p+1)] <= (p+1) phi(eps).
-
-    Tail: P(O_eps >= k) <= k**-(p+1) * value.
-    """
-    base = poly_moment_bound(p, model)
-    return replace(base, validity=base.validity + "; tail k**-(p+1) * value")
-
-
-def mdf_exponential(p: float, model: DecayModel) -> BoundResult:
-    """Exponential deviation-count bound E[e**(p O_eps)] <= phi(eps) + 1.
-
-    Tail: P(O_eps >= k) <= e**(-p k) * value.
-    """
-    base = exp_moment_bound(p, model)
-    return replace(base, validity=base.validity + "; tail e**(-p k) * value")
-
-
 def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> float:
     """Uniform relative-frequency deviation bound 4 m(2 ell) exp(-eps**2 ell / 8).
 
-    Valid for sample sizes ell >= 2 / eps**2.
+    Valid for sample sizes ell >= 1 with ell >= 2 / eps**2.
     """
     if eps <= 0:
         raise DomainError("vc_bound requires eps > 0")
-    if ell < 2.0 / (eps * eps):
-        raise DomainError(
-            f"vc_bound requires ell >= 2/eps**2 = {2.0 / (eps * eps):.6g} (got ell={ell})"
-        )
-    return 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0)
+    least = 2.0 / (eps * eps) if eps * eps > 0.0 else math.inf  # eps**2 may underflow
+    if not ell >= max(least, 1.0):
+        raise DomainError(f"vc_bound requires ell >= 1 and ell >= 2/eps**2 = {least:.6g} (got ell={ell})")
+    return overflow_checked(lambda: 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0),
+                            f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
 
 
 def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:
@@ -118,8 +107,11 @@ def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:
         raise DomainError("ldp_mdf_bound requires C > 0")
     if not (0.0 < p < rate):
         raise DomainError(f"ldp_mdf_bound requires 0 < p < rate = {rate:.6g} (got p={p})")
-    value = big_c / ((1.0 - math.exp(-rate)) * (1.0 - math.exp(-(rate - p))))
+    denominator = (1.0 - math.exp(-rate)) * (1.0 - math.exp(-(rate - p)))
+    if denominator == 0.0:
+        raise DomainError(f"ldp_mdf_bound requires e**-rate < 1 and e**-(rate - p) < 1 in floating point "
+                          f"(got rate={rate}, p={p})")
     return BoundResult(
-        value=value,
+        value=overflow_checked(lambda: big_c / denominator, f"C / ((1 - e**-rate) (1 - e**-(rate - p))) at C={big_c}"),
         validity=f"requires 0 < p < rate = {rate:.6g}; tail value * e**(-p k)",
     )

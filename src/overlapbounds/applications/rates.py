@@ -21,6 +21,13 @@ class RateFunctionResult:
     method: str
 
 
+def binary_relative_entropy(t: float, p: float) -> float:
+    """D(t || p) = t ln(t/p) + (1-t) ln((1-t)/(1-p)) for p <= t <= 1, 0 < p < 1; ln(1/p) at t = 1."""
+    if t >= 1.0:
+        return -math.log(p)
+    return t * math.log(t / p) + (1.0 - t) * math.log((1.0 - t) / (1.0 - p))
+
+
 def legendre_transform(lambda_fn: Callable[[float], float], x: float) -> float:
     """Lambda*(x) = sup_lam (lam * x - Lambda(lam)) over [-50, 50].
 
@@ -67,7 +74,7 @@ def sanov_rate(
     Exponential tilting of the constrained coordinate solves the projection
     in closed form: the minimiser keeps the conditional distribution off the
     symbol proportional to mu, and the rate reduces to the binary divergence
-    t ln(t/mu_a) + (1-t) ln((1-t)/(1-mu_a)).
+    ``binary_relative_entropy(t, mu_a)``.
     """
     weights = np.asarray(mu, dtype=float)
     if np.any(weights <= 0.0):
@@ -81,13 +88,6 @@ def sanov_rate(
     mu_a = float(weights[symbol])
     if threshold <= mu_a:
         return RateFunctionResult(0.0, dict(enumerate(weights)), "constraint contains the mean")
-    t = threshold
-    nu = weights * (1.0 - t) / (1.0 - mu_a)
-    nu[symbol] = t
-    if t >= 1.0:
-        nu = np.zeros_like(weights)
-        nu[symbol] = 1.0
-        rate = -math.log(mu_a)
-    else:
-        rate = t * math.log(t / mu_a) + (1.0 - t) * math.log((1.0 - t) / (1.0 - mu_a))
-    return RateFunctionResult(rate, dict(enumerate(nu)), "closed-form tilt")
+    nu = weights * (1.0 - threshold) / (1.0 - mu_a)  # all 0 off the symbol at threshold 1
+    nu[symbol] = threshold
+    return RateFunctionResult(binary_relative_entropy(threshold, mu_a), dict(enumerate(nu)), "closed-form tilt")

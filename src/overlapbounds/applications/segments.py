@@ -17,12 +17,13 @@ import numpy as np
 from ..engine import run_chunked
 from ..errors import DomainError
 from .mdf import MDFReport, MDFRow
+from .rates import binary_relative_entropy
 
 EPS_GRID = (0.25, 0.5)  # the report's epsilons, one O_eps_plus and O_eps_minus column each
 
 
 def segment_rate(p_head: float, threshold: float) -> float:
-    """Binary relative entropy t ln(t/p) + (1-t) ln((1-t)/(1-p)); ln(1/p) at t=1."""
+    """The binary relative entropy D(threshold || p_head), for p_head < threshold <= 1."""
     if not (0.0 < p_head < 1.0):
         raise DomainError("p_head must lie in (0, 1)")
     if threshold <= p_head:
@@ -31,10 +32,7 @@ def segment_rate(p_head: float, threshold: float) -> float:
         )
     if threshold > 1.0:
         raise DomainError("threshold cannot exceed 1")
-    t = threshold
-    if t >= 1.0:
-        return -math.log(p_head)
-    return t * math.log(t / p_head) + (1.0 - t) * math.log((1.0 - t) / (1.0 - p_head))
+    return binary_relative_entropy(threshold, p_head)
 
 
 def running_max_segment(increments: np.ndarray, threshold: float) -> np.ndarray:

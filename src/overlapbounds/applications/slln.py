@@ -9,7 +9,7 @@ import numpy as np
 
 from ..engine import run_chunked
 from ..errors import DomainError, InputError
-from .mdf import MDFReport, MDFRow
+from .mdf import MDFReport, MDFRow, tail_counts
 
 
 def partitions_min_two(total: int) -> list[tuple[int, ...]]:
@@ -100,7 +100,7 @@ def slln_mdf_report(
     extra = {
         "q": q,
         "n_max": n_max,
-        "tail_counts": {k: float(np.mean(counts >= k)) for k in range(1, 11)},
+        "tail_counts": tail_counts(counts, 10),
         "max_count": int(counts.max()),
         "all_finite": bool(np.all(counts < n_max + 1)),
     }

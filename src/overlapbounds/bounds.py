@@ -16,12 +16,12 @@ Under tail summability (C_1 = sum P(E_n) < infinity) this module computes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DomainError, FunctionalOverflowError, overflow_checked
 from .series import (
     DecayModel,
     SeriesValue,
@@ -108,38 +108,26 @@ def general_moment_bound(weights: WeightSequence, model: DecayModel) -> BoundRes
     )
 
 
-def poly_moment_bound(p: float, model: DecayModel) -> BoundResult:
-    """E[O**(p+1)] <= (p+1) * K1(p) with K1(p) = sum_{n>=1} n**p C_n.
+def _map_bound(result: BoundResult, f: Callable[[float], float], validity: str) -> BoundResult:
+    """``result`` with f applied to its value and to its closed form alike."""
+    closed = result.closed_form
+    return replace(result, value=f(result.value), closed_form=None if closed is None else f(closed), validity=validity)
 
-    For a power-law decay (p+1) times the closed-form majorant of K1(p) from
-    ``weighted_tail_closed_form`` is reported alongside.
-    """
+
+def poly_moment_bound(p: float, model: DecayModel) -> BoundResult:
+    """E[O**(p+1)] <= (p+1) * K1(p): Theorem 2.2 at the weights a_n = n**p, whose sum K1(p) = sum_{n>=1} n**p C_n."""
     if p <= 0:
         raise DomainError("poly_moment_bound requires p > 0")
-    weights = WeightSequence.monomial(p)
-    series = weighted_tail_series(weights, model)
-    closed = weighted_tail_closed_form(weights, model)
-    return BoundResult(
-        value=(p + 1.0) * series.value,
-        validity=f"bounds E[O**{p + 1.0:g}]; requires K1(p) < inf",
-        closed_form=None if closed is None else (p + 1.0) * closed,
-        series=series,
-    )
+    return _map_bound(general_moment_bound(WeightSequence.monomial(p), model), lambda k1: (p + 1.0) * k1,
+                      f"bounds E[O**{p + 1.0:g}]; requires K1(p) < inf")
 
 
 def exp_moment_bound(p: float, model: DecayModel) -> BoundResult:
-    """E[exp(p*O)] <= K2(p) + 1 with K2(p) = sum_{n>=0} e**(np) C_n."""
+    """E[exp(p*O)] <= K2(p) + 1: Theorem 2.2 at the weights a_n = e**(np), whose sum K2(p) = sum_{n>=0} e**(np) C_n."""
     if p <= 0:
         raise DomainError("exp_moment_bound requires p > 0")
-    weights = WeightSequence.exponential(p)
-    series = weighted_tail_series(weights, model)
-    closed = weighted_tail_closed_form(weights, model)
-    return BoundResult(
-        value=series.value + 1.0,
-        validity=f"bounds E[exp({p:g} O)]; requires K2(p) < inf",
-        closed_form=None if closed is None else closed + 1.0,
-        series=series,
-    )
+    return _map_bound(general_moment_bound(WeightSequence.exponential(p), model), lambda k2: k2 + 1.0,
+                      f"bounds E[exp({p:g} O)]; requires K2(p) < inf")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +139,7 @@ def second_moment_bound(c1: float) -> float:
     """E[O**2] <= C1 * (1 + C1) for independent summable families."""
     if c1 <= 0:
         raise DomainError("second_moment_bound requires C1 > 0")
-    return c1 * (1.0 + c1)
+    return overflow_checked(lambda: c1 * (1.0 + c1), f"C1 (1 + C1) at C1={c1}")
 
 
 def freedman_exp_bound(r: float, c1: float) -> BoundResult:
@@ -160,12 +148,8 @@ def freedman_exp_bound(r: float, c1: float) -> BoundResult:
         raise DomainError("freedman_exp_bound requires r > 0")
     if c1 <= 0:
         raise DomainError("freedman_exp_bound requires C1 > 0")
-    try:
-        value = math.exp(c1 * math.expm1(r))
-    except OverflowError:
-        raise DomainError(f"exp(C1 (e**r - 1)) overflows double precision at r={r}; use a smaller r") from None
     return BoundResult(
-        value=value,
+        value=overflow_checked(lambda: math.exp(c1 * math.expm1(r)), f"exp(C1 (e**r - 1)) at C1={c1}, r={r}"),
         validity="independent events, C1 = sum P(E_n)",
     )
 
@@ -198,9 +182,9 @@ def improved_exp_bound(r: float, c1: float) -> BoundResult:
     if not (0.0 < c1 < 1.0):
         raise DomainError(f"improved_exp_bound requires C1 < 1 (got C1={c1})")
     limit = abs(math.log(c1))
-    if not (0.0 < r < limit):
+    if not (0.0 < r < limit and overflow_checked(lambda: c1 * math.exp(r), f"e**r at r={r}") < 1.0):
         raise DomainError(
-            f"improved_exp_bound requires 0 < r < |ln(C1)| = {limit:.6g} (got r={r})"
+            f"improved_exp_bound requires 0 < r < |ln(C1)| = {limit:.6g}, and C1 e**r < 1 in floating point (got r={r})"
         )
     return BoundResult(
         value=1.0 / (1.0 - c1 * math.exp(r)),
@@ -212,7 +196,8 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
     """E[exp(r*O)] <= inf_{delta>1} delta/(delta-1) exp(r L^-1(e^-r / delta)).
 
     Minimised by a coarse grid plus golden section on ln(delta) in (0, 50];
-    any evaluation point is itself a valid upper bound.
+    any evaluation point is itself a valid upper bound.  A point whose
+    L^-1 exceeds double precision bounds nothing and counts as +inf.
     """
     if r <= 0:
         raise DomainError("rate_aware_exp_bound requires r > 0")
@@ -224,9 +209,10 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
 
     x, log_val = golden_section_min(log_objective, 1e-9, 50.0, tol=1e-12, coarse=257)
     if not math.isfinite(log_val):
-        raise DivergenceError("rate-aware bound is numerically unbounded for this tail")
+        raise FunctionalOverflowError(f"r L^-1(e**-r / delta) exceeds double precision at every delta in (1, e**50] "
+                                      f"(r={r}, L={L.describe()})")
     return BoundResult(
-        value=math.exp(log_val),
+        value=overflow_checked(lambda: math.exp(log_val), f"the rate-aware bound exp({log_val:.6g}) at r={r}"),
         validity="independent events; L nonincreasing invertible majorant of the tail sums",
         minimizer=math.exp(x),
     )
@@ -244,7 +230,7 @@ def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
     if c <= 0 or p <= 1:
         raise DomainError("powerlaw_tail_asymptotic requires c > 0 and p > 1")
     a = (2.0 * c) ** (1.0 / p)
-    w = lambert_w0(math.e * k / a)
+    w = lambert_w0(overflow_checked(lambda: math.e * k / a, f"e k / (2c)**(1/p) at k={k}, c={c}, p={p}"))
     if w <= 1.0:
         raise DomainError(
             f"k={k} too small for a positive minimiser (requires W(e k / (2c)^(1/p)) > 1)"
@@ -255,7 +241,7 @@ def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
 def powerlaw_tail_minimizer(k: int, c: float, p: float) -> float:
     """The exact minimiser r* = p (W(e k / (2c)^(1/p)) - 1)."""
     a = (2.0 * c) ** (1.0 / p)
-    return p * (lambert_w0(math.e * k / a) - 1.0)
+    return overflow_checked(lambda: p * (lambert_w0(math.e * k / a) - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
 
 
 def powerlaw_tail_numeric(k: int, c: float, p: float) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Any, Callable, Iterable, Sequence
 
@@ -243,6 +243,11 @@ class Formula:
     check: ExactOracleCheck | MonteCarloCheck | None = None
 
 
+def _markov_tail(result: bd.BoundResult, tail: str) -> bd.BoundResult:
+    """A moment bound with its Markov tail P(O >= k) <= ``tail`` * value named in its validity."""
+    return replace(result, validity=f"{result.validity}; tail {tail} * value")
+
+
 # The callables look functions up through their modules (bd.*, mdf.*,
 # sde_mod.*) when called, so a function patched in its module reaches the CLI.
 DECAY, WEIGHTS = Flag("decay", "decay"), Flag("weights", "weights")
@@ -277,8 +282,9 @@ FORMULAS: dict[str, Formula] = {
     "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: {
         "value": bd.geometric_tail_bound(k, c, b), "minimizer": bd.geometric_tail_minimizer(k, c, b)}),
     "cor3.2": Formula((DECAY,), lambda decay: mdf.mdf_first_order(decay)),
-    "cor3.4": Formula((DECAY, PS), lambda decay, p: mdf.mdf_polynomial(p, decay)),
-    "cor3.5": Formula((DECAY, PS), lambda decay, p: mdf.mdf_exponential(p, decay)),
+    # Corollaries 3.4 and 3.5: cor2.3's bounds read for a deviation count, with their Markov tails
+    "cor3.4": Formula((DECAY, PS), lambda decay, p: _markov_tail(bd.poly_moment_bound(p, decay), "k**-(p+1)")),
+    "cor3.5": Formula((DECAY, PS), lambda decay, p: _markov_tail(bd.exp_moment_bound(p, decay), "e**(-p k)")),
     "thm3.16": Formula(
         (Flag("rate"), Flag("bigc", column="C"), PS), lambda rate, bigc, p: mdf.ldp_mdf_bound(rate, p, bigc)),
     "vc.bound": Formula(

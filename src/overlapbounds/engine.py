@@ -26,6 +26,7 @@ key order, CRLF, 19-digit counts, an invalid row) goes through ``json.loads``.
 from __future__ import annotations
 
 import array
+import bisect
 import io
 import json
 import math
@@ -189,7 +190,7 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
     With rate 0 this is the plain tail criterion P(O != O_N) <= C_{N+1};
     the exponential weighting controls unbounded payoffs e**(r O).  The
     criterion stays true once true, so N doubles from 1 until it holds and
-    bisection then finds the least such N.
+    ``bisect`` then finds the least such N.
     """
     if isinstance(model, Explicit):
         return max(1, len(model.probabilities))
@@ -205,14 +206,7 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
         hi *= 2
         if hi > 1 << 26:
             raise DomainError("no feasible truncation below 2**26; decay too slow for this rate")
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect.bisect_left(range(hi + 1), True, lo=1, hi=hi, key=ok)
 
 
 def simulate_overlap(
@@ -313,6 +307,7 @@ _ROW_PARTS = (b'{"rep": ', b', "count": ', b"}\n")  # around the two digit field
 _WRITE_ROWS = 4096  # rows the writer encodes at a time
 _READ_BYTES = 1 << 16  # bytes the reader takes at a time, cut back to whole lines
 _FAST_DIGITS = 18  # longer counts (up to 2**63 - 1) take the json path
+_HEADER_KEYS = ("reps", "seed", "truncation", "tail_tolerance", "spec")  # OverlapSample's fields besides counts
 
 
 def _digit_rows(values: np.ndarray) -> np.ndarray:
@@ -394,11 +389,12 @@ def _parse_json(first: int, block: bytes) -> np.ndarray:
         records = json.loads("[" + ",".join(lines) + "]")
     except json.JSONDecodeError as exc:  # its line counts from the block's first row
         raise InputError(f"line {first + exc.lineno + 1}: {exc.msg}") from exc
-    values = [rec["count"] for rec in records]
-    for i, c in enumerate(values):
-        if not (type(c) is int and 0 <= c < 1 << 63):  # a bool is not an int here
-            raise InputError(f"line {first + i + 2}: count must be a nonnegative integer (got {c!r})")
-    return np.array(values, dtype=np.int64)
+    for line, rec in enumerate(records, first + 2):
+        if not (isinstance(rec, dict) and "count" in rec):
+            raise InputError(f"line {line}: a row must be an object with a count (got {rec!r})")
+        if not (type(rec["count"]) is int and 0 <= rec["count"] < 1 << 63):  # a bool is not an int here
+            raise InputError(f"line {line}: count must be a nonnegative integer (got {rec['count']!r})")
+    return np.array([rec["count"] for rec in records], dtype=np.int64)
 
 
 def read_sample_jsonl(path: str) -> OverlapSample:
@@ -408,12 +404,18 @@ def read_sample_jsonl(path: str) -> OverlapSample:
     other block goes through ``json.loads`` (key order, spacing, CRLF, a
     ``rep`` that is not the row index, 19-digit counts, invalid rows).  A
     count that is not an integer in [0, 2**63) raises ``InputError`` naming
-    its line.
+    its line, and so does a row that is no object with a count, or a header
+    that is not JSON, not a header record or lacks one of ``_HEADER_KEYS``.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("record") != "header":
-            raise InputError("missing header record")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise InputError(f"line 1: the header is not JSON: {exc}") from exc
+        if not (isinstance(header, dict) and header.get("record") == "header"):
+            raise InputError("line 1: missing header record")
+        if missing := [key for key in _HEADER_KEYS if key not in header]:
+            raise InputError(f"line 1: the header record lacks {', '.join(missing)}")
         counts = array.array("q")  # grows in place: no second copy of the counts
         pending = b""
         while True:
@@ -428,11 +430,4 @@ def read_sample_jsonl(path: str) -> OverlapSample:
                 counts.frombytes(parsed.view(np.uint8))
             if not data:
                 break
-    return OverlapSample(
-        counts=np.frombuffer(counts, np.int64),
-        reps=header["reps"],
-        seed=header["seed"],
-        truncation=header["truncation"],
-        tail_tolerance=header["tail_tolerance"],
-        spec=header["spec"],
-    )
+    return OverlapSample(np.frombuffer(counts, np.int64), **{key: header[key] for key in _HEADER_KEYS})

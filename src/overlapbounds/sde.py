@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .engine import mean_stderr, prefetched, run_chunked
-from .errors import DomainError, FunctionalOverflowError, InputError
+from .errors import DomainError, FunctionalOverflowError, InputError, overflow_checked
 from .series import zeta
 from .bounds import BoundResult
 
@@ -213,8 +213,7 @@ def sde_mdf_bound(k_t: float, c: float, t_end: float, eps: float) -> BoundResult
     """
     if min(k_t, c, t_end, eps) <= 0:
         raise DomainError("all inputs must be positive")
-    k1 = k_t * (c * t_end) ** 1.5 / eps * zeta(1.5).value
     return BoundResult(
-        value=k1,
+        value=overflow_checked(lambda: k_t * (c * t_end) ** 1.5 / eps * zeta(1.5).value, "K_T (CT)**1.5 zeta(3/2) / eps"),
         validity="E[O_eps] across dyadic refinements; tail K1 / k",
     )

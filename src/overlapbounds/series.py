@@ -270,10 +270,13 @@ class TailFunction:
         return TailFunction("geometric", c, b)
 
     def inverse(self, s: float) -> float:
-        """The m with L(m) = s."""
-        if self.kind == "power":
-            return (self.c / s) ** (1.0 / self.x)
-        return math.log(s / self.c) / math.log(self.x)
+        """The m with L(m) = s; inf where that m exceeds double precision (s = 0 or s/c underflowing too)."""
+        try:
+            if self.kind == "power":
+                return (self.c / s) ** (1.0 / self.x)
+            return math.log(s / self.c) / math.log(self.x)
+        except (OverflowError, ZeroDivisionError, ValueError):  # each only when m is beyond double precision
+            return math.inf
 
     def describe(self) -> str:
         return f"{self.kind}(c={self.c},{'p' if self.kind == 'power' else 'b'}={self.x})"
@@ -287,8 +290,6 @@ class DecayModel:
     (used in simulation); ``tail`` and the weighted series sum it unclamped
     (used in bound arithmetic, where the majorant may exceed one).
     """
-
-    summable = True
 
     def probs_upto(self, n: int) -> np.ndarray:
         """The clamped probabilities P(E_1), ..., P(E_n) as one array."""
@@ -347,15 +348,9 @@ class PowerLaw(DecayModel):
         return self.c * n**-self.q
 
     def tail(self, m: int) -> SeriesValue:
-        if not self.summable:
-            raise DivergenceError(
-                f"power-law tail sums require q > 1 (got q={self.q}); sum P(E_n) diverges"
-            )
+        if not self.q > 1.0:
+            raise DivergenceError(f"{self.describe()} is not summable: its tail sums require q > 1 (got q={self.q})")
         return _certified_sum(self.raw, lambda cut: tuple(self.c * h for h in _hurwitz(self.q, cut)), max(m, 1))
-
-    @property
-    def summable(self) -> bool:
-        return self.q > 1.0
 
     def describe(self) -> str:
         return f"powerlaw:{self.c!r},{self.q!r}"
@@ -393,10 +388,6 @@ def tail_sum(model: DecayModel, m: int) -> SeriesValue:
     """
     if m < 0:
         raise DomainError("tail index m must be >= 0")
-    if not model.summable:
-        raise DivergenceError(
-            f"model {model.describe()} is not summable; tail sums are infinite"
-        )
     return model.tail(m)
 
 
@@ -497,11 +488,17 @@ def _weighted_rest(weights: WeightSequence, model: DecayModel) -> Callable[[int]
     return lambda cut: bracket(model, weights.p, cut)
 
 
-def _finite_sum(total: float, terms: int) -> SeriesValue:
-    """The exact weighted sum over an explicit family; an overflowed one raises ``FunctionalOverflowError``."""
+def _explicit_sum(weights: WeightSequence, first: int, coeffs: Sequence[float]) -> SeriesValue:
+    """The exact sum of a_n * coeffs[n - first] over an explicit family, in index order.
+
+    An overflowed sum raises ``FunctionalOverflowError``.
+    """
+    total = 0.0
+    for n, s in enumerate(coeffs, first):
+        total += weights.term(n) * float(s)
     if not math.isfinite(total):
-        raise FunctionalOverflowError(f"the weighted sum over {terms} events overflows double precision")
-    return SeriesValue(total, 0.0, terms, True)
+        raise FunctionalOverflowError(f"the weighted sum over {len(coeffs)} events overflows double precision")
+    return SeriesValue(total, 0.0, len(coeffs), True)
 
 
 def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesValue:
@@ -513,12 +510,9 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     explicit family that overflows raises ``FunctionalOverflowError``.
     """
     if isinstance(model, Explicit):
-        last = len(model.probabilities)
         tails = np.append(np.cumsum(model.probabilities[::-1])[::-1], 0.0)  # C_1, ..., C_N and 0
-        total = 0.0
-        for n in range(weights.start, last + 1):
-            total += weights.term(n) * float(tails[max(n, 1) - 1])
-        return _finite_sum(total, last - weights.start + 1)
+        # a_0 takes C_1: an explicit family has no event E_0
+        return _explicit_sum(weights, weights.start, tails[np.maximum(np.arange(weights.start, len(tails)), 1) - 1])
     if isinstance(model, Geometric):
         if not model.c / (1.0 - model.b) < math.inf:
             raise FunctionalOverflowError(f"series exceeds double precision: C_0 = c / (1 - b) of {model.describe()}")
@@ -558,8 +552,7 @@ def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     Certified like ``weighted_tail_series``, with the same errors.
     """
     if isinstance(model, Explicit):
-        total = sum(weights.term(n) * p_n for n, p_n in enumerate(model.probabilities, 1))
-        return _finite_sum(float(total), len(model.probabilities))
+        return _explicit_sum(weights, 1, model.probabilities)
     rest = _weighted_rest(weights, model)
     # past the clamped indices (raw(n) > 1) the table's bracket is the rest
     return _certified_sum(

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -8,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overlapbounds import InputError, engine
 from overlapbounds.applications import mdf
@@ -218,6 +220,22 @@ def _ones(n: int) -> str:
     return "explicit:" + ",".join(["1"] * n)
 
 
+# closed-form bounds at the edge of double precision, each with the words its domain error must contain
+CLOSED_FORM_LIMITS = [
+    (["bound", "--formula", "thm2.9", "--c1", "0.9", "--r", "0.10536051565782627"], "C1 e**r < 1 in floating point"),
+    (["bound", "--formula", "thm3.16", "--rate", "1e-300", "--bigc", "1", "--p", "1e-301"],
+     "e**-rate < 1 and e**-(rate - p) < 1 in floating point"),
+    (["bound", "--formula", "cor2.10", "--tail", "power:1,0.001", "--r", "5"], "exceeds double precision at every delta"),
+    (["bound", "--formula", "cor2.10", "--tail", "geometric:1e300,0.999999", "--r", "40"],
+     "the rate-aware bound exp(2.9231e+10) at r=40.0 overflows"),
+    (["bound", "--formula", "vc.bound", "--eps", "1e-3", "--ell", "2000000", "--growth-p", "300"],
+     "4 m(2 ell) exp(-eps**2 ell / 8) at ell=2000000 overflows"),
+    (["bound", "--formula", "lem2.6", "--c1", "1e300"], "C1 (1 + C1) at C1=1e+300 overflows"),
+    (["bound", "--formula", "sde.mdf", "--kt", "1e300", "--ct", "1e300", "--t", "1e300", "--eps", "1e-300"],
+     "K_T (CT)**1.5 zeta(3/2) / eps overflows"),
+]
+
+
 @pytest.mark.parametrize("argv, code", [
     (VERIFY_MC + ["--reps", "10", "--threads", "-2"], EXIT_USAGE),
     (VERIFY_MC + ["--reps", "10", "--threads", "0"], EXIT_USAGE),
@@ -230,6 +248,7 @@ def _ones(n: int) -> str:
     (["bound", "--formula", "cor2.3.poly", "--decay", "powerlaw:1,1000", "--p", "900"], EXIT_DOMAIN),
     (["app", "sde", "--sde-sigma", "1000", "--reps", "10"], EXIT_DOMAIN),
     (["app", "sde", "--sde-mu", "800", "--reps", "10"], EXIT_DOMAIN),
+    *((argv, EXIT_DOMAIN) for argv, _ in CLOSED_FORM_LIMITS),
 ], ids=lambda v: " ".join(a[:20] for a in v) if isinstance(v, list) else str(v))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_rejected_run_exits_with_its_code(argv, code, fmt, capsys):
@@ -241,6 +260,58 @@ def test_rejected_run_exits_with_its_code(argv, code, fmt, capsys):
         assert captured.err.startswith("usage error:") and "invalid count value" in captured.err
     else:
         assert captured.err.startswith("domain error:")
+
+
+@pytest.mark.parametrize("argv, words", CLOSED_FORM_LIMITS, ids=[" ".join(argv[2:]) for argv, _ in CLOSED_FORM_LIMITS])
+def test_closed_form_limit_names_its_condition(argv, words, capsys):
+    """A closed form that would divide by zero, overflow or write Infinity exits 2 naming why."""
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("domain error:") and words in captured.err
+
+
+def _strict(constant: str):
+    raise AssertionError(f"{constant} in the JSON output")
+
+
+_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-330, 307)),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.0, 0.5, 0.999999, 1e300, 1.7976931348623157e308]),
+)
+_INT = st.one_of(st.integers(-100, 100), st.builds(lambda e: 10**e, st.integers(0, 30)), st.integers(-10**30, 10**30))
+_TAIL = st.builds(lambda kind, c, x: f"{kind}:{c!r},{x!r}", st.sampled_from(["power", "geometric"]), _FLOAT, _FLOAT)
+# each closed-form formula's flags and how each is drawn: finite values across wide magnitudes, either sign
+CLOSED_FORMS = {
+    "lem2.6": {"c1": _FLOAT},
+    "thm2.7": {"c1": _FLOAT, "r": _FLOAT},
+    "freedman.tail": {"c1": _FLOAT, "k": _INT},
+    "thm2.9": {"c1": _FLOAT, "r": _FLOAT},
+    "cor2.10": {"tail": _TAIL, "r": _FLOAT},
+    "ex2.12.tail": {"c": _FLOAT, "p": _FLOAT, "k": _INT},
+    "ex2.13.tail": {"c": _FLOAT, "b": _FLOAT, "k": _INT},
+    "thm3.16": {"rate": _FLOAT, "bigc": _FLOAT, "p": _FLOAT},
+    "vc.bound": {"eps": _FLOAT, "ell": _INT, "growth-p": _FLOAT},
+    "sde.mdf": {"kt": _FLOAT, "ct": _FLOAT, "t": _FLOAT, "eps": _FLOAT},
+}
+
+
+def _closed_form_argv(formula: str):
+    flags = CLOSED_FORMS[formula]
+    return st.tuples(*flags.values()).map(lambda values: ["bound", "--formula", formula, *(
+        f"--{flag}={v if isinstance(v, str) else repr(v)}" for flag, v in zip(flags, values))])
+
+
+@given(st.sampled_from(sorted(CLOSED_FORMS)).flatmap(_closed_form_argv))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_closed_form_exits_ok_with_strict_json_or_domain_or_usage(argv):
+    """Every closed-form bound writes finite, strict JSON or exits 2 or 64: never a traceback, never Infinity."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "json", "--deterministic"])
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), err.getvalue()
+    if code == EXIT_OK:
+        assert json.loads(out.getvalue(), parse_constant=_strict)["rows"]
 
 
 def test_freedman_overflow_is_domain_error(capsys):

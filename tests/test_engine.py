@@ -304,6 +304,31 @@ def test_jsonl_bool_count_among_integers_raises(tmp_path):
         read_sample_jsonl(str(path))
 
 
+@pytest.mark.parametrize("row", ["5", "[1]", '"x"', "null", '{"rep": 1}'])
+def test_jsonl_row_without_a_count_raises_input_error(tmp_path, row):
+    header = {"record": "header", "spec": {}, "seed": 1, "reps": 2, "truncation": 3, "tail_tolerance": 1e-6}
+    path = tmp_path / "two.jsonl"
+    path.write_text(json.dumps(header) + '\n{"rep": 0, "count": 1}\n' + row + "\n")
+    with pytest.raises(InputError, match="^line 3: a row must be an object with a count"):
+        read_sample_jsonl(str(path))
+
+
+@pytest.mark.parametrize("header, message", [
+    ("5", "missing header record"),
+    ("[1]", "missing header record"),
+    ('{"record": "row"}', "missing header record"),
+    ('{"record": "header"}', "lacks reps, seed, truncation, tail_tolerance, spec"),
+    ('{"record": "header", "reps": 1, "seed": 1, "truncation": 3, "spec": {}}', "lacks tail_tolerance$"),
+    ('{"record": "header",', "the header is not JSON"),
+    ("\xff", "the header is not JSON"),
+], ids=["int", "list", "other-record", "no-keys", "no-tolerance", "truncated", "not-utf8"])
+def test_jsonl_malformed_header_raises_input_error(tmp_path, header, message):
+    path = tmp_path / "one.jsonl"
+    path.write_bytes(header.encode("latin-1") + b'\n{"rep": 0, "count": 1}\n')
+    with pytest.raises(InputError, match=f"^line 1: .*{message}"):
+        read_sample_jsonl(str(path))
+
+
 def jsonl_header(reps):
     return json.dumps({"record": "header", "spec": {}, "seed": 1, "reps": reps, "truncation": 3, "tail_tolerance": 1e-6}) + "\n"
 

@@ -73,10 +73,11 @@ class TestLilSimulate:
         assert means[0] >= means[1] >= means[2]
 
     def test_thread_invariance(self):
-        base = lil_simulate(2.0, 30, 500, seed=21, threads=1)
+        # 9000 reps are three chunks of at most 4096 rows, so the workers split them
+        base = lil_simulate(2.0, 30, 9000, seed=21, threads=1)
         for threads in (2, 8):
-            other = lil_simulate(2.0, 30, 500, seed=21, threads=threads)
-            assert other.rows == base.rows
+            other = lil_simulate(2.0, 30, 9000, seed=21, threads=threads)
+            assert other.rows == base.rows and other.extra == base.extra
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -2,16 +2,8 @@ import math
 
 import pytest
 
-from overlapbounds import DivergenceError, DomainError, Explicit, Geometric, PowerLaw, exp_moment_bound
-from overlapbounds.applications import (
-    MDFReport,
-    MDFRow,
-    ldp_mdf_bound,
-    mdf_exponential,
-    mdf_first_order,
-    mdf_polynomial,
-    vc_bound,
-)
+from overlapbounds import DivergenceError, DomainError, Explicit, Geometric, PowerLaw, cli, exp_moment_bound
+from overlapbounds.applications import MDFReport, MDFRow, ldp_mdf_bound, mdf_first_order, vc_bound
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -33,13 +25,15 @@ class TestFirstOrder:
 
 
 def test_polynomial_wrapper_and_tail():
-    res = mdf_polynomial(1.0, Explicit([0.5, 0.25]))
+    # Corollary 3.4 is cor2.3.poly's bound with its Markov tail
+    res = cli.FORMULAS["cor3.4"].compute(decay=Explicit([0.5, 0.25]), p=1.0)
     assert res.value == pytest.approx(2.5)
     assert res.validity.endswith("tail k**-(p+1) * value")
 
 
 def test_exponential_wrapper_and_tail():
-    res = mdf_exponential(math.log(1.5), Geometric(1, 0.5))
+    # Corollary 3.5 is cor2.3.exp's bound with its Markov tail
+    res = cli.FORMULAS["cor3.5"].compute(decay=Geometric(1, 0.5), p=math.log(1.5))
     assert res.value == pytest.approx(9.0)
     assert res.validity.endswith("tail e**(-p k) * value")
 

@@ -179,6 +179,7 @@ class TestReport:
         assert within_bounds(report)
 
     def test_thread_invariance(self):
-        a = rare_segments(0.5, 1.0, 400, 100, seed=3, threads=1)
-        b = rare_segments(0.5, 1.0, 400, 100, seed=3, threads=8)
-        assert a.rows == b.rows
+        # 4500 reps are two chunks of at most 4096 rows, so two workers split them
+        a = rare_segments(0.5, 1.0, 400, 4500, seed=3, threads=1)
+        for threads in (2, 8):
+            assert rare_segments(0.5, 1.0, 400, 4500, seed=3, threads=threads).rows == a.rows

@@ -90,9 +90,8 @@ class TestZeta:
             assert zeta(s).value * (1.0 - 2.0 ** (1.0 - s)) == pytest.approx(eta, abs=1e-8)
 
     def test_accepts_every_s_above_one(self):
-        # PowerLaw.summable accepts every q > 1, and so does zeta
+        # PowerLaw.tail, the one summability gate, accepts every q > 1; zeta(s) is PowerLaw(1, s).tail(1)
         s = 1.0 + 5e-7
-        assert PowerLaw(1, s).summable
         sv = zeta(s)
         assert sv.converged
         assert sv.value == pytest.approx(float(mpmath.zeta(s)), rel=1e-14)
