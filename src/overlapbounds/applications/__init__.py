@@ -4,26 +4,3 @@ from .glivenko import KnownDistribution, gc_simulate, uniform01
 from .slln import partitions_min_two, slln_mdf_report, slln_partition_bound
 from .lil import bridge_max_sample, lil_exceedance_thresholds, lil_simulate
 from .segments import rare_segments, running_max_segment, segment_rate
-
-__all__ = [
-    "MDFReport",
-    "MDFRow",
-    "ldp_mdf_bound",
-    "mdf_first_order",
-    "vc_bound",
-    "RateFunctionResult",
-    "cramer_rate",
-    "sanov_rate",
-    "KnownDistribution",
-    "uniform01",
-    "gc_simulate",
-    "partitions_min_two",
-    "slln_partition_bound",
-    "slln_mdf_report",
-    "bridge_max_sample",
-    "lil_exceedance_thresholds",
-    "lil_simulate",
-    "rare_segments",
-    "running_max_segment",
-    "segment_rate",
-]

@@ -83,9 +83,17 @@ def finite_float(text: Any) -> float:
     return value
 
 
+def integer(text: Any) -> int:
+    """An integer within double range; a larger one is a ValueError, as inf is for finite_float."""
+    value = int(str(text))
+    if abs(value) > sys.float_info.max:
+        raise ValueError("beyond double range")
+    return value
+
+
 def count(text: Any) -> int:
     """An integer >= 1: a number of replications, threads or points."""
-    value = int(str(text))
+    value = integer(text)
     if value < 1:
         raise ValueError(f"{value} is less than 1")
     return value
@@ -135,7 +143,7 @@ def _parse_sweep(text: Any) -> list[float]:
 
 CHOICES: dict[str, tuple] = {"format": ("csv", "json"), "family": engine.FAMILIES, "bool": (False, True)}
 PARSERS: dict[str, Callable[[Any], Any]] = {
-    "float": finite_float, "int": lambda text: int(str(text)), "count": count, "str": _string, "sweep": _parse_sweep,
+    "float": finite_float, "int": integer, "count": count, "str": _string, "sweep": _parse_sweep,
     **{kind: partial(parse_spec, kind) for kind in SPECS}, **{kind: partial(_one_of, v) for kind, v in CHOICES.items()},
 }
 
@@ -277,7 +285,7 @@ FORMULAS: dict[str, Formula] = {
     "freedman.tail": Formula((C1S, KS), lambda c1, k: {"value": bd.freedman_tail_bound(k, c1)}),
     "thm2.9": Formula((C1S, RS), lambda c1, r: bd.improved_exp_bound(r, c1), ExactOracleCheck()),
     "cor2.10": Formula((Flag("tail", "tail"), RS), lambda tail, r: bd.rate_aware_exp_bound(r, tail)),
-    "ex2.12.tail": Formula((Flag("c"), Flag("p"), KS), lambda c, p, k: {
+    "ex2.12.tail": Formula((Flag("c"), PS, KS), lambda c, p, k: {
         "value": bd.powerlaw_tail_asymptotic(k, c, p), "minimizer": bd.powerlaw_tail_minimizer(k, c, p)}),
     "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: {
         "value": bd.geometric_tail_bound(k, c, b), "minimizer": bd.geometric_tail_minimizer(k, c, b)}),
@@ -369,16 +377,12 @@ def _table_help(title: str, flags_of: dict[str, tuple[Flag, ...]]) -> str:
 
 def _add_flags(parser: _Parser, flags: Iterable[Flag]) -> None:
     """One option per flag name; argparse converts a scalar number, so a header keeps its JSON type."""
-    declared: dict[str, set[tuple[str, bool]]] = {}
-    for flag in flags:
-        declared.setdefault(flag.name, set()).add((flag.kind, flag.grid))
-    for name, kinds in declared.items():
-        kind, grid = kinds.pop() if len(kinds) == 1 else ("str", True)  # declared two ways: kept as text
-        numeric = kind in ("float", "int", "count") and not grid
-        options = {"action": "store_true"} if kind == "bool" else {
-            "type": PARSERS[kind] if numeric else None, "choices": CHOICES.get(kind),
-            "help": spec_usage(kind) if kind in SPECS else None}
-        parser.add_argument(Flag(name).option, dest=name, default=None, **options)
+    for flag in {flag.name: flag for flag in flags}.values():
+        numeric = flag.kind in ("float", "int", "count") and not flag.grid
+        options = {"action": "store_true"} if flag.kind == "bool" else {
+            "type": PARSERS[flag.kind] if numeric else None, "choices": CHOICES.get(flag.kind),
+            "help": spec_usage(flag.kind) if flag.kind in SPECS else None}
+        parser.add_argument(flag.option, dest=flag.name, default=None, **options)
 
 
 @cache  # argparse does not change a parser while parsing, so each process builds it once

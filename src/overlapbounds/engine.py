@@ -197,9 +197,11 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
     if not 0.0 < tail_tolerance < math.inf:
         raise DomainError(f"tail_tolerance must be positive and finite for infinite families (got {tail_tolerance})")
 
+    # In log space, so exp(rate * n) cannot overflow before the 2**26 guard; a tail
+    # that underflows to 0 is at most the least positive double, not 0.
     def ok(n: int) -> bool:
         t = tail_sum(model, n + 1)
-        return math.exp(exp_rate * n) * (t.value + t.truncation_error) <= tail_tolerance
+        return exp_rate * n + math.log(max(t.value + t.truncation_error, math.ulp(0.0))) <= math.log(tail_tolerance)
 
     hi = 1
     while not ok(hi):

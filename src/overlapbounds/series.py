@@ -13,7 +13,8 @@ reports) rests on the quantities computed here, each stated once:
   ``sum_n a_n * C_n`` and ``weighted_prob_series`` the nested identity's
   ``sum_n a_n * P(E_n)``.
 * ``faulhaber_sum``, ``zeta`` and ``lambert_w0`` are the special-function
-  helpers the closed-form bounds need.
+  helpers the closed-form bounds need; ``lambert_w0`` is one Halley
+  iteration, valid for every finite x >= -1/e.
 
 Every infinite sum goes through one routine, ``_certified_sum``: a
 vectorised head over n < M plus a certified bracket [lo, hi] of the rest,
@@ -195,15 +196,16 @@ def faulhaber_sum(p: int, n: int) -> int:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function, w * exp(w) = x.
+    """Principal branch of the Lambert W function, w * exp(w) = x, for every finite x >= -1/e.
 
-    Halley iteration from a series/asymptotic initial guess; bisection
-    fallback if the iteration has not converged after 100 steps.  Valid for
-    x >= -1/e.
+    Halley iteration from a series/asymptotic initial guess, on the scaled
+    residual w - x * exp(-w) = (w * exp(w) - x) / exp(w), which cannot
+    overflow anywhere in double range.  It stops once a step is below 1e-15
+    of w, or after 100 steps where rounding near -1/e keeps the steps above that.
     """
     min_x = -math.exp(-1.0)
-    if x < min_x - 1e-12:
-        raise DomainError(f"lambert_w0 requires x >= -1/e (got x={x})")
+    if not min_x - 1e-12 <= x < math.inf:
+        raise DomainError(f"lambert_w0 requires a finite x >= -1/e (got x={x})")
     x = max(x, min_x)
     if x == 0.0:
         return 0.0
@@ -217,31 +219,12 @@ def lambert_w0(x: float) -> float:
         q = math.sqrt(2.0 * (math.e * x + 1.0))
         w = -1.0 + q - q * q / 3.0
     for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)) if w != -1.0 else ew
-        step = f / denom
+        f = w - x * math.exp(-w)
+        step = f / (w + 1.0 - (w + 2.0) * f / (2.0 * (w + 1.0))) if w != -1.0 else f
         w -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(w)):
+        if abs(step) <= 1e-15 * abs(w):
             break
-    else:
-        w = _lambert_bisect(x)
-    if abs(w * math.exp(w) - x) > 1e-10 * max(1.0, abs(x)):
-        w = _lambert_bisect(x)
     return w
-
-
-def _lambert_bisect(x: float) -> float:
-    lo, hi = -1.0, 2.0
-    while hi * math.exp(hi) < x:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,15 @@ def test_each_flag_is_one_option(command, flags_of):
     names = {flag.name for flags in flags_of.values() for flag in flags}
     common = {"help", "config", *(flag.name for flag in cli.COMMON)}
     assert {a.dest for a in actions} - common - {"formula", "application"} == names
+
+
+@pytest.mark.parametrize("command, flags_of", cli.FLAGS.items(), ids=list(cli.FLAGS))
+def test_each_flag_name_is_declared_one_way(command, flags_of):
+    """Every declaration of a name within a subcommand has the same (kind, grid), so its one option fits all."""
+    ways: dict[str, set] = {}
+    for flag in itertools.chain(cli.COMMON, *flags_of.values()):
+        ways.setdefault(flag.name, set()).add((flag.kind, flag.grid))
+    assert {name: kinds for name, kinds in ways.items() if len(kinds) > 1} == {}
 
 
 @pytest.mark.parametrize("command, entries", [("bound", cli.FORMULAS), ("app", cli.APPS)])
@@ -279,7 +290,8 @@ _FLOAT = st.one_of(
     st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-330, 307)),
     st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.0, 0.5, 0.999999, 1e300, 1.7976931348623157e308]),
 )
-_INT = st.one_of(st.integers(-100, 100), st.builds(lambda e: 10**e, st.integers(0, 30)), st.integers(-10**30, 10**30))
+_INT = st.one_of(st.integers(-100, 100), st.builds(lambda e: 10**e, st.integers(0, 30)), st.integers(-10**30, 10**30),
+                 st.builds(lambda s, e: s * 10**e, st.sampled_from([1, -1]), st.integers(309, 400)))
 _TAIL = st.builds(lambda kind, c, x: f"{kind}:{c!r},{x!r}", st.sampled_from(["power", "geometric"]), _FLOAT, _FLOAT)
 # each closed-form formula's flags and how each is drawn: finite values across wide magnitudes, either sign
 CLOSED_FORMS = {
@@ -312,6 +324,60 @@ def test_closed_form_exits_ok_with_strict_json_or_domain_or_usage(argv):
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), err.getvalue()
     if code == EXIT_OK:
         assert json.loads(out.getvalue(), parse_constant=_strict)["rows"]
+
+
+# (c, p, k) with e k / (2c)**(1/p), the argument of Lambert W, in [1e307, 1.79e308]
+EX212_TOP = [(0.5, 2.0, 4 * 10**306), (0.5, 2.0, 37 * 10**306), (0.5, 2.0, 65 * 10**306), (2.0, 2.0, 6 * 10**307),
+             (1.0, 1.5, 6 * 10**307), (5e-301, 1.5, 2 * 10**107)]
+
+
+@pytest.mark.parametrize("c, p, k", EX212_TOP, ids=[f"c={c:g},p={p:g},k={k:.2g}" for c, p, k in EX212_TOP])
+def test_ex212_near_the_top_of_double_range(c, p, k, capsys):
+    """The minimiser p (W(e k / (2c)**(1/p)) - 1) is finite and matches mpmath where W's argument nears 1.8e308."""
+    x = math.e * k / (2.0 * c) ** (1.0 / p)
+    assert 1e307 <= x <= 1.79e308
+    argv = ["bound", "--formula", "ex2.12.tail", "--c", repr(c), "--p", repr(p), "--k", str(k)]
+    assert main(argv + ["--format", "json", "--deterministic"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
+    with mpmath.workdps(40):
+        exact = p * (mpmath.lambertw(mpmath.e * k / (2 * mpmath.mpf(c)) ** (1 / mpmath.mpf(p))).real - 1)
+        assert abs(row["minimizer"] - exact) <= 1e-12 * exact
+
+
+def test_ex212_p_is_a_grid(capsys):
+    """ex2.12.tail reads --p as a grid, like every other formula of bound: one row per (p, k), p before k."""
+    argv = ["bound", "--formula", "ex2.12.tail", "--c", "0.8", "--k", "10,20", "--format", "json", "--deterministic"]
+    rows = []
+    for p in ("1.7", "2"):
+        assert main(argv + ["--p", p]) == EXIT_OK
+        rows += json.loads(capsys.readouterr().out)["rows"]
+    assert main(argv + ["--p", "1.7,2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"] == rows
+
+
+BEYOND_DOUBLE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bound", "--formula", "freedman.tail", "--c1", "1", "--k", BEYOND_DOUBLE], "--k"),
+    (["bound", "--formula", "ex2.13.tail", "--c", "0.5", "--b", "0.5", "--k", BEYOND_DOUBLE], "--k"),
+    (["bound", "--formula", "ex2.12.tail", "--c", "0.5", "--p", "2", "--k", "-" + BEYOND_DOUBLE], "--k"),
+    (["bound", "--formula", "vc.bound", "--eps", "0.3", "--ell", BEYOND_DOUBLE], "--ell"),
+    (["bound", "--formula", "lem2.6", "--c1", "1", "--seed", BEYOND_DOUBLE], "--seed"),
+    (["app", "lil", "--reps", "4", "--nmax", BEYOND_DOUBLE], "--nmax"),
+], ids=["freedman.tail", "ex2.13.tail", "ex2.12.tail", "vc.bound", "seed", "lil"])
+def test_integer_beyond_double_range_is_usage_error(argv, flag, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:") and flag in captured.err
+
+
+def test_integer_parser_stops_at_the_largest_double():
+    top = int(sys.float_info.max)
+    assert cli.integer(str(top)) == top and cli.integer(-top) == -top
+    for value in (top + 1, -top - 1):
+        with pytest.raises(ValueError, match="beyond double range"):
+            cli.integer(value)
 
 
 def test_freedman_overflow_is_domain_error(capsys):

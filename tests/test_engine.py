@@ -4,6 +4,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -63,6 +64,37 @@ class TestChooseTruncation:
         plain = choose_truncation(Geometric(1, 0.5), 1e-6)
         weighted = choose_truncation(Geometric(1, 0.5), 1e-6, exp_rate=0.5)
         assert weighted > plain
+
+    @pytest.mark.parametrize("model, tolerance, rate", [
+        (Geometric(1, 0.5), 1e-6, 0.0), (Geometric(1, 0.5), 1e-10, 0.3), (Geometric(0.1, 0.9), 1e-4, 0.05),
+        (PowerLaw(1, 3), 1e-4, 0.0), (PowerLaw(2, 4), 1e-3, 0.01), (PowerLaw(1, 8), 1e-6, 0.05),
+    ])
+    def test_least_n_meeting_the_criterion(self, model, tolerance, rate):
+        """N is the least n with exp(rate n) C_{n+1} <= tolerance, C taken at 40 digits."""
+        def criterion(n):
+            with mpmath.workdps(40):
+                if isinstance(model, Geometric):
+                    tail = mpmath.mpf(model.c) * mpmath.mpf(model.b) ** (n + 1) / (1 - mpmath.mpf(model.b))
+                else:
+                    tail = mpmath.mpf(model.c) * mpmath.zeta(model.q, n + 1)
+                return mpmath.exp(rate * n) * tail <= tolerance
+
+        n = choose_truncation(model, tolerance, exp_rate=rate)
+        assert criterion(n) and not criterion(n - 1)
+
+    @pytest.mark.parametrize("model", [PowerLaw(1, 1.5), PowerLaw(1, 2), Geometric(1, 0.9)])
+    def test_rate_beyond_the_decay_is_domain_error(self, model):
+        """exp(0.3 n) C_{n+1} grows with n: the search stops at its 2**26 guard instead of overflowing exp."""
+        with pytest.raises(DomainError, match="no feasible truncation"):
+            choose_truncation(model, 0.1, exp_rate=0.3)
+        with pytest.raises(DomainError, match="no feasible truncation"):
+            EventFamilySpec.from_model("independent", model, 0.1, exp_rate=0.3)
+
+    def test_underflowed_tail_certifies_nothing(self):
+        """At tolerance 1e-300 and rate 0.3 Geometric(1, 0.5) needs N = 1758, past n = 1074 where C_{n+1}
+        underflows to 0; a tail that reads 0 counts as the least positive double, so no N is certified."""
+        with pytest.raises(DomainError, match="no feasible truncation"):
+            choose_truncation(Geometric(1, 0.5), 1e-300, exp_rate=0.3)
 
 
 class TestSpecValidation:

@@ -138,6 +138,30 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w0(-1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            lambert_w0(x)
+
+    @staticmethod
+    def _assert_inverse(x: float) -> None:
+        """w e**w = x within 1e-12 relative, with the product taken at 40 digits."""
+        w = lambert_w0(x)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(w) * mpmath.exp(w) - x) <= 1e-12 * abs(mpmath.mpf(x)), (x, w)
+
+    @pytest.mark.parametrize("x", [
+        -1.0 / math.e, *(-1.0 / math.e + d for d in (1e-17, 1e-15, 1e-12, 1e-8, 1e-4)), -0.3, -1e-20, -1e-300,
+        -5e-324, 5e-324, 1e300, 1e307, 5e307, 1e308, 1.5e308, 1.7976931348623157e308,
+    ])
+    def test_inverse_near_branch_point_and_top_of_range(self, x):
+        self._assert_inverse(x)
+
+    @given(st.floats(min_value=-1.0 / math.e, max_value=1.7976931348623157e308))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_inverse_over_the_whole_domain(self, x):
+        self._assert_inverse(x)
+
 
 class TestDecayModels:
     def test_eval_examples(self):
