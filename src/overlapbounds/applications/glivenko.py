@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ..bounds import exp_moment_bound
-from ..engine import run_chunked
+from ..engine import Functional, run_chunked
 from ..errors import DomainError
 from ..series import Geometric
 from .mdf import MDFReport, MDFRow, mdf_first_order, tail_counts
@@ -146,9 +146,9 @@ def gc_simulate(
     exp_bound = exp_moment_bound(rate, majorant)
     first_bound = mdf_first_order(majorant)
 
-    payoff = np.exp(rate * counts.astype(float))
     rows = [
-        MDFRow.from_values(eps, f"E[exp(2*{eta:g}^2 O_eps)]", exp_bound.value, payoff),
+        MDFRow.from_values(eps, f"E[exp(2*{eta:g}^2 O_eps)]", exp_bound.value,
+                           Functional(exp_rate=rate).values(counts)),
         MDFRow.from_values(eps, "E[O_eps]", first_bound.value, counts),
     ]
     extra = {

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..engine import run_chunked
+from ..engine import Functional, run_chunked
 from ..errors import DomainError, FunctionalOverflowError
 from .mdf import MDFReport, MDFRow, tail_counts
 
@@ -86,15 +86,15 @@ def lil_simulate(
         u = rng.random((m, n_max))
         w = w0[:, None] + np.cumsum(incr, axis=1)
         left = np.column_stack([w0, w[:, :-1]])
-        sup = bridge_max_sample(u, left, w, dts)
+        sup = bridge_max_sample(u, left, w, dts)  # the peak, 8 arrays: incr, u, w, left, d, d*d, ln u, dt ln u
         return (sup > thresholds).sum(axis=1).astype(np.int64)
 
-    counts = run_chunked(reps, seed, kernel, threads=threads)
+    counts = run_chunked(reps, seed, kernel, threads=threads, row_width=8 * n_max)
     order = 1.0 + max(alpha - 2.0, 0.0)
-    payoff = counts.astype(float) ** order
     rows = [
-        MDFRow.from_values(alpha, "E[O_alpha] (constant existential)", math.inf, counts),
-        MDFRow.from_values(alpha, f"E[O_alpha**{order:g}] (constant existential)", math.inf, payoff),
+        MDFRow.from_values(alpha, "E[O_alpha] (constant existential)", None, counts),
+        MDFRow.from_values(alpha, f"E[O_alpha**{order:g}] (constant existential)", None,
+                           Functional(power=order).values(counts)),
     ]
     extra = {
         "alpha": alpha,

@@ -26,16 +26,16 @@ from ..series import DecayModel, tail_sum
 
 @dataclass(frozen=True)
 class MDFRow:
-    """One epsilon line of a report: bound vs empirical moment."""
+    """One epsilon line of a report: bound vs empirical moment; the bound is None where none is known (existential)."""
 
     epsilon: float
     order: str
-    theoretical: float
+    theoretical: float | None
     empirical: float
     stderr: float
 
     @classmethod
-    def from_values(cls, epsilon: float, order: str, theoretical: float, values: np.ndarray) -> MDFRow:
+    def from_values(cls, epsilon: float, order: str, theoretical: float | None, values: np.ndarray) -> MDFRow:
         """The row of one value per replication: its mean and the standard error of that mean."""
         return cls(epsilon, order, theoretical, *mean_stderr(values))
 

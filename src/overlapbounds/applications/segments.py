@@ -95,7 +95,7 @@ def rare_segments(
     orders = [(0.0, f"R_n/ln(n) at n={n_max} (limit {limit:.6g})")]  # one per table column
     orders += [(e, "E[O_eps_plus] (constant existential)") for e in plus_eps]
     orders += [(e, "E[O_eps_minus] (constant existential)") for e in EPS_GRID]
-    rows = [MDFRow.from_values(e, order, math.inf, table[:, col]) for col, (e, order) in enumerate(orders)]
+    rows = [MDFRow.from_values(e, order, None, table[:, col]) for col, (e, order) in enumerate(orders)]
     extra = {
         "p_head": p_head,
         "threshold": threshold,

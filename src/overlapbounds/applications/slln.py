@@ -7,7 +7,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..engine import run_chunked
+from ..engine import Functional, run_chunked
 from ..errors import DomainError, InputError
 from .mdf import MDFReport, MDFRow, tail_counts
 
@@ -72,8 +72,8 @@ def slln_mdf_report(
     Counts O_eps = #{n <= n_max : |S_n / n| >= eps} and reports the
     empirical moment E[O_eps**p] together with the tail frequencies.  The
     theoretical constant for this moment is existential (it depends on the
-    sampler only through the 2q-th moment), so only finiteness is asserted;
-    the report carries the bound slot as infinity.
+    sampler only through the 2q-th moment), so only finiteness is asserted
+    and the row's bound is None.
     """
     if q < 2:
         raise DomainError("slln_mdf_report requires q >= 2")
@@ -93,10 +93,8 @@ def slln_mdf_report(
         return (x >= eps).sum(axis=1).astype(np.int64)
 
     counts = run_chunked(reps, seed, kernel, threads=threads, row_width=n_max)
-    payoff = counts.astype(float) ** p
-    rows = [
-        MDFRow.from_values(eps, f"E[O_eps**{p:g}] (finite; constant existential)", math.inf, payoff)
-    ]
+    rows = [MDFRow.from_values(eps, f"E[O_eps**{p:g}] (finite; constant existential)", None,
+                               Functional(power=p).values(counts))]
     extra = {
         "q": q,
         "n_max": n_max,

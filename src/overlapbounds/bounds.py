@@ -230,7 +230,7 @@ def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
     if c <= 0 or p <= 1:
         raise DomainError("powerlaw_tail_asymptotic requires c > 0 and p > 1")
     a = (2.0 * c) ** (1.0 / p)
-    w = lambert_w0(overflow_checked(lambda: math.e * k / a, f"e k / (2c)**(1/p) at k={k}, c={c}, p={p}"))
+    w = lambert_w0(overflow_checked(lambda: math.e * (k / a), f"e k / (2c)**(1/p) at k={k}, c={c}, p={p}"))
     if w <= 1.0:
         raise DomainError(
             f"k={k} too small for a positive minimiser (requires W(e k / (2c)^(1/p)) > 1)"
@@ -241,7 +241,7 @@ def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
 def powerlaw_tail_minimizer(k: int, c: float, p: float) -> float:
     """The exact minimiser r* = p (W(e k / (2c)^(1/p)) - 1)."""
     a = (2.0 * c) ** (1.0 / p)
-    return overflow_checked(lambda: p * (lambert_w0(math.e * k / a) - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
+    return overflow_checked(lambda: p * (lambert_w0(math.e * (k / a)) - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
 
 
 def powerlaw_tail_numeric(k: int, c: float, p: float) -> tuple[float, float]:

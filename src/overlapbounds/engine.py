@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, FunctionalOverflowError, InputError, TruncationError
-from .series import DecayModel, Explicit, WeightSequence, tail_sum
+from .series import DecayModel, Explicit, Geometric, WeightSequence, tail_sum
 
 CHUNK_SIZE = 4096
 CHUNK_VALUES = 1 << 22  # values one chunk may hold: 32 MB of float64
@@ -179,6 +179,37 @@ class OverlapSample:
 
 
 @dataclass(frozen=True)
+class Functional:
+    """f(O) for a nondecreasing f: exactly one of O**power, e**(exp_rate O) or S(O) of the weights partial_sum_of."""
+
+    power: float | None = None
+    exp_rate: float | None = None
+    partial_sum_of: WeightSequence | None = None
+
+    def __post_init__(self) -> None:
+        if sum(x is not None for x in (self.power, self.exp_rate, self.partial_sum_of)) != 1:
+            raise InputError("specify exactly one functional")
+
+    @property
+    def rate(self) -> float:
+        """f's exponential growth rate, which a truncation must absorb: r for e**(rO), p for S(O) of e**(pn), else 0."""
+        weights = self.partial_sum_of
+        return weights.p if weights is not None and weights.kind == "exponential" else self.exp_rate or 0.0
+
+    def values(self, counts: np.ndarray) -> np.ndarray:
+        """f at each count."""
+        if len(counts) == 0:
+            raise InputError("sample is empty")
+        if self.power is not None:
+            return counts.astype(float) ** self.power
+        if self.exp_rate is not None:
+            if (top := self.exp_rate * counts.max()) > 700.0:
+                raise FunctionalOverflowError(f"exp({top:.1f}) overflows double precision; use a smaller rate r")
+            return np.exp(self.exp_rate * counts.astype(float))
+        return self.partial_sum_of.partial_sums_upto(int(counts.max()))[counts]
+
+
+@dataclass(frozen=True)
 class EmpiricalMoment:
     estimate: float
     stderr: float
@@ -188,20 +219,26 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
     """Minimal N with exp(rate*N) * (C_{N+1} + certified error) <= tolerance.
 
     With rate 0 this is the plain tail criterion P(O != O_N) <= C_{N+1};
-    the exponential weighting controls unbounded payoffs e**(r O).  The
-    criterion stays true once true, so N doubles from 1 until it holds and
-    ``bisect`` then finds the least such N.
+    the exponential weighting controls unbounded payoffs e**(r O).  N doubles
+    from 1 until the criterion holds and ``bisect`` then finds the least such
+    N.  The result is the least N where the criterion stays true once true, at
+    rate 0 and for geometric decays; over a power law at a rate > 0 the search
+    can miss a feasible window.
     """
     if isinstance(model, Explicit):
         return max(1, len(model.probabilities))
     if not 0.0 < tail_tolerance < math.inf:
         raise DomainError(f"tail_tolerance must be positive and finite for infinite families (got {tail_tolerance})")
 
-    # In log space, so exp(rate * n) cannot overflow before the 2**26 guard; a tail
+    # In log space, so exp(rate * n) cannot overflow before the 2**26 guard.  A geometric
+    # tail below the least normal double enters through its closed form; any other tail
     # that underflows to 0 is at most the least positive double, not 0.
     def ok(n: int) -> bool:
         t = tail_sum(model, n + 1)
-        return exp_rate * n + math.log(max(t.value + t.truncation_error, math.ulp(0.0))) <= math.log(tail_tolerance)
+        log_tail = math.log(max(t.value + t.truncation_error, math.ulp(0.0)))
+        if isinstance(model, Geometric) and t.value < np.finfo(float).tiny:
+            log_tail = math.log(model.c) - math.log1p(-model.b) + (n + 1) * math.log(model.b)
+        return exp_rate * n + log_tail <= math.log(tail_tolerance)
 
     hi = 1
     while not ok(hi):
@@ -260,36 +297,10 @@ def simulate_overlap(
     )
 
 
-def empirical_moment(
-    sample: OverlapSample,
-    power: float | None = None,
-    exp_rate: float | None = None,
-    partial_sum_of: WeightSequence | None = None,
-) -> EmpiricalMoment:
-    """Sample mean and standard error of a functional of the overlap count.
-
-    Exactly one of ``power`` (O**p), ``exp_rate`` (e**(rO)) or
-    ``partial_sum_of`` (S(O) for a weight sequence) must be given.
-    """
-    chosen = [x is not None for x in (power, exp_rate, partial_sum_of)]
-    if sum(chosen) != 1:
-        raise InputError("specify exactly one functional")
-    counts = sample.counts
-    if len(counts) == 0:
-        raise InputError("sample is empty")
-    if power is not None:
-        values = counts.astype(float) ** power
-    elif exp_rate is not None:
-        top = exp_rate * counts.max()
-        if top > 700.0:
-            raise FunctionalOverflowError(
-                f"exp({top:.1f}) overflows double precision; use a smaller rate r"
-            )
-        values = np.exp(exp_rate * counts.astype(float))
-    else:
-        table = partial_sum_of.partial_sums_upto(int(counts.max()))
-        values = table[counts]
-    return EmpiricalMoment(*mean_stderr(values))
+def empirical_moment(sample: OverlapSample, power: float | None = None, exp_rate: float | None = None,
+                     partial_sum_of: WeightSequence | None = None) -> EmpiricalMoment:
+    """Sample mean and standard error of the ``Functional`` with these fields."""
+    return EmpiricalMoment(*mean_stderr(Functional(power, exp_rate, partial_sum_of).values(sample.counts)))
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:

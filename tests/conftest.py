@@ -1,4 +1,3 @@
-import math
 import threading
 
 import pytest
@@ -16,7 +15,7 @@ def no_leaked_threads():
 
 @pytest.fixture
 def within_bounds():
-    """A check of an MDF report: every finite bound holds within 4 standard errors of its empirical moment."""
+    """A check of an MDF report: every bound it states holds within 4 standard errors of its empirical moment."""
     return lambda report: all(
-        not math.isfinite(r.theoretical) or r.empirical <= r.theoretical + 4.0 * r.stderr for r in report.rows
+        r.theoretical is None or r.empirical <= r.theoretical + 4.0 * r.stderr for r in report.rows
     )

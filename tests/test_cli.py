@@ -328,13 +328,13 @@ def test_closed_form_exits_ok_with_strict_json_or_domain_or_usage(argv):
 
 # (c, p, k) with e k / (2c)**(1/p), the argument of Lambert W, in [1e307, 1.79e308]
 EX212_TOP = [(0.5, 2.0, 4 * 10**306), (0.5, 2.0, 37 * 10**306), (0.5, 2.0, 65 * 10**306), (2.0, 2.0, 6 * 10**307),
-             (1.0, 1.5, 6 * 10**307), (5e-301, 1.5, 2 * 10**107)]
+             (1.0, 1.5, 6 * 10**307), (5e-301, 1.5, 2 * 10**107), (2.0, 2.0, 13 * 10**307)]
 
 
 @pytest.mark.parametrize("c, p, k", EX212_TOP, ids=[f"c={c:g},p={p:g},k={k:.2g}" for c, p, k in EX212_TOP])
 def test_ex212_near_the_top_of_double_range(c, p, k, capsys):
     """The minimiser p (W(e k / (2c)**(1/p)) - 1) is finite and matches mpmath where W's argument nears 1.8e308."""
-    x = math.e * k / (2.0 * c) ** (1.0 / p)
+    x = math.e * (k / (2.0 * c) ** (1.0 / p))
     assert 1e307 <= x <= 1.79e308
     argv = ["bound", "--formula", "ex2.12.tail", "--c", repr(c), "--p", repr(p), "--k", str(k)]
     assert main(argv + ["--format", "json", "--deterministic"]) == EXIT_OK
@@ -433,6 +433,32 @@ class TestVerifyCommand:
         ])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("formula, flags, rate, n", [
+        ("thm2.2", ["--weights", "exponential:0.3"], 0.3, 36), ("prop2.1", ["--weights", "exponential:0.3"], 0.3, 36),
+        ("cor2.3.exp", ["--p", "0.3"], 0.3, 36), ("thm2.2", ["--weights", "monomial:1"], 0.0, 20),
+        ("prop2.1", ["--weights", "monomial:2"], 0.0, 20), ("cor2.3.poly", ["--p", "1"], 0.0, 20),
+    ])
+    def test_monte_carlo_truncates_at_the_functionals_rate(self, monkeypatch, formula, flags, rate, n):
+        """S(O) with exponential weights e**(0.3 n) grows like e**(0.3 O): it truncates as e**(0.3 O) does."""
+        seen = []
+        simulate = engine.simulate_overlap
+        monkeypatch.setattr(engine, "simulate_overlap", lambda spec, *args: seen.append(spec) or simulate(spec, *args))
+        argv = ["verify", "--formula", formula, "--decay", "geometric:1,0.5", *flags, "--reps", "200", "--seed", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (EXIT_OK, EXIT_VERIFY)
+        assert n == engine.choose_truncation(Geometric(1, 0.5), 1e-6, exp_rate=rate)
+        assert seen and all(spec.truncation == n for spec in seen)
+
+    @pytest.mark.parametrize("formula, flags", [
+        ("prop2.1", ["--weights", "exponential:0.685"]), ("thm2.2", ["--weights", "exponential:0.68"]),
+        ("cor2.3.exp", ["--p", "0.68"]),
+    ])
+    def test_rate_near_ln2_finds_a_truncation(self, formula, flags):
+        """The truncation at rate 0.68 over Geometric(1, 0.5) is N = 1051, past the n = 1074 where C_{n+1} underflows."""
+        argv = ["verify", "--formula", formula, "--decay", "geometric:1,0.5", *flags, "--reps", "500", "--seed", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (EXIT_OK, EXIT_VERIFY)
+
     def test_exact_oracle_with_underflowed_pmf(self, capsys):
         # P(O = k) underflows to 0 where e^(rk) overflows; the exact value stays a strict-JSON number
         decay = "explicit:" + ",".join(["0.01"] * 5000)
@@ -496,6 +522,7 @@ class TestAppCommand:
         assert lines[2] == "application,epsilon,order,theoretical,empirical,stderr,reps,seed"
         _, rows = read_csv(out)
         assert len(rows) == 2 and {row["application"] for row in rows} == {"lil"}
+        assert [row["theoretical"] for row in rows] == ["", ""]  # existential constants: empty cells, not inf
 
     def test_lil_domain(self, capsys):
         assert main(["app", "lil", "--alpha", "0.9", "--reps", "10"]) == EXIT_DOMAIN
@@ -667,11 +694,9 @@ def test_app_json_keys(app, tmp_path):
         return
     assert report["reps"] == int(argv[argv.index("--reps") + 1])
     for row in rows:
-        assert {"order", "theoretical", "empirical", "stderr"} <= row.keys()
-        # a divergent bound is null plus a flag; CSV keeps writing inf
-        assert (row["theoretical"] is None) == row.get("diverged", False)
-    if app in ("slln", "lil", "segments"):
-        assert any(row.get("diverged") for row in rows)
+        assert {"order", "theoretical", "empirical", "stderr"} <= row.keys() and "diverged" not in row
+        # an existential constant is null; every bound of gc is a number
+        assert (row["theoretical"] is None) == (app in ("slln", "lil", "segments"))
     if app == "gc":
         assert extra["checkpoints"] and all({"n", "empirical", "cell_hoeffding"} <= cp.keys() for cp in extra["checkpoints"])
     if app in ("gc", "slln", "lil"):

@@ -30,7 +30,7 @@ from overlapbounds import (
     write_sample_jsonl,
 )
 from overlapbounds import engine
-from overlapbounds.engine import CHUNK_SIZE, CHUNK_VALUES, chunk_rng, prefetched, run_chunked
+from overlapbounds.engine import CHUNK_SIZE, CHUNK_VALUES, Functional, chunk_rng, prefetched, run_chunked
 
 
 def scalar_probs(model, n):
@@ -68,6 +68,7 @@ class TestChooseTruncation:
     @pytest.mark.parametrize("model, tolerance, rate", [
         (Geometric(1, 0.5), 1e-6, 0.0), (Geometric(1, 0.5), 1e-10, 0.3), (Geometric(0.1, 0.9), 1e-4, 0.05),
         (PowerLaw(1, 3), 1e-4, 0.0), (PowerLaw(2, 4), 1e-3, 0.01), (PowerLaw(1, 8), 1e-6, 0.05),
+        (Geometric(1, 0.5), 1e-6, 0.68), (Geometric(1, 0.5), 1e-300, 0.3), (Geometric(0.3, 0.9), 1e-15, 0.1),
     ])
     def test_least_n_meeting_the_criterion(self, model, tolerance, rate):
         """N is the least n with exp(rate n) C_{n+1} <= tolerance, C taken at 40 digits."""
@@ -90,11 +91,15 @@ class TestChooseTruncation:
         with pytest.raises(DomainError, match="no feasible truncation"):
             EventFamilySpec.from_model("independent", model, 0.1, exp_rate=0.3)
 
-    def test_underflowed_tail_certifies_nothing(self):
-        """At tolerance 1e-300 and rate 0.3 Geometric(1, 0.5) needs N = 1758, past n = 1074 where C_{n+1}
-        underflows to 0; a tail that reads 0 counts as the least positive double, so no N is certified."""
-        with pytest.raises(DomainError, match="no feasible truncation"):
-            choose_truncation(Geometric(1, 0.5), 1e-300, exp_rate=0.3)
+    @pytest.mark.parametrize("model, tolerance, rate, n", [
+        (Geometric(1, 0.5), 1e-300, 0.3, 1758), (Geometric(1, 0.5), 1e-6, 0.68, 1051),
+        (Geometric(0.3, 0.9), 1e-12, 0.1, 5340), (Geometric(0.3, 0.9), 1e-15, 0.1, 6629),
+    ])
+    def test_underflowed_geometric_tail_enters_through_its_closed_form(self, model, tolerance, rate, n):
+        """C_{n+1} underflows to 0 from n = 1074 for Geometric(1, 0.5) and n = 7061 for Geometric(0.3, 0.9), and
+        the doubling search steps past there (to 2048, 8192) first; the closed form log(c/(1-b)) + (n+1) log b
+        still certifies N."""
+        assert choose_truncation(model, tolerance, exp_rate=rate) == n
 
 
 class TestSpecValidation:
@@ -288,6 +293,36 @@ class TestEmpiricalMoment:
     def test_one_functional_only(self):
         with pytest.raises(InputError):
             empirical_moment(self._sample([1]), power=1.0, exp_rate=0.5)
+
+
+class TestFunctional:
+    COUNTS = [np.random.default_rng(seed).integers(0, high, size) for seed, high, size in
+              [(1, 2, 1), (2, 30, 500), (3, 200, 4096), (4, 5000, 1000)]]
+
+    @pytest.mark.parametrize("counts", COUNTS, ids=["tiny", "small", "mid", "wide"])
+    def test_values_are_the_formulas_bit_for_bit(self, counts):
+        for p in (0.5, 1.0, 2.0, 3.7):
+            assert Functional(power=p).values(counts).tobytes() == (counts.astype(float) ** p).tobytes()
+        for r in (0.0, 0.1, 700.0 / max(1, counts.max())):
+            assert Functional(exp_rate=r).values(counts).tobytes() == np.exp(r * counts.astype(float)).tobytes()
+        for w in (WeightSequence.monomial(1), WeightSequence.exponential(0.1), WeightSequence.custom(lambda n: 1.0 / n)):
+            want = w.partial_sums_upto(int(counts.max()))[counts]
+            assert Functional(partial_sum_of=w).values(counts).tobytes() == want.tobytes()
+
+    def test_errors(self):
+        with pytest.raises(FunctionalOverflowError, match="smaller rate"):
+            Functional(exp_rate=10.0).values(np.array([3, 71]))
+        with pytest.raises(InputError, match="sample is empty"):
+            Functional(power=1.0).values(np.array([], dtype=np.int64))
+        for fields in ({}, {"power": 1.0, "exp_rate": 0.5}, {"exp_rate": 0.5, "partial_sum_of": WeightSequence.monomial(1)}):
+            with pytest.raises(InputError, match="exactly one functional"):
+                Functional(**fields)
+
+    def test_rate(self):
+        assert Functional(exp_rate=0.4).rate == 0.4
+        assert Functional(partial_sum_of=WeightSequence.exponential(0.3)).rate == 0.3
+        assert Functional(partial_sum_of=WeightSequence.monomial(2)).rate == 0.0
+        assert Functional(power=3.0).rate == 0.0
 
 
 def test_jsonl_round_trip(tmp_path):

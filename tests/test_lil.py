@@ -5,6 +5,7 @@ import pytest
 
 from overlapbounds import DomainError
 from overlapbounds.applications import bridge_max_sample, lil_exceedance_thresholds, lil_simulate
+from overlapbounds.applications import lil
 from overlapbounds.applications.lil import lil_start_index
 
 
@@ -84,3 +85,16 @@ class TestLilSimulate:
             lil_simulate(1.0, 10, 10, 0)
         with pytest.raises(DomainError):
             lil_simulate(0.5, 10, 10, 0)
+
+
+def test_wide_rows_run_in_small_chunks(monkeypatch):
+    """A row holds eight n_max arrays at the kernel's peak: at n_max = 1000 a chunk has 512 rows, about 32 MB."""
+    seen = []
+    run_chunked = lil.run_chunked
+
+    def spy(reps, seed, kernel, threads=1, row_width=1):
+        return run_chunked(reps, seed, lambda rng, start, m: seen.append(m) or kernel(rng, start, m), threads, row_width)
+
+    monkeypatch.setattr(lil, "run_chunked", spy)
+    lil_simulate(2.0, 1000, 1024, seed=1)
+    assert seen == [512, 512]

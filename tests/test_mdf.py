@@ -1,9 +1,12 @@
+import json
 import math
 
 import pytest
 
 from overlapbounds import DivergenceError, DomainError, Explicit, Geometric, PowerLaw, cli, exp_moment_bound
-from overlapbounds.applications import MDFReport, MDFRow, ldp_mdf_bound, mdf_first_order, vc_bound
+from overlapbounds.applications import (
+    MDFReport, MDFRow, ldp_mdf_bound, lil_simulate, mdf_first_order, rare_segments, slln_mdf_report, vc_bound,
+)
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -78,11 +81,28 @@ class TestLdpBound:
 def test_report_round_trip(tmp_path, within_bounds):
     rows = [
         MDFRow(0.2, "E[O]", 3.0, 2.5, 0.1),
-        MDFRow(0.2, "E[O**2] (constant existential)", math.inf, 9.0, 0.5),
+        MDFRow(0.2, "E[O**2] (constant existential)", None, 9.0, 0.5),
     ]
     report = MDFReport("demo", reps=100, seed=4, rows=rows, extra={"note": 1})
     assert within_bounds(report)
     json_path = tmp_path / "r.json"
     report.to_json(str(json_path))
     assert '"application": "demo"' in json_path.read_text()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("report", [
+    lambda: slln_mdf_report(lambda rng, shape: rng.normal(0.0, 1.0, shape), 3, 1.0, 0.3, 50, 8, seed=1),
+    lambda: lil_simulate(2.0, 10, 8, seed=1),
+    lambda: rare_segments(0.5, 1.0, 50, 4, seed=1),
+], ids=["slln", "lil", "segments"])
+def test_existential_rows_are_strict_json(tmp_path, report):
+    """An existential constant is written as null, not as the non-JSON Infinity."""
+    path = tmp_path / "r.json"
+    report().to_json(str(path))
+    rows = json.loads(path.read_text(), parse_constant=_no_constant)["rows"]
+    assert rows and all(row["theoretical"] is None for row in rows)
 
