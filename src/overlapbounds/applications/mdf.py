@@ -81,7 +81,7 @@ def mdf_first_order(model: DecayModel) -> BoundResult:
     )
 
 
-def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> float:
+def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> BoundResult:
     """Uniform relative-frequency deviation bound 4 m(2 ell) exp(-eps**2 ell / 8).
 
     Valid for sample sizes ell >= 1 with ell >= 2 / eps**2.
@@ -91,8 +91,9 @@ def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> float:
     least = 2.0 / (eps * eps) if eps * eps > 0.0 else math.inf  # eps**2 may underflow
     if not ell >= max(least, 1.0):
         raise DomainError(f"vc_bound requires ell >= 1 and ell >= 2/eps**2 = {least:.6g} (got ell={ell})")
-    return overflow_checked(lambda: 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0),
-                            f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
+    value = overflow_checked(lambda: 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0),
+                             f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
+    return BoundResult(value, "P(sup_A |frequency of A in ell draws - P(A)| > eps) for a class with growth function m")
 
 
 def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:

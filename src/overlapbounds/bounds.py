@@ -88,10 +88,9 @@ def nested_moment_identity(weights: WeightSequence, model: DecayModel) -> BoundR
     constant a_0 enters with coefficient one (S(0) = a_0 holds surely).  The
     series is ``weighted_prob_series``: the upper end of a certified enclosure.
     """
-    base = weights.term(0) if weights.start == 0 else 0.0
     series = weighted_prob_series(weights, model)
     return BoundResult(
-        value=base + series.value,
+        value=float(weights.partial_sums_upto(0)[0]) + series.value,
         validity="exact for nested families; requires sum a_n P(E_n) < inf",
         series=series,
     )
@@ -154,7 +153,12 @@ def freedman_exp_bound(r: float, c1: float) -> BoundResult:
     )
 
 
-def freedman_tail_bound(k: int, c1: float) -> float:
+def _positive_exp(factor: float, exponent: float) -> float:
+    """factor * e**exponent, raised to the least positive double where it underflows: still an upper bound, never 0."""
+    return max(factor * math.exp(exponent), math.ulp(0.0))
+
+
+def freedman_tail_bound(k: int, c1: float) -> BoundResult:
     """P(O >= k) <= exp(-k ln k + k (ln C1 + 1) - C1), minimised over r > 0.
 
     The exponent minimiser is r = ln(k / C1); for k <= C1 it is not
@@ -165,9 +169,8 @@ def freedman_tail_bound(k: int, c1: float) -> float:
         raise DomainError("freedman_tail_bound requires k >= 1")
     if c1 <= 0:
         raise DomainError("freedman_tail_bound requires C1 > 0")
-    if k <= c1:
-        return 1.0
-    return math.exp(-k * math.log(k) + k * (math.log(c1) + 1.0) - c1)
+    value = 1.0 if k <= c1 else _positive_exp(1.0, -k * math.log(k) + k * (math.log(c1) + 1.0) - c1)
+    return BoundResult(value, "P(O >= k) for independent events, C1 = sum P(E_n)")
 
 
 def freedman_tail_numeric(k: int, c1: float) -> tuple[float, float]:
@@ -218,7 +221,7 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
     )
 
 
-def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
+def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> BoundResult:
     """Markov-minimised tail 2 exp(inf_r(-k r + (2c)^(1/p) r e^(r/p))).
 
     The stationarity condition A e^(r/p) (1 + r/p) = k with A = (2c)^(1/p)
@@ -232,16 +235,10 @@ def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> float:
     a = (2.0 * c) ** (1.0 / p)
     w = lambert_w0(overflow_checked(lambda: math.e * (k / a), f"e k / (2c)**(1/p) at k={k}, c={c}, p={p}"))
     if w <= 1.0:
-        raise DomainError(
-            f"k={k} too small for a positive minimiser (requires W(e k / (2c)^(1/p)) > 1)"
-        )
-    return 2.0 * math.exp(-p * k * (w - 1.0) ** 2 / w)
-
-
-def powerlaw_tail_minimizer(k: int, c: float, p: float) -> float:
-    """The exact minimiser r* = p (W(e k / (2c)^(1/p)) - 1)."""
-    a = (2.0 * c) ** (1.0 / p)
-    return overflow_checked(lambda: p * (lambert_w0(math.e * (k / a)) - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
+        raise DomainError(f"k={k} too small for a positive minimiser (requires W(e k / (2c)^(1/p)) > 1)")
+    r_star = overflow_checked(lambda: p * (w - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
+    value = _positive_exp(2.0, -p * k * (w - 1.0) ** 2 / w)
+    return BoundResult(value, "P(O >= k) for independent events with tail sums C_m <= c m**-p", r_star)
 
 
 def powerlaw_tail_numeric(k: int, c: float, p: float) -> tuple[float, float]:
@@ -253,12 +250,12 @@ def powerlaw_tail_numeric(k: int, c: float, p: float) -> tuple[float, float]:
     return r, 2.0 * math.exp(val)
 
 
-def geometric_tail_bound(k: int, c: float, b: float) -> float:
+def geometric_tail_bound(k: int, c: float, b: float) -> BoundResult:
     """Gaussian-type tail 2 exp(-(|ln b|/4) [k - ln(2c)/|ln b|]**2).
 
     The quadratic exponent r**2 + r (ln(2c) - k |ln b|) has its vertex at
     r* = (k |ln b| - ln(2c)) / 2; when r* <= 0 the infimum over r > 0 is
-    the vacuous bound 2.
+    the vacuous bound 2, at r* = 0.
     """
     if k < 1:
         raise DomainError("geometric_tail_bound requires k >= 1")
@@ -266,14 +263,8 @@ def geometric_tail_bound(k: int, c: float, b: float) -> float:
         raise DomainError("geometric_tail_bound requires c > 0 and 0 < b < 1")
     lnb = abs(math.log(b))
     beta = math.log(2.0 * c) - k * lnb
-    if beta >= 0.0:
-        return 2.0
-    return 2.0 * math.exp(-beta * beta / (4.0 * lnb))
-
-
-def geometric_tail_minimizer(k: int, c: float, b: float) -> float:
-    lnb = abs(math.log(b))
-    return max(0.0, (k * lnb - math.log(2.0 * c)) / 2.0)
+    value = 2.0 if beta >= 0.0 else _positive_exp(2.0, -beta * beta / (4.0 * lnb))
+    return BoundResult(value, "P(O >= k) for independent events with tail sums C_m <= c b**m", max(0.0, -beta / 2.0))
 
 
 def geometric_tail_numeric(k: int, c: float, b: float) -> tuple[float, float]:

@@ -194,7 +194,7 @@ class ExactOracleCheck:
         if not isinstance(model, Explicit):
             raise InputError(f"{formula} verification needs an explicit decay (exact oracle)")
         dist = bd.sn_exact_distribution(model.probabilities)
-        c1 = float(sum(model.probabilities))
+        c1 = tail_sum(model, 1).value
         if c1 <= 0:
             raise DomainError("the exact-oracle check needs C1 > 0")
         top = abs(math.log(c1)) if c1 < 1 else 1.0
@@ -242,8 +242,8 @@ class Formula:
     """A numbered result or an application: its flags, what it computes and, if it has one, its check."""
 
     flags: tuple[Flag, ...]
-    # a keyword per flag -> a BoundResult or a dict of row fields at one grid point;
-    # an application also takes reps, seed and threads and returns an MDFReport or rows
+    # a keyword per flag -> a BoundResult at one grid point; an application also
+    # takes reps, seed and threads and returns an MDFReport or rows
     compute: Callable[..., Any]
     check: ExactOracleCheck | MonteCarloCheck | None = None
 
@@ -276,18 +276,16 @@ FORMULAS: dict[str, Formula] = {
         (DECAY, PS), lambda decay, p: bd.exp_moment_bound(p, decay),
         MonteCarloCheck(MC_P, lambda decay, p: engine.Functional(exp_rate=p), "E[e**(pO)] <= bound ({family})")),
     "lem2.6": Formula(
-        (C1S,), lambda c1: {"value": bd.second_moment_bound(c1)},
+        (C1S,), lambda c1: bd.BoundResult(bd.second_moment_bound(c1), "independent events, C1 = sum P(E_n)"),
         MonteCarloCheck((DECAY,), lambda decay: engine.Functional(power=2.0), "E[O**2] <= C1(1+C1)",
                         families=("independent",),
                         theoretical=lambda decay: bd.second_moment_bound(tail_sum(decay, 1).value))),
     "thm2.7": Formula((C1S, RS), lambda c1, r: bd.freedman_exp_bound(r, c1), ExactOracleCheck()),
-    "freedman.tail": Formula((C1S, KS), lambda c1, k: {"value": bd.freedman_tail_bound(k, c1)}),
+    "freedman.tail": Formula((C1S, KS), lambda c1, k: bd.freedman_tail_bound(k, c1)),
     "thm2.9": Formula((C1S, RS), lambda c1, r: bd.improved_exp_bound(r, c1), ExactOracleCheck()),
     "cor2.10": Formula((Flag("tail", "tail"), RS), lambda tail, r: bd.rate_aware_exp_bound(r, tail)),
-    "ex2.12.tail": Formula((Flag("c"), PS, KS), lambda c, p, k: {
-        "value": bd.powerlaw_tail_asymptotic(k, c, p), "minimizer": bd.powerlaw_tail_minimizer(k, c, p)}),
-    "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: {
-        "value": bd.geometric_tail_bound(k, c, b), "minimizer": bd.geometric_tail_minimizer(k, c, b)}),
+    "ex2.12.tail": Formula((Flag("c"), PS, KS), lambda c, p, k: bd.powerlaw_tail_asymptotic(k, c, p)),
+    "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: bd.geometric_tail_bound(k, c, b)),
     "cor3.2": Formula((DECAY,), lambda decay: mdf.mdf_first_order(decay)),
     # Corollaries 3.4 and 3.5: cor2.3's bounds read for a deviation count, with their Markov tails
     "cor3.4": Formula((DECAY, PS), lambda decay, p: _markov_tail(bd.poly_moment_bound(p, decay), "k**-(p+1)")),
@@ -296,7 +294,7 @@ FORMULAS: dict[str, Formula] = {
         (Flag("rate"), Flag("bigc", column="C"), PS), lambda rate, bigc, p: mdf.ldp_mdf_bound(rate, p, bigc)),
     "vc.bound": Formula(
         (Flag("eps"), Flag("growth_p", default=1.0), Flag("ell", "int", grid=True)),
-        lambda eps, growth_p, ell: {"value": mdf.vc_bound(ell, eps, lambda x: float(x) ** growth_p + 1.0)}),
+        lambda eps, growth_p, ell: mdf.vc_bound(ell, eps, lambda x: float(x) ** growth_p + 1.0)),
     "sde.mdf": Formula(
         (Flag("kt"), Flag("ct"), Flag("t"), Flag("eps")), lambda kt, ct, t, eps: sde_mod.sde_mdf_bound(kt, ct, t, eps)),
 }
@@ -474,12 +472,8 @@ def _emit(rows: list[dict], config: dict, common: dict, run: dict | None = None)
         sys.stdout.write(text)
 
 
-def _row(formula: str, params: dict, result: bd.BoundResult | dict) -> dict:
-    row = {**params, "formula": formula}
-    if isinstance(result, dict):
-        row.update(result)
-        return row
-    row.update(value=result.value, validity=result.validity)
+def _row(formula: str, params: dict, result: bd.BoundResult) -> dict:
+    row = {**params, "formula": formula, "value": result.value, "validity": result.validity}
     if result.minimizer is not None:
         row["minimizer"] = result.minimizer
     if result.closed_form is not None:

@@ -262,7 +262,7 @@ class TailFunction:
             return math.inf
 
     def describe(self) -> str:
-        return f"{self.kind}(c={self.c},{'p' if self.kind == 'power' else 'b'}={self.x})"
+        return f"{self.kind}:{self.c!r},{self.x!r}"
 
 
 class DecayModel:
@@ -341,7 +341,7 @@ class PowerLaw(DecayModel):
 
 @dataclass(frozen=True)
 class Geometric(DecayModel):
-    """P(E_n) = c * b**n for n >= 0; tails have the closed form c b^m/(1-b)."""
+    """P(E_n) = c * b**n for n >= 1; tails have the closed form C_m = c b^m/(1-b) for m >= 1."""
 
     c: float
     b: float
@@ -356,7 +356,7 @@ class Geometric(DecayModel):
         return self.c * self.b**n
 
     def tail(self, m: int) -> SeriesValue:
-        m = max(m, 0)
+        m = max(m, 1)
         return SeriesValue(self.c * self.b**m / (1.0 - self.b), 0.0, 0, True)
 
     def describe(self) -> str:
@@ -366,8 +366,8 @@ class Geometric(DecayModel):
 def tail_sum(model: DecayModel, m: int) -> SeriesValue:
     """C_m = sum_{n >= m} P(E_n) with certified truncation error.
 
-    ``m = 0`` is allowed; models whose first event index is 1 then return
-    the full sum C_1.
+    ``m = 0`` is allowed; every model's first event index is 1, so it
+    returns the full sum C_1.
     """
     if m < 0:
         raise DomainError("tail index m must be >= 0")
@@ -407,26 +407,17 @@ class WeightSequence:
     def start(self) -> int:
         return 0 if self.kind == "exponential" else 1
 
-    def term(self, n: int) -> float:
-        if n < self.start:
-            return 0.0
-        if self.kind == "custom":
-            value = self.term_fn(n)  # type: ignore[misc]
-            if not value >= 0:
-                raise DomainError(f"weight a_{n} = {value} is not a nonnegative number")
-            return value
-        try:
-            return float(n) ** self.p if self.kind == "monomial" else math.exp(n * self.p)
-        except OverflowError:
-            raise FunctionalOverflowError(f"weight a_{n} of {self.describe()} overflows double precision") from None
-
     def terms(self, n: np.ndarray) -> np.ndarray:
-        """a_n for an array of indices n >= start (floats)."""
+        """a_n for an array of indices n >= start (floats); a custom a_n that is not a nonnegative number is a DomainError."""
         if self.kind == "monomial":
             return n**self.p
         if self.kind == "exponential":
             return np.exp(n * self.p)
-        return np.array([self.term(int(k)) for k in n], dtype=float)
+        values = [self.term_fn(int(k)) for k in n]  # type: ignore[misc]
+        for k, value in zip(n, values):
+            if not value >= 0:
+                raise DomainError(f"weight a_{int(k)} = {value} is not a nonnegative number")
+        return np.array(values, dtype=float)
 
     def partial_sums_upto(self, n: int) -> np.ndarray:
         """Vector of S(0), S(1), ..., S(N) for vectorised evaluation."""
@@ -476,9 +467,11 @@ def _explicit_sum(weights: WeightSequence, first: int, coeffs: Sequence[float]) 
 
     An overflowed sum raises ``FunctionalOverflowError``.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight makes an inf or NaN total, reported below
+        products = weights.terms(np.arange(first, first + len(coeffs), dtype=float)) * np.asarray(coeffs, dtype=float)
     total = 0.0
-    for n, s in enumerate(coeffs, first):
-        total += weights.term(n) * float(s)
+    for x in products.tolist():  # built-in sum compensates from Python 3.12; this order is the recorded one
+        total += x
     if not math.isfinite(total):
         raise FunctionalOverflowError(f"the weighted sum over {len(coeffs)} events overflows double precision")
     return SeriesValue(total, 0.0, len(coeffs), True)

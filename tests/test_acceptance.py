@@ -173,21 +173,21 @@ def test_criterion_4_closed_form_agreement():
     """Optimised and closed forms agree to 1e-8 relative on 20-point grids."""
     worst = 0.0
     for k in range(1, 21):  # k > C1 = 0.5 throughout
-        closed = freedman_tail_bound(k, 0.5)
+        closed = freedman_tail_bound(k, 0.5).value
         _, numeric = freedman_tail_numeric(k, 0.5)
         worst = max(worst, abs(closed - numeric) / closed)
     # grids chosen so no bound underflows double precision (worst ~ e^-340)
     for k, c, p in itertools.islice(
         itertools.product((10, 20, 40, 60, 80), (0.5, 1.0), (1.5, 2.0)), 20
     ):
-        closed = powerlaw_tail_asymptotic(k, c, p)
+        closed = powerlaw_tail_asymptotic(k, c, p).value
         _, numeric = powerlaw_tail_numeric(k, c, p)
         assert closed > 0.0
         worst = max(worst, abs(closed - numeric) / closed)
     for k, c, b in itertools.islice(
         itertools.product((2, 4, 8, 16, 32), (0.4, 0.6), (0.3, 0.6)), 20
     ):
-        closed = geometric_tail_bound(k, c, b)
+        closed = geometric_tail_bound(k, c, b).value
         _, numeric = geometric_tail_numeric(k, c, b)
         assert closed > 0.0
         worst = max(worst, abs(closed - numeric) / closed)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from overlapbounds import (
     DivergenceError,
     DomainError,
     Explicit,
+    FunctionalOverflowError,
     Geometric,
     PowerLaw,
     TailFunction,
@@ -27,10 +29,8 @@ from overlapbounds import (
 )
 from overlapbounds.bounds import (
     freedman_tail_numeric,
-    geometric_tail_minimizer,
     geometric_tail_numeric,
     golden_section_min,
-    powerlaw_tail_minimizer,
     powerlaw_tail_numeric,
 )
 
@@ -86,9 +86,28 @@ class TestGeneralBound:
         res = general_moment_bound(WeightSequence.monomial(1), Explicit([0.0]))
         assert res.value == 0.0
 
-    def test_nan_custom_weight_raises(self):
-        with pytest.raises(DomainError, match="a_1 = nan"):
-            general_moment_bound(WeightSequence.custom(lambda n: math.nan), Explicit([0.5]))
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("bound", [general_moment_bound, nested_moment_identity])
+    def test_bad_custom_weight_raises(self, bound, bad):
+        weights = WeightSequence.custom(lambda n: 1.0 if n == 1 else bad)
+        with pytest.raises(DomainError, match=rf"^weight a_2 = {bad} is not a nonnegative number$"):
+            bound(weights, Explicit([0.5, 0.5, 0.5]))
+
+    def test_explicit_sum_reads_the_vectorised_weights(self):
+        # math.exp(0.45) and numpy's AVX-512 exp differ in the last bit of a_1; the bound sums the a_n that
+        # terms() gives, times C_n in index order (a_0 takes C_1: an explicit family has no E_0)
+        weights = WeightSequence.exponential(0.45)
+        expected = 0.0
+        for a_n, c_n in zip(weights.terms(np.arange(3.0)).tolist(), (0.75, 0.75, 0.25)):
+            expected += a_n * c_n
+        assert general_moment_bound(weights, Explicit([0.5, 0.25])).value == expected
+
+    @pytest.mark.parametrize("bound", [general_moment_bound, nested_moment_identity])
+    def test_overflowing_weight_raises_without_a_warning(self, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FunctionalOverflowError, match="overflows double precision"):
+                bound(WeightSequence.exponential(800.0), Explicit([0.5, 0.5]))
 
     def test_dominates_nested_identity(self):
         # the weighted tail sum majorises the exact nested value
@@ -146,15 +165,15 @@ class TestFreedman:
         assert freedman_exp_bound(1.0, 0.5).value == pytest.approx(2.361131407770622, abs=1e-12)
 
     def test_tail_examples(self):
-        assert freedman_tail_bound(1, 1.0) == pytest.approx(1.0)
-        assert freedman_tail_bound(2, 1.0) == pytest.approx(math.e / 4.0, abs=1e-12)
+        assert freedman_tail_bound(1, 1.0).value == pytest.approx(1.0)
+        assert freedman_tail_bound(2, 1.0).value == pytest.approx(math.e / 4.0, abs=1e-12)
 
     def test_tail_vacuous_below_c1(self):
-        assert freedman_tail_bound(1, 3.0) == 1.0
+        assert freedman_tail_bound(1, 3.0).value == 1.0
 
     def test_numeric_infimum_agrees(self):
         r_star, val = freedman_tail_numeric(5, 0.5)
-        assert val == pytest.approx(freedman_tail_bound(5, 0.5), rel=1e-10)
+        assert val == pytest.approx(freedman_tail_bound(5, 0.5).value, rel=1e-10)
         assert r_star == pytest.approx(math.log(5 / 0.5), abs=1e-6)
 
 
@@ -207,7 +226,7 @@ class TestRateAware:
 class TestTailAsymptotics:
     def test_stationarity_of_minimizer(self):
         k, c, p = 20, 1.0, 2.0
-        r = powerlaw_tail_minimizer(k, c, p)
+        r = powerlaw_tail_asymptotic(k, c, p).minimizer
         a = (2 * c) ** (1 / p)
         derivative = -k + a * math.exp(r / p) * (1.0 + r / p)
         assert abs(derivative) <= 1e-9 * k
@@ -215,10 +234,10 @@ class TestTailAsymptotics:
     def test_closed_matches_numeric(self):
         for k, c, p in [(20, 1.0, 2.0), (50, 0.5, 3.0), (12, 2.0, 1.5)]:
             _, numeric = powerlaw_tail_numeric(k, c, p)
-            assert powerlaw_tail_asymptotic(k, c, p) == pytest.approx(numeric, rel=1e-8)
+            assert powerlaw_tail_asymptotic(k, c, p).value == pytest.approx(numeric, rel=1e-8)
 
     def test_monotone_in_k(self):
-        vals = [powerlaw_tail_asymptotic(k, 1.0, 2.0) for k in range(8, 101)]
+        vals = [powerlaw_tail_asymptotic(k, 1.0, 2.0).value for k in range(8, 101)]
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 
     def test_too_small_k(self):
@@ -227,20 +246,20 @@ class TestTailAsymptotics:
 
     def test_geometric_plugin(self):
         # ln(2c) = 0 at c = 0.5, |ln b| = 1 at b = 1/e
-        assert geometric_tail_bound(2, 0.5, math.exp(-1.0)) == pytest.approx(2.0 / math.e, abs=1e-12)
+        assert geometric_tail_bound(2, 0.5, math.exp(-1.0)).value == pytest.approx(2.0 / math.e, abs=1e-12)
 
     def test_geometric_vertex(self):
         # k |ln b| = ln(2c): exponent vanishes, bound 2
         b = 0.5
         c = 0.5 * math.exp(2 * abs(math.log(b)))
-        assert geometric_tail_bound(2, c, b) == pytest.approx(2.0)
+        assert geometric_tail_bound(2, c, b).value == pytest.approx(2.0)
 
     def test_geometric_minimizer_matches_numeric(self):
         for k, c, b in [(5, 1.0, 0.5), (10, 0.3, 0.7), (3, 0.5, math.exp(-1.0))]:
-            r_closed = geometric_tail_minimizer(k, c, b)
+            closed = geometric_tail_bound(k, c, b)
             r_num, val = geometric_tail_numeric(k, c, b)
-            assert r_num == pytest.approx(r_closed, abs=1e-5)
-            assert val == pytest.approx(geometric_tail_bound(k, c, b), rel=1e-10)
+            assert r_num == pytest.approx(closed.minimizer, abs=1e-5)
+            assert val == pytest.approx(closed.value, rel=1e-10)
 
 
 class TestExactDistribution:

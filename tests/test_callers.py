@@ -93,7 +93,7 @@ def test_scan_sees_each_kind_of_caller():
     names = repository_reach()
     assert "faulhaber_sum" in names  # tests/test_acceptance.py only
     assert "scan_window" in names  # a spans.TARGETS string only
-    assert "powerlaw_tail_minimizer" in names  # the cli.FORMULAS table
+    assert "ldp_mdf_bound" in names  # the cli.FORMULAS table
     assert "chunk_rng" in names  # run_chunked, a benchmark op's callee
 
 

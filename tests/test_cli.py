@@ -26,7 +26,7 @@ from overlapbounds.cli import (
     parse_spec,
 )
 from overlapbounds import cli
-from overlapbounds.series import Explicit, Geometric, PowerLaw
+from overlapbounds.series import Explicit, Geometric, PowerLaw, TailFunction
 
 
 def read_csv(path):
@@ -51,9 +51,14 @@ class TestParsing:
         assert parse_spec("weights", "exponential:0.25").kind == "exponential"
 
     def test_tail_and_dist_specs(self):
-        assert parse_spec("tail", "power:1,2").describe() == "power(c=1.0,p=2.0)"
-        assert parse_spec("tail", "geometric:1,0.5").describe() == "geometric(c=1.0,b=0.5)"
+        assert parse_spec("tail", "power:1,2").describe() == "power:1.0,2.0"
+        assert parse_spec("tail", "geometric:1,0.5").describe() == "geometric:1.0,0.5"
         assert parse_spec("dist", "rademacher").name == "rademacher"
+
+    @pytest.mark.parametrize("tail", [TailFunction.power(1.5, 2.0), TailFunction.geometric(0.7, 0.25)],
+                             ids=lambda t: t.kind)
+    def test_tail_cell_parses_back(self, tail):
+        assert parse_spec("tail", tail.describe()) == tail
 
     @pytest.mark.parametrize("kind, text", [
         ("decay", "powerlaw:1"), ("decay", "geometric:1,0.5,2"), ("decay", "nosuch:1"), ("weights", "monomial:"),
@@ -355,6 +360,33 @@ def test_ex212_p_is_a_grid(capsys):
     assert json.loads(capsys.readouterr().out)["rows"] == rows
 
 
+def test_ex212_runs_lambert_w_once_per_row(monkeypatch, capsys):
+    """The value and the minimiser of a row read one W(e k / (2c)**(1/p))."""
+    calls = []
+    real = cli.bd.lambert_w0
+    monkeypatch.setattr("overlapbounds.bounds.lambert_w0", lambda x: calls.append(x) or real(x))
+    argv = ["bound", "--formula", "ex2.12.tail", "--c", "0.8", "--p", "1.7,2", "--k", "10,20,40", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 6 and len(calls) == 6
+
+
+MARKOV_UNDERFLOW = [
+    ["--formula", "ex2.13.tail", "--c", "0.5", "--b", "0.1", "--k", "60"],
+    ["--formula", "freedman.tail", "--c1", "0.5", "--k", "200"],
+    ["--formula", "ex2.12.tail", "--c", "1", "--p", "1.5", "--k", "100000"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", MARKOV_UNDERFLOW, ids=lambda argv: argv[1])
+def test_underflowed_markov_tail_is_the_least_positive_double(argv, fmt, tmp_path):
+    """A Markov tail below double range reports 5e-324, still an upper bound, never 0.0."""
+    out = tmp_path / f"tail.{fmt}"
+    assert main(["bound", *argv, "--format", fmt, "--deterministic", "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"] if fmt == "json" else read_csv(out)[1]
+    assert [float(row["value"]) for row in rows] == [5e-324] and "5e-324" in out.read_text()
+
+
 BEYOND_DOUBLE = "1" + "0" * 400
 
 
@@ -606,10 +638,10 @@ class TestExportAndConfig:
         assert main(["bound", "--formula", "vc.bound", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         header, rows = read_csv(out)
         assert header["growth_p"] == 2.0
-        assert float(rows[0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 2.0 + 1.0)
+        assert float(rows[0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 2.0 + 1.0).value
         # a flag still overrides the file
         assert main(["bound", "--formula", "vc.bound", "--config", str(cfg), "--growth-p", "3", "--out", str(out)]) == EXIT_OK
-        assert float(read_csv(out)[1][0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 3.0 + 1.0)
+        assert float(read_csv(out)[1][0]["value"]) == mdf.vc_bound(100, 0.5, lambda x: float(x) ** 3.0 + 1.0).value
 
     def test_config_file_sets_export_flags(self, tmp_path):
         cfg, out = tmp_path / "export.json", tmp_path / "sample.jsonl"

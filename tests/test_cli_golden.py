@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -26,6 +27,7 @@ import sys
 import pytest
 
 from overlapbounds import cli
+from overlapbounds.bounds import BoundResult
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 EXPLICIT = "explicit:0.3,0.2,0.1,0.05"
@@ -198,6 +200,19 @@ def test_golden_covers_every_formula(golden):
     assert verified == {fid for fid, entry in cli.FORMULAS.items() if entry.check is not None}
     reported = {argv[1] for argv in ARGVS if argv[0] == "app" and golden[" ".join(argv)]["code"] == 0}
     assert reported == set(cli.APPS)
+
+
+def test_every_formula_computes_one_bound_result(golden):
+    """At every recorded bound call that exits 0, each grid point's compute returns a BoundResult."""
+    seen = set()
+    for argv in ARGVS:
+        if argv[0] == "bound" and golden[" ".join(argv)]["code"] == 0:
+            config, _, values = cli.resolve(cli.build_parser().parse_args(argv))
+            entry = cli.FORMULAS[config["formula"]]
+            for point in itertools.product(*(values[f.name] if f.grid else [values[f.name]] for f in entry.flags)):
+                assert isinstance(entry.compute(**dict(zip((f.name for f in entry.flags), point))), BoundResult)
+            seen.add(config["formula"])
+    assert seen == set(cli.FORMULAS)
 
 
 if __name__ == "__main__":

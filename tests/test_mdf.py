@@ -44,14 +44,14 @@ def test_exponential_wrapper_and_tail():
 class TestVC:
     def test_plugin(self):
         growth = lambda x: x + 1.0
-        assert vc_bound(800, 0.2, growth) == pytest.approx(4.0 * 1601 * math.exp(-4.0), rel=1e-12)
+        assert vc_bound(800, 0.2, growth).value == pytest.approx(4.0 * 1601 * math.exp(-4.0), rel=1e-12)
 
     def test_precondition(self):
         with pytest.raises(DomainError, match="2/eps"):
             vc_bound(199, 0.1, lambda x: x + 1.0)
 
     def test_constant_growth(self):
-        assert vc_bound(400, 0.2, lambda x: 1.0) == pytest.approx(
+        assert vc_bound(400, 0.2, lambda x: 1.0).value == pytest.approx(
             4.0 * math.exp(-0.04 * 400 / 8.0), rel=1e-12
         )
 

@@ -183,7 +183,8 @@ class TestDecayModels:
 class TestTailSum:
     def test_geometric_closed_form(self):
         assert tail_sum(Geometric(1, 0.5), 1).value == pytest.approx(1.0, abs=1e-15)
-        assert tail_sum(Geometric(1, 0.5), 0).value == pytest.approx(2.0, abs=1e-15)
+        # events start at n = 1, so C_0 is C_1: the sampler never draws an E_0
+        assert tail_sum(Geometric(1, 0.5), 0).value == 1.0
 
     def test_explicit(self):
         assert tail_sum(Explicit([0.5, 0.25]), 2).value == pytest.approx(0.25)
