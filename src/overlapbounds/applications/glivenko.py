@@ -74,36 +74,42 @@ def _ks_scan_kernel(
 
     One more draw changes n (F_hat_n(x) - x) by 1{V <= x} - x, in [-1, 1], so
     (n+j) D_(n+j) <= n D_n + j: a row with gap g_n = n (eps - D_n) > 0 cannot
-    reach eps before index n + g_n / (1 - eps).  Each row keeps the next
-    index at which it is due, starting at first = max(count_from, 1); only
-    due rows are evaluated.  A row not due at a checkpoint has D_n < eps by
-    that bound, so its flag is 0; checkpoints below ``first`` evaluate every
-    row.  The slack 1e-9 n keeps rounding in D_n from ever skipping a true
-    exceedance.
+    reach eps before index n + g_n / (1 - eps).  Checkpoints below first =
+    max(count_from, 1) are evaluated on every row in one pass that counts
+    nothing.  The scan then keeps each row's next due index, starting at
+    first, and evaluates only the rows due at n; a row not due at a
+    checkpoint has D_n < eps by that bound, so its flag is 0.  The slack
+    1e-9 n keeps rounding in D_n from ever skipping a true exceedance.
     """
     first = max(count_from, 1)
-    early = sorted({c for c in checkpoints if c < first})
+    columns = {n: [col for col, c in enumerate(checkpoints) if c == n] for n in checkpoints}  # every column naming n
+    upper = np.arange(1, n_max + 1, dtype=float)  # i and i - 1 over the sorted prefix
+    lower = upper - 1.0
+
+    def ks_statistic(prefix: np.ndarray) -> np.ndarray:
+        """D_n of each row of a fresh (rows, n) prefix, which it sorts in place."""
+        n = prefix.shape[1]
+        prefix.sort(axis=1)
+        return np.maximum((upper[:n] / n - prefix).max(axis=1), (prefix - lower[:n] / n).max(axis=1))
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         v = np.asarray(dist.cdf(dist.sample(rng, (m, n_max))), dtype=float)
         counts = np.zeros(m, dtype=np.int64)
         cp_flags = np.zeros((m, len(checkpoints)), dtype=np.int64)
+        for n in sorted(c for c in columns if c < first):
+            cp_flags[:, columns[n]] = (ks_statistic(v[:, :n].copy()) >= eps)[:, None]
         due = np.full(m, first, dtype=np.int64)
-        n = min([first, *early])
+        n = first
         while n <= n_max:
-            rows = np.arange(m) if n < first else np.flatnonzero(due == n)
-            s = v[rows, :n]
-            s.sort(axis=1)
-            grid = np.arange(1, n + 1, dtype=float)
-            d_n = np.maximum((grid / n - s).max(axis=1), (s - (grid - 1.0) / n).max(axis=1))
+            rows = np.flatnonzero(due == n)
+            d_n = ks_statistic(v[rows, :n])
             exceed = d_n >= eps
-            if n >= count_from:
-                counts[rows] += exceed
-            for col in np.flatnonzero(np.equal(checkpoints, n)):
+            counts[rows] += exceed
+            for col in columns.get(n, ()):
                 cp_flags[rows, col] = exceed
             step = np.maximum(1.0, np.ceil((n * (eps - d_n) - 1e-9 * n) / (1.0 - eps)))
-            due[rows] = np.maximum(due[rows], n + step.astype(np.int64))
-            n = min(int(due.min()), next((c for c in early if c > n), n_max + 1))
+            due[rows] = n + step.astype(np.int64)
+            n = int(due.min())
         return np.column_stack([counts, cp_flags])
 
     return kernel

@@ -22,20 +22,11 @@ from ..errors import DomainError, FunctionalOverflowError
 from .mdf import MDFReport, MDFRow, tail_counts
 
 
-def bridge_max_sample(
-    rng_or_u: np.random.Generator | np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    dt: np.ndarray | float,
-) -> np.ndarray:
-    """Exact interval maximum of Brownian motion given endpoint values.
+def bridge_max_sample(u: np.ndarray, a: np.ndarray, b: np.ndarray, dt: np.ndarray | float) -> np.ndarray:
+    """Exact interval maximum of Brownian motion given endpoint values, at uniforms ``u``.
 
     With d = b - a the maximum above a is x = (d + sqrt(d**2 - 2 dt ln U))/2.
     """
-    if isinstance(rng_or_u, np.random.Generator):
-        u = rng_or_u.random(np.shape(a))
-    else:
-        u = rng_or_u
     d = np.asarray(b) - np.asarray(a)
     x = 0.5 * (d + np.sqrt(d * d - 2.0 * np.asarray(dt) * np.log(u)))
     return np.asarray(a) + x

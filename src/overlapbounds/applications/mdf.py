@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..bounds import BoundResult
+from ..bounds import BoundResult, _positive_exp
 from ..engine import mean_stderr
 from ..errors import DomainError, overflow_checked
 from ..series import DecayModel, tail_sum
@@ -91,7 +91,7 @@ def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> BoundResul
     least = 2.0 / (eps * eps) if eps * eps > 0.0 else math.inf  # eps**2 may underflow
     if not ell >= max(least, 1.0):
         raise DomainError(f"vc_bound requires ell >= 1 and ell >= 2/eps**2 = {least:.6g} (got ell={ell})")
-    value = overflow_checked(lambda: 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0),
+    value = overflow_checked(lambda: _positive_exp(4.0 * float(growth(2 * ell)), -eps * eps * ell / 8.0),
                              f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
     return BoundResult(value, "P(sup_A |frequency of A in ell draws - P(A)| > eps) for a class with growth function m")
 

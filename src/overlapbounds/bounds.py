@@ -169,8 +169,10 @@ def freedman_tail_bound(k: int, c1: float) -> BoundResult:
         raise DomainError("freedman_tail_bound requires k >= 1")
     if c1 <= 0:
         raise DomainError("freedman_tail_bound requires C1 > 0")
-    value = 1.0 if k <= c1 else _positive_exp(1.0, -k * math.log(k) + k * (math.log(c1) + 1.0) - c1)
-    return BoundResult(value, "P(O >= k) for independent events, C1 = sum P(E_n)")
+    exponent = -k * math.log(k) + k * (math.log(c1) + 1.0) - c1 if k > c1 else 0.0
+    if not exponent < math.inf:  # -inf + inf near the top of double range; 1 + ln t <= t puts this at most 0
+        exponent = min(k * (1.0 + math.log(c1 / k)) - c1, 0.0)
+    return BoundResult(_positive_exp(1.0, exponent), "P(O >= k) for independent events, C1 = sum P(E_n)")
 
 
 def freedman_tail_numeric(k: int, c1: float) -> tuple[float, float]:

@@ -197,16 +197,18 @@ class Functional:
         return weights.p if weights is not None and weights.kind == "exponential" else self.exp_rate or 0.0
 
     def values(self, counts: np.ndarray) -> np.ndarray:
-        """f at each count."""
+        """f at each count: one lookup in the table f(0), f(1), ..., f(max count)."""
         if len(counts) == 0:
             raise InputError("sample is empty")
+        top = int(counts.max())
+        if self.partial_sum_of is not None:
+            return self.partial_sum_of.partial_sums_upto(top)[counts]
+        n = np.arange(top + 1, dtype=float)
         if self.power is not None:
-            return counts.astype(float) ** self.power
-        if self.exp_rate is not None:
-            if (top := self.exp_rate * counts.max()) > 700.0:
-                raise FunctionalOverflowError(f"exp({top:.1f}) overflows double precision; use a smaller rate r")
-            return np.exp(self.exp_rate * counts.astype(float))
-        return self.partial_sum_of.partial_sums_upto(int(counts.max()))[counts]
+            return (n**self.power)[counts]
+        if (exponent := self.exp_rate * top) > 700.0:
+            raise FunctionalOverflowError(f"exp({exponent:.1f}) overflows double precision; use a smaller rate r")
+        return np.exp(self.exp_rate * n)[counts]
 
 
 @dataclass(frozen=True)
@@ -371,25 +373,23 @@ def write_sample_jsonl(sample: OverlapSample, path: str) -> None:
 def _parse_canonical(first: int, block: bytes) -> np.ndarray | None:
     """The counts of ``block`` if it is exactly ``_rows_bytes(first, counts)``, else None.
 
-    Each line's count is the digits after its last space and before ``}``;
-    re-encoding them is the whole validity check.
+    Row j's count is where the row format puts it: after ``{"rep": ``, the digits
+    of rep first + j and ``, "count": ``.  Re-encoding is the whole validity check.
     """
     buf = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     if len(ends) == 0 or ends[-1] != len(buf) - 1:
         return None
-    spaces = np.flatnonzero(buf == ord(" "))
-    last = np.searchsorted(spaces, ends) - 1
-    if last.min() < 0:
-        return None
+    rep_widths = 1 + np.searchsorted(10 ** np.arange(1, 19), np.arange(first, first + len(ends)), side="right")
+    starts = np.concatenate(([0], ends[:-1] + 1)) + len(_ROW_PARTS[0] + _ROW_PARTS[1]) + rep_widths
     stop = ends - 1  # the closing brace
-    widths = stop - spaces[last] - 1
+    widths = stop - starts
     if widths.min() < 1 or widths.max() > _FAST_DIGITS:
         return None
     width = int(widths.max())
     cols = np.arange(width - 1, -1, -1)
     # each count's digits right-aligned, pads 0; a non-digit byte parses as 9
-    digits = np.minimum(buf[np.maximum(stop[:, None] - 1 - cols, 0)] - np.uint8(48), 9)
+    digits = np.minimum(buf[stop[:, None] - 1 - cols] - np.uint8(48), 9)
     digits[cols >= widths[:, None]] = 0
     counts = digits.astype(np.int64) @ 10 ** cols
     return counts if _rows_bytes(first, counts) == block else None

@@ -286,7 +286,7 @@ def test_criterion_9_lil(lil_runs):
     rng = np.random.default_rng(SEED)
     n = 100_000
     a, b, dt, m = 0.0, 0.5, 1.0, 1.0
-    sup = bridge_max_sample(rng, np.full(n, a), np.full(n, b), dt)
+    sup = bridge_max_sample(rng.random(n), np.full(n, a), np.full(n, b), dt)
     phat = float(np.mean(sup >= m))
     target = math.exp(-2.0 * (m - a) * (m - b) / dt)
     se = math.sqrt(target * (1.0 - target) / n)

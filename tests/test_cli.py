@@ -387,6 +387,27 @@ def test_underflowed_markov_tail_is_the_least_positive_double(argv, fmt, tmp_pat
     assert [float(row["value"]) for row in rows] == [5e-324] and "5e-324" in out.read_text()
 
 
+def test_underflowed_vc_bound_is_the_least_positive_double(capsys):
+    """4 m(2 ell) e**(-eps**2 ell / 8) below double range reports 5e-324; a subnormal row above it is the formula's."""
+    argv = ["bound", "--formula", "vc.bound", "--eps", "1", "--ell", "5900,6000", "--format", "json", "--deterministic"]
+    assert main(argv) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
+    assert [row["value"] for row in rows] == [4.0 * (11800.0 + 1.0) * math.exp(-5900 / 8.0), 5e-324]
+    assert rows[0]["value"] > 5e-324
+
+
+# (C1, k) where -k ln k + k (ln C1 + 1) - C1 is -inf + inf; the exact tails are below 1e-300 and about 1
+FREEDMAN_TOP = [("3", "1" + "0" * 308, 5e-324), ("1e307", str(int(1e307) + 1), 1.0)]
+
+
+@pytest.mark.parametrize("c1, k, value", FREEDMAN_TOP, ids=["k=1e308", "k just above C1=1e307"])
+def test_freedman_tail_near_the_top_of_double_range_is_strict_json(c1, k, value, capsys):
+    argv = ["bound", "--formula", "freedman.tail", "--c1", c1, "--k", k, "--format", "json", "--deterministic"]
+    assert main(argv) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
+    assert row["value"] == value
+
+
 BEYOND_DOUBLE = "1" + "0" * 400
 
 

@@ -298,20 +298,29 @@ class TestEmpiricalMoment:
 class TestFunctional:
     COUNTS = [np.random.default_rng(seed).integers(0, high, size) for seed, high, size in
               [(1, 2, 1), (2, 30, 500), (3, 200, 4096), (4, 5000, 1000)]]
+    SPARSE = np.array([0, 3, 100_000, 7, 3], dtype=np.int64)  # its table is 20,000 times its length
 
-    @pytest.mark.parametrize("counts", COUNTS, ids=["tiny", "small", "mid", "wide"])
+    @pytest.mark.parametrize("counts", [*COUNTS, SPARSE], ids=["tiny", "small", "mid", "wide", "sparse"])
     def test_values_are_the_formulas_bit_for_bit(self, counts):
-        for p in (0.5, 1.0, 2.0, 3.7):
+        """The table lookup equals f evaluated directly at the counts, bit for bit, for every kind."""
+        top = max(1, int(counts.max()))
+        for p in (0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 7.25):
             assert Functional(power=p).values(counts).tobytes() == (counts.astype(float) ** p).tobytes()
-        for r in (0.0, 0.1, 700.0 / max(1, counts.max())):
+        for r in [r for r in (0.0, 0.1, 0.37 * 700.0 / top, 700.0 / top) if r * top <= 700.0]:
             assert Functional(exp_rate=r).values(counts).tobytes() == np.exp(r * counts.astype(float)).tobytes()
-        for w in (WeightSequence.monomial(1), WeightSequence.exponential(0.1), WeightSequence.custom(lambda n: 1.0 / n)):
-            want = w.partial_sums_upto(int(counts.max()))[counts]
-            assert Functional(partial_sum_of=w).values(counts).tobytes() == want.tobytes()
+        weights = (WeightSequence.monomial(1), WeightSequence.monomial(2.5), WeightSequence.exponential(0.5 * 700.0 / top),
+                   WeightSequence.custom(lambda n: 1.0 / n))
+        for w in weights[:-1] if top > 1000 else weights:  # S(c) summed up to each count on its own
+            sums = {c: w.partial_sums_upto(c)[-1] for c in set(counts.tolist())}
+            direct = np.array([sums[c] for c in counts.tolist()])
+            assert Functional(partial_sum_of=w).values(counts).tobytes() == direct.tobytes()
 
     def test_errors(self):
         with pytest.raises(FunctionalOverflowError, match="smaller rate"):
             Functional(exp_rate=10.0).values(np.array([3, 71]))
+        assert Functional(exp_rate=100.0).values(np.array([0, 7, 2]))[1] == np.exp(700.0)  # the guard allows e**700
+        with pytest.raises(FunctionalOverflowError, match=r"exp\(700\.0\) overflows"):
+            Functional(exp_rate=math.nextafter(100.0, math.inf)).values(np.array([0, 7, 2]))
         with pytest.raises(InputError, match="sample is empty"):
             Functional(power=1.0).values(np.array([], dtype=np.int64))
         for fields in ({}, {"power": 1.0, "exp_rate": 0.5}, {"exp_rate": 0.5, "partial_sum_of": WeightSequence.monomial(1)}):
@@ -467,6 +476,31 @@ class TestJsonlRows:
         write_sample_jsonl(hand_sample(counts), str(path))
         monkeypatch.setattr(engine, "_parse_json", lambda first, block: pytest.fail(f"json path at row {first}"))
         assert np.array_equal(read_sample_jsonl(str(path)).counts, counts)
+
+    @pytest.mark.parametrize("first", [0, 5, 95, 9_995, 10**6 - 4, 10**17 - 6])
+    def test_canonical_block_across_a_power_of_10_in_rep(self, first):
+        """Each count is read where the row format puts it, as the width of rep grows inside the block."""
+        counts = np.array([0, 10**18 - 1, 7, 10**17, 3, 123_456_789_012_345_678, 9, 1, 10**18 - 2, 0, 5], dtype=np.int64)
+        block = engine._rows_bytes(first, counts)
+        assert len(str(first)) < len(str(first + len(counts) - 1))
+        assert np.array_equal(engine._parse_canonical(first, block), counts)
+
+    EXTRA_SPACE = {"after rep": (b'"rep": ', b'"rep":  '), "before count": (b'"count": ', b'"count":  '),
+                   "before brace": (b"}\n", b" }\n")}
+
+    @pytest.mark.parametrize("old, new", EXTRA_SPACE.values(), ids=EXTRA_SPACE)
+    def test_one_extra_space_takes_the_json_path(self, tmp_path, monkeypatch, old, new):
+        counts = np.array([4, 10**18 - 1, 0, 8, 5, 12, 3, 9, 10, 11, 6], dtype=np.int64)
+        rows = engine._rows_bytes(0, counts).splitlines(keepends=True)
+        rows[9] = rows[9].replace(old, new)  # rep 9, the last with one digit
+        block = b"".join(rows)
+        assert engine._parse_canonical(0, block) is None
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(jsonl_header(len(counts)).encode() + block)
+        taken = []
+        real = engine._parse_json
+        monkeypatch.setattr(engine, "_parse_json", lambda first, block: taken.append(first) or real(first, block))
+        assert read_sample_jsonl(str(path)).counts.tolist() == counts.tolist() and taken == [0]
 
     @pytest.mark.parametrize("bad", ['{"rep": 5000, "count": -4}', '{"rep": 5000, "count": 1.5}', '{"count": true, "rep": 5000}'])
     def test_bad_row_after_the_first_block_reports_its_line(self, tmp_path, bad):

@@ -18,7 +18,7 @@ class TestBridgeMax:
         rng = np.random.default_rng(41)
         n = 100_000
         a, b, s, t, m = 0.3, -0.2, 1.0, 3.5, 1.1
-        sup = bridge_max_sample(rng, np.full(n, a), np.full(n, b), t - s)
+        sup = bridge_max_sample(rng.random(n), np.full(n, a), np.full(n, b), t - s)
         phat = float(np.mean(sup >= m))
         target = crossing_probability(a, b, s, t, m)
         se = math.sqrt(target * (1 - target) / n)
