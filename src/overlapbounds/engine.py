@@ -197,18 +197,16 @@ class Functional:
         return weights.p if weights is not None and weights.kind == "exponential" else self.exp_rate or 0.0
 
     def values(self, counts: np.ndarray) -> np.ndarray:
-        """f at each count: one lookup in the table f(0), f(1), ..., f(max count)."""
+        """f at each count: O**p and e**(rO) in O(len) memory, S(O) by its table of partial sums up to max(O)."""
         if len(counts) == 0:
             raise InputError("sample is empty")
-        top = int(counts.max())
-        if self.partial_sum_of is not None:
-            return self.partial_sum_of.partial_sums_upto(top)[counts]
-        n = np.arange(top + 1, dtype=float)
         if self.power is not None:
-            return (n**self.power)[counts]
-        if (exponent := self.exp_rate * top) > 700.0:
-            raise FunctionalOverflowError(f"exp({exponent:.1f}) overflows double precision; use a smaller rate r")
-        return np.exp(self.exp_rate * n)[counts]
+            return counts.astype(float) ** self.power
+        if self.exp_rate is not None:
+            if (top := self.exp_rate * counts.max()) > 700.0:
+                raise FunctionalOverflowError(f"exp({top:.1f}) overflows double precision; use a smaller rate r")
+            return np.exp(self.exp_rate * counts.astype(float))
+        return self.partial_sum_of.partial_sums_upto(int(counts.max()))[counts]
 
 
 @dataclass(frozen=True)

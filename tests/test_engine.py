@@ -298,22 +298,30 @@ class TestEmpiricalMoment:
 class TestFunctional:
     COUNTS = [np.random.default_rng(seed).integers(0, high, size) for seed, high, size in
               [(1, 2, 1), (2, 30, 500), (3, 200, 4096), (4, 5000, 1000)]]
-    SPARSE = np.array([0, 3, 100_000, 7, 3], dtype=np.int64)  # its table is 20,000 times its length
+    SPARSE = np.array([0, 3, 100_000, 7, 3], dtype=np.int64)  # its S(O) table is 20,000 times its length
 
     @pytest.mark.parametrize("counts", [*COUNTS, SPARSE], ids=["tiny", "small", "mid", "wide", "sparse"])
     def test_values_are_the_formulas_bit_for_bit(self, counts):
-        """The table lookup equals f evaluated directly at the counts, bit for bit, for every kind."""
         top = max(1, int(counts.max()))
         for p in (0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 7.25):
             assert Functional(power=p).values(counts).tobytes() == (counts.astype(float) ** p).tobytes()
         for r in [r for r in (0.0, 0.1, 0.37 * 700.0 / top, 700.0 / top) if r * top <= 700.0]:
             assert Functional(exp_rate=r).values(counts).tobytes() == np.exp(r * counts.astype(float)).tobytes()
-        weights = (WeightSequence.monomial(1), WeightSequence.monomial(2.5), WeightSequence.exponential(0.5 * 700.0 / top),
-                   WeightSequence.custom(lambda n: 1.0 / n))
-        for w in weights[:-1] if top > 1000 else weights:  # S(c) summed up to each count on its own
-            sums = {c: w.partial_sums_upto(c)[-1] for c in set(counts.tolist())}
-            direct = np.array([sums[c] for c in counts.tolist()])
-            assert Functional(partial_sum_of=w).values(counts).tobytes() == direct.tobytes()
+        weights = (WeightSequence.monomial(1), WeightSequence.monomial(2.5), WeightSequence.exponential(0.1),
+                   WeightSequence.exponential(0.5 * 700.0 / top), WeightSequence.custom(lambda n: 1.0 / n))
+        for w in [w for w in weights if w.kind != "exponential" or w.p * top <= 700.0]:
+            values = Functional(partial_sum_of=w).values(counts)
+            assert values.tobytes() == w.partial_sums_upto(int(counts.max()))[counts].tobytes()
+            if top <= 1000 or w.kind != "custom":  # and S(c) summed up to each count on its own
+                sums = {c: w.partial_sums_upto(c)[-1] for c in set(counts.tolist())}
+                assert values.tobytes() == np.array([sums[c] for c in counts.tolist()]).tobytes()
+
+    def test_a_count_far_above_the_sample_length_costs_no_table(self):
+        """O**p and e**(rO) take memory in the sample's length, whatever its largest count."""
+        counts = np.array([0, 10**12, 3, 2**62], dtype=np.int64)
+        assert Functional(power=2.0).values(counts).tobytes() == (counts.astype(float) ** 2.0).tobytes()
+        for r in (0.0, 1e-17):
+            assert Functional(exp_rate=r).values(counts).tobytes() == np.exp(r * counts.astype(float)).tobytes()
 
     def test_errors(self):
         with pytest.raises(FunctionalOverflowError, match="smaller rate"):
