@@ -27,9 +27,17 @@ def bridge_max_sample(u: np.ndarray, a: np.ndarray, b: np.ndarray, dt: np.ndarra
 
     With d = b - a the maximum above a is x = (d + sqrt(d**2 - 2 dt ln U))/2.
     """
-    d = np.asarray(b) - np.asarray(a)
-    x = 0.5 * (d + np.sqrt(d * d - 2.0 * np.asarray(dt) * np.log(u)))
-    return np.asarray(a) + x
+    log_u = np.log(u, out=np.empty(np.broadcast(u, a, b, dt).shape))  # a new array of the broadcast shape
+    return np.asarray(a) + _bridge_excess(np.asarray(b) - np.asarray(a), log_u, dt)
+
+
+def _bridge_excess(d: np.ndarray, log_u: np.ndarray, dt: np.ndarray | float) -> np.ndarray:
+    """(d + sqrt(d**2 - 2 dt ln U))/2, computed in the array ``log_u`` holding ln U, which it returns."""
+    log_u *= 2.0 * np.asarray(dt)
+    np.sqrt(np.subtract(d * d, log_u, out=log_u), out=log_u)
+    log_u += d
+    log_u *= 0.5
+    return log_u
 
 
 def lil_start_index(alpha: float) -> int:
@@ -73,14 +81,17 @@ def lil_simulate(
 
     def kernel(rng: np.random.Generator, start: int, m: int) -> np.ndarray:
         w0 = rng.normal(0.0, math.sqrt(t_left[0]), m)
-        incr = rng.normal(0.0, 1.0, (m, n_max)) * np.sqrt(dts)
+        w = rng.normal(0.0, 1.0, (m, n_max))
+        w *= np.sqrt(dts)
         u = rng.random((m, n_max))
-        w = w0[:, None] + np.cumsum(incr, axis=1)
-        left = np.column_stack([w0, w[:, :-1]])
-        sup = bridge_max_sample(u, left, w, dts)  # the peak, 8 arrays: incr, u, w, left, d, d*d, ln u, dt ln u
+        np.cumsum(w, axis=1, out=w)
+        w += w0[:, None]
+        sup = _bridge_excess(np.diff(w, axis=1, prepend=w0[:, None]), np.log(u, out=u), dts)  # peak: w, u, d, d*d
+        sup[:, 0] += w0
+        sup[:, 1:] += w[:, :-1]
         return (sup > thresholds).sum(axis=1).astype(np.int64)
 
-    counts = run_chunked(reps, seed, kernel, threads=threads, row_width=8 * n_max)
+    counts = run_chunked(reps, seed, kernel, threads=threads, row_width=8 * n_max)  # chunks fix the streams: kept at 8
     order = 1.0 + max(alpha - 2.0, 0.0)
     rows = [
         MDFRow.from_values(alpha, "E[O_alpha] (constant existential)", None, counts),

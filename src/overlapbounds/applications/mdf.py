@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..bounds import BoundResult, _positive_exp
+from ..bounds import BoundResult
 from ..engine import mean_stderr
-from ..errors import DomainError, overflow_checked
+from ..errors import DomainError, positive_finite
 from ..series import DecayModel, tail_sum
 
 
@@ -91,8 +91,8 @@ def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> BoundResul
     least = 2.0 / (eps * eps) if eps * eps > 0.0 else math.inf  # eps**2 may underflow
     if not ell >= max(least, 1.0):
         raise DomainError(f"vc_bound requires ell >= 1 and ell >= 2/eps**2 = {least:.6g} (got ell={ell})")
-    value = overflow_checked(lambda: _positive_exp(4.0 * float(growth(2 * ell)), -eps * eps * ell / 8.0),
-                             f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
+    value = positive_finite(lambda: 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0),
+                            f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
     return BoundResult(value, "P(sup_A |frequency of A in ell draws - P(A)| > eps) for a class with growth function m")
 
 
@@ -113,6 +113,6 @@ def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:
         raise DomainError(f"ldp_mdf_bound requires e**-rate < 1 and e**-(rate - p) < 1 in floating point "
                           f"(got rate={rate}, p={p})")
     return BoundResult(
-        value=overflow_checked(lambda: big_c / denominator, f"C / ((1 - e**-rate) (1 - e**-(rate - p))) at C={big_c}"),
+        value=positive_finite(lambda: big_c / denominator, f"C / ((1 - e**-rate) (1 - e**-(rate - p))) at C={big_c}"),
         validity=f"requires 0 < p < rate = {rate:.6g}; tail value * e**(-p k)",
     )

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FunctionalOverflowError, overflow_checked
+from .errors import DomainError, positive_finite
 from .series import (
     DecayModel,
     SeriesValue,
@@ -108,9 +108,9 @@ def general_moment_bound(weights: WeightSequence, model: DecayModel) -> BoundRes
 
 
 def _map_bound(result: BoundResult, f: Callable[[float], float], validity: str) -> BoundResult:
-    """``result`` with f applied to its value and to its closed form alike."""
-    closed = result.closed_form
-    return replace(result, value=f(result.value), closed_form=None if closed is None else f(closed), validity=validity)
+    """``result`` with f applied to its value and closed form, each a closed form; an exact 0 (no events) maps to f(0)."""
+    mapped = lambda v: None if v is None else positive_finite(lambda: f(v), f"the bound ({validity})") if v else f(v)
+    return replace(result, value=mapped(result.value), closed_form=mapped(result.closed_form), validity=validity)
 
 
 def poly_moment_bound(p: float, model: DecayModel) -> BoundResult:
@@ -138,24 +138,17 @@ def second_moment_bound(c1: float) -> float:
     """E[O**2] <= C1 * (1 + C1) for independent summable families."""
     if c1 <= 0:
         raise DomainError("second_moment_bound requires C1 > 0")
-    return overflow_checked(lambda: c1 * (1.0 + c1), f"C1 (1 + C1) at C1={c1}")
+    return positive_finite(lambda: c1 * (1.0 + c1), f"C1 (1 + C1) at C1={c1}")
 
 
 def freedman_exp_bound(r: float, c1: float) -> BoundResult:
     """Universal bound E[exp(r*O)] <= exp(C1 (e**r - 1)) for independent families."""
-    if r <= 0:
-        raise DomainError("freedman_exp_bound requires r > 0")
-    if c1 <= 0:
-        raise DomainError("freedman_exp_bound requires C1 > 0")
+    if not (r > 0 and c1 > 0):
+        raise DomainError(f"freedman_exp_bound requires r > 0 and C1 > 0 (got r={r}, C1={c1})")
     return BoundResult(
-        value=overflow_checked(lambda: math.exp(c1 * math.expm1(r)), f"exp(C1 (e**r - 1)) at C1={c1}, r={r}"),
+        value=positive_finite(lambda: math.exp(c1 * math.expm1(r)), f"exp(C1 (e**r - 1)) at C1={c1}, r={r}"),
         validity="independent events, C1 = sum P(E_n)",
     )
-
-
-def _positive_exp(factor: float, exponent: float) -> float:
-    """factor * e**exponent, raised to the least positive double where it underflows: still an upper bound, never 0."""
-    return max(factor * math.exp(exponent), math.ulp(0.0))
 
 
 def freedman_tail_bound(k: int, c1: float) -> BoundResult:
@@ -165,14 +158,14 @@ def freedman_tail_bound(k: int, c1: float) -> BoundResult:
     positive, the infimum over r > 0 is attained in the limit r -> 0 and
     the bound degenerates to 1.
     """
-    if k < 1:
-        raise DomainError("freedman_tail_bound requires k >= 1")
-    if c1 <= 0:
-        raise DomainError("freedman_tail_bound requires C1 > 0")
+    if not (k >= 1 and c1 > 0):
+        raise DomainError(f"freedman_tail_bound requires k >= 1 and C1 > 0 (got k={k}, C1={c1})")
     exponent = -k * math.log(k) + k * (math.log(c1) + 1.0) - c1 if k > c1 else 0.0
-    if not exponent < math.inf:  # -inf + inf near the top of double range; 1 + ln t <= t puts this at most 0
-        exponent = min(k * (1.0 + math.log(c1 / k)) - c1, 0.0)
-    return BoundResult(_positive_exp(1.0, exponent), "P(O >= k) for independent events, C1 = sum P(E_n)")
+    if not exponent < math.inf:  # -inf + inf near the top of double range: the same exponent, k (log1p(t) - t) <= 0
+        t = (c1 - k) / k
+        exponent = k * (math.log1p(t) - t) if t > -1.0 else min(k * (1.0 + math.log(c1 / k)) - c1, 0.0)
+    value = positive_finite(lambda: math.exp(exponent), f"the Freedman tail at k={k}, C1={c1}")
+    return BoundResult(value, "P(O >= k) for independent events, C1 = sum P(E_n)")
 
 
 def freedman_tail_numeric(k: int, c1: float) -> tuple[float, float]:
@@ -187,7 +180,7 @@ def improved_exp_bound(r: float, c1: float) -> BoundResult:
     if not (0.0 < c1 < 1.0):
         raise DomainError(f"improved_exp_bound requires C1 < 1 (got C1={c1})")
     limit = abs(math.log(c1))
-    if not (0.0 < r < limit and overflow_checked(lambda: c1 * math.exp(r), f"e**r at r={r}") < 1.0):
+    if not (0.0 < r < limit and positive_finite(lambda: c1 * math.exp(r), f"e**r at r={r}") < 1.0):
         raise DomainError(
             f"improved_exp_bound requires 0 < r < |ln(C1)| = {limit:.6g}, and C1 e**r < 1 in floating point (got r={r})"
         )
@@ -202,22 +195,20 @@ def rate_aware_exp_bound(r: float, L: TailFunction) -> BoundResult:
 
     Minimised by a coarse grid plus golden section on ln(delta) in (0, 50];
     any evaluation point is itself a valid upper bound.  A point whose
-    L^-1 exceeds double precision bounds nothing and counts as +inf.
+    L^-1 exceeds double precision bounds nothing and counts as +inf; a negative
+    L^-1 (a geometric tail with e^-r / delta > c) is clamped at index 0.
     """
     if r <= 0:
         raise DomainError("rate_aware_exp_bound requires r > 0")
 
     def log_objective(ln_delta: float) -> float:
         delta = math.exp(ln_delta)
-        inv = L.inverse(math.exp(-r) / delta)
+        inv = max(L.inverse(math.exp(-r) / delta), 0.0)
         return math.log(delta / (delta - 1.0)) + r * inv
 
     x, log_val = golden_section_min(log_objective, 1e-9, 50.0, tol=1e-12, coarse=257)
-    if not math.isfinite(log_val):
-        raise FunctionalOverflowError(f"r L^-1(e**-r / delta) exceeds double precision at every delta in (1, e**50] "
-                                      f"(r={r}, L={L.describe()})")
     return BoundResult(
-        value=overflow_checked(lambda: math.exp(log_val), f"the rate-aware bound exp({log_val:.6g}) at r={r}"),
+        value=positive_finite(lambda: math.exp(log_val), f"the rate-aware bound exp({log_val:.6g}) at r={r}"),
         validity="independent events; L nonincreasing invertible majorant of the tail sums",
         minimizer=math.exp(x),
     )
@@ -235,11 +226,11 @@ def powerlaw_tail_asymptotic(k: int, c: float, p: float) -> BoundResult:
     if c <= 0 or p <= 1:
         raise DomainError("powerlaw_tail_asymptotic requires c > 0 and p > 1")
     a = (2.0 * c) ** (1.0 / p)
-    w = lambert_w0(overflow_checked(lambda: math.e * (k / a), f"e k / (2c)**(1/p) at k={k}, c={c}, p={p}"))
+    w = lambert_w0(positive_finite(lambda: math.e * (k / a), f"e k / (2c)**(1/p) at k={k}, c={c}, p={p}"))
     if w <= 1.0:
         raise DomainError(f"k={k} too small for a positive minimiser (requires W(e k / (2c)^(1/p)) > 1)")
-    r_star = overflow_checked(lambda: p * (w - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
-    value = _positive_exp(2.0, -p * k * (w - 1.0) ** 2 / w)
+    r_star = positive_finite(lambda: p * (w - 1.0), f"the minimiser r* at k={k}, c={c}, p={p}")
+    value = positive_finite(lambda: 2.0 * math.exp(-p * k * (w - 1.0) ** 2 / w), f"the tail at k={k}, c={c}, p={p}")
     return BoundResult(value, "P(O >= k) for independent events with tail sums C_m <= c m**-p", r_star)
 
 
@@ -259,13 +250,11 @@ def geometric_tail_bound(k: int, c: float, b: float) -> BoundResult:
     r* = (k |ln b| - ln(2c)) / 2; when r* <= 0 the infimum over r > 0 is
     the vacuous bound 2, at r* = 0.
     """
-    if k < 1:
-        raise DomainError("geometric_tail_bound requires k >= 1")
-    if c <= 0 or not (0.0 < b < 1.0):
-        raise DomainError("geometric_tail_bound requires c > 0 and 0 < b < 1")
+    if not (k >= 1 and c > 0 and 0.0 < b < 1.0):
+        raise DomainError(f"geometric_tail_bound requires k >= 1, c > 0 and 0 < b < 1 (got k={k}, c={c}, b={b})")
     lnb = abs(math.log(b))
     beta = math.log(2.0 * c) - k * lnb
-    value = 2.0 if beta >= 0.0 else _positive_exp(2.0, -beta * beta / (4.0 * lnb))
+    value = 2.0 if beta >= 0.0 else positive_finite(lambda: 2.0 * math.exp(-beta * beta / (4.0 * lnb)), "the Gaussian tail")
     return BoundResult(value, "P(O >= k) for independent events with tail sums C_m <= c b**m", max(0.0, -beta / 2.0))
 
 

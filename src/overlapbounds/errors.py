@@ -1,6 +1,6 @@
 """Exception types shared across the package: each is an ``InputError`` (CLI exit 64) or a ``DomainError`` (exit 2).
 
-``overflow_checked`` turns a closed form that overflows double precision into a ``FunctionalOverflowError``.
+Every closed form is evaluated through ``positive_finite``.
 """
 
 import math
@@ -31,11 +31,11 @@ class FunctionalOverflowError(DomainError, OverflowError):
     """A simulated or summed value overflows double precision."""
 
 
-def overflow_checked(compute: Callable[[], float], what: str) -> float:
-    """``compute()`` when it is a finite number.
+def positive_finite(compute: Callable[[], float], what: str) -> float:
+    """``compute()``, a closed form, as a double in [5e-324, max], so an upper bound stays one.
 
-    An ``OverflowError`` or a result that is not finite raises ``FunctionalOverflowError``
-    saying that ``what`` overflows double precision.
+    An ``OverflowError`` or a result that is not finite raises ``FunctionalOverflowError`` saying
+    that ``what`` overflows double precision; a result that underflows to 0.0 reads 5e-324.
     """
     try:
         value = compute()
@@ -43,7 +43,7 @@ def overflow_checked(compute: Callable[[], float], what: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise FunctionalOverflowError(f"{what} overflows double precision")
-    return value
+    return max(value, math.ulp(0.0))
 
 
 class InputError(OverlapBoundsError, ValueError):

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .engine import mean_stderr, prefetched, run_chunked
-from .errors import DomainError, FunctionalOverflowError, InputError, overflow_checked
+from .errors import DomainError, FunctionalOverflowError, InputError, positive_finite
 from .series import zeta
 from .bounds import BoundResult
 
@@ -214,6 +214,6 @@ def sde_mdf_bound(k_t: float, c: float, t_end: float, eps: float) -> BoundResult
     if min(k_t, c, t_end, eps) <= 0:
         raise DomainError("all inputs must be positive")
     return BoundResult(
-        value=overflow_checked(lambda: k_t * (c * t_end) ** 1.5 / eps * zeta(1.5).value, "K_T (CT)**1.5 zeta(3/2) / eps"),
+        value=positive_finite(lambda: k_t * (c * t_end) ** 1.5 / eps * zeta(1.5).value, "K_T (CT)**1.5 zeta(3/2) / eps"),
         validity="E[O_eps] across dyadic refinements; tail K1 / k",
     )

@@ -41,7 +41,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, FunctionalOverflowError, InputError, NonConvergenceError
+from .errors import DivergenceError, DomainError, FunctionalOverflowError, InputError, NonConvergenceError, positive_finite
 
 _SUM_CHUNK = 1 << 16
 _FIRST_CUT = 64
@@ -183,8 +183,6 @@ def faulhaber_sum(p: int, n: int) -> int:
         raise DomainError(f"faulhaber_sum supports 0 <= p <= 30 (got p={p})")
     if n < 0:
         raise DomainError(f"faulhaber_sum requires n >= 0 (got n={n})")
-    if n == 0:
-        return 0
     bern = bernoulli_numbers(p)
     acc = Fraction(0)
     for j in range(p + 1):
@@ -549,8 +547,10 @@ def weighted_tail_closed_form(weights: WeightSequence, model: DecayModel) -> flo
     p = weights.p
     if isinstance(model, PowerLaw) and weights.kind == "monomial" and p < model.q - 2.0:
         c, q = model.c, model.q
-        return c * (zeta(q - 1.0 - p).value / (q - 1.0) + zeta(q - p).value)
+        return positive_finite(lambda: c * (zeta(q - 1.0 - p).value / (q - 1.0) + zeta(q - p).value),
+                               f"c (zeta(q-1-p) / (q-1) + zeta(q-p)) at c={c}, q={q}, p={p}")
     if isinstance(model, Geometric) and weights.kind == "exponential":
-        growth = math.exp(p) * model.b
-        return model.c / ((1.0 - model.b) * (1.0 - growth)) if p < abs(math.log(model.b)) and growth < 1.0 else None
+        c, b, growth = model.c, model.b, math.exp(p) * model.b
+        if p < abs(math.log(b)) and growth < 1.0:
+            return positive_finite(lambda: c / ((1.0 - b) * (1.0 - growth)), f"c / ((1-b) (1 - e**p b)) at p={p}")
     return None

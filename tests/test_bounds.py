@@ -27,6 +27,7 @@ from overlapbounds import (
     second_moment_bound,
     sn_exact_distribution,
 )
+from overlapbounds.errors import positive_finite
 from overlapbounds.bounds import (
     freedman_tail_numeric,
     geometric_tail_numeric,
@@ -221,6 +222,33 @@ class TestRateAware:
         grid = np.linspace(1.0 + 1e-6, 100.0, 200_001)
         vals = grid / (grid - 1.0) * np.exp(r * (r + np.log(grid * c)) / abs(math.log(b)))
         assert res.value == pytest.approx(float(vals.min()), rel=1e-6)
+
+
+    def test_geometric_tail_below_its_rate_reads_index_zero(self):
+        # for delta < e**-r / c the inverse (r + ln(delta c)) / |ln b| is negative; index 0 bounds the tail there
+        r, c, b = 1.0, 0.01, 0.5
+        res = rate_aware_exp_bound(r, TailFunction.geometric(c, b))
+        grid = np.linspace(1.0 + 1e-6, 100.0, 200_001)
+        vals = grid / (grid - 1.0) * np.exp(r * np.maximum((r + np.log(grid * c)) / abs(math.log(b)), 0.0))
+        assert res.value >= 1.0
+        assert res.value == pytest.approx(float(vals.min()), rel=1e-6)
+
+
+class TestPositiveFinite:
+    """The one evaluation of a closed form: a double in [5e-324, max], or FunctionalOverflowError."""
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1.0, 1.7976931348623157e308])
+    def test_a_double_in_range_is_itself(self, value):
+        assert positive_finite(lambda: value, "x") == value
+
+    def test_an_underflow_reads_the_least_positive_double(self):
+        assert positive_finite(lambda: 2.0 * math.exp(-800.0), "x") == 5e-324
+
+    @pytest.mark.parametrize("compute", [lambda: math.exp(800.0), lambda: 1e308 * 10.0, lambda: math.inf - math.inf],
+                             ids=["OverflowError", "inf", "nan"])
+    def test_beyond_double_range_names_the_expression(self, compute):
+        with pytest.raises(FunctionalOverflowError, match=r"^e\*\*800 overflows double precision$"):
+            positive_finite(compute, "e**800")
 
 
 class TestTailAsymptotics:

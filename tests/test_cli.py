@@ -7,6 +7,7 @@ import math
 import pathlib
 import sys
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -241,7 +242,7 @@ CLOSED_FORM_LIMITS = [
     (["bound", "--formula", "thm2.9", "--c1", "0.9", "--r", "0.10536051565782627"], "C1 e**r < 1 in floating point"),
     (["bound", "--formula", "thm3.16", "--rate", "1e-300", "--bigc", "1", "--p", "1e-301"],
      "e**-rate < 1 and e**-(rate - p) < 1 in floating point"),
-    (["bound", "--formula", "cor2.10", "--tail", "power:1,0.001", "--r", "5"], "exceeds double precision at every delta"),
+    (["bound", "--formula", "cor2.10", "--tail", "power:1,0.001", "--r", "5"], "the rate-aware bound exp(inf) at r=5.0 overflows"),
     (["bound", "--formula", "cor2.10", "--tail", "geometric:1e300,0.999999", "--r", "40"],
      "the rate-aware bound exp(2.9231e+10) at r=40.0 overflows"),
     (["bound", "--formula", "vc.bound", "--eps", "1e-3", "--ell", "2000000", "--growth-p", "300"],
@@ -249,6 +250,17 @@ CLOSED_FORM_LIMITS = [
     (["bound", "--formula", "lem2.6", "--c1", "1e300"], "C1 (1 + C1) at C1=1e+300 overflows"),
     (["bound", "--formula", "sde.mdf", "--kt", "1e300", "--ct", "1e300", "--t", "1e300", "--eps", "1e-300"],
      "K_T (CT)**1.5 zeta(3/2) / eps overflows"),
+    # Theorem 2.2's closed form, and the scale (p+1) of cor2.3.poly and cor3.4, beyond double range: no row of Infinity
+    (["bound", "--formula", "thm2.2", "--decay", "geometric:1e307,0.5", "--weights", "exponential:0.69"],
+     "c / ((1-b) (1 - e**p b)) at p=0.69 overflows double precision"),
+    (["bound", "--formula", "cor2.3.poly", "--decay", "powerlaw:1e308,5", "--p", "1"],
+     "the bound (bounds E[O**2]; requires K1(p) < inf) overflows double precision"),
+    (["bound", "--formula", "cor3.4", "--decay", "powerlaw:1e308,5", "--p", "1"],
+     "the bound (bounds E[O**2]; requires K1(p) < inf) overflows double precision"),
+    (["bound", "--formula", "cor2.3.exp", "--decay", "geometric:1e307,0.5", "--p", "0.69"],
+     "c / ((1-b) (1 - e**p b)) at p=0.69 overflows double precision"),
+    (["bound", "--formula", "cor3.5", "--decay", "geometric:1e307,0.5", "--p", "0.69"],
+     "c / ((1-b) (1 - e**p b)) at p=0.69 overflows double precision"),
 ]
 
 
@@ -313,22 +325,60 @@ CLOSED_FORMS = {
 }
 
 
-def _closed_form_argv(formula: str):
-    flags = CLOSED_FORMS[formula]
+_MAGNITUDE = st.one_of(st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-100, 307)),
+                       st.sampled_from([1e-100, 1.0, 1e300, 1e307, 1e308, 1.7976931348623157e308]))
+_DECAY = st.one_of(
+    st.builds("powerlaw:{!r},{!r}".format, _MAGNITUDE, st.floats(1.0, 50.0, exclude_min=True)),
+    st.builds("geometric:{!r},{!r}".format, _MAGNITUDE, st.floats(1e-100, 0.999)),
+    st.builds(lambda probs: "explicit:" + ",".join(map(repr, probs)), st.lists(st.floats(1e-100, 1.0), min_size=1,
+                                                                               max_size=5)),
+)
+_WEIGHTS = st.builds("{}:{!r}".format, st.sampled_from(["monomial", "exponential"]), st.floats(0.0, 10.0))
+# each series-backed formula's flags over positive families, c up to the top of double range
+SERIES_FORMS = {
+    "prop2.1": {"decay": _DECAY, "weights": _WEIGHTS},
+    "thm2.2": {"decay": _DECAY, "weights": _WEIGHTS},
+    "cor2.3.poly": {"decay": _DECAY, "p": st.floats(0.0, 10.0)},
+    "cor2.3.exp": {"decay": _DECAY, "p": st.floats(0.0, 10.0)},
+    "cor3.2": {"decay": _DECAY},
+    "cor3.4": {"decay": _DECAY, "p": st.floats(0.0, 10.0)},
+    "cor3.5": {"decay": _DECAY, "p": st.floats(0.0, 10.0)},
+}
+# bounds on E[e**(rO)], which is at least 1
+AT_LEAST_ONE = {"thm2.7", "thm2.9", "cor2.10", "cor2.3.exp", "cor3.5"}
+
+
+def _bound_argv(forms: dict, formula: str):
+    flags = forms[formula]
     return st.tuples(*flags.values()).map(lambda values: ["bound", "--formula", formula, *(
         f"--{flag}={v if isinstance(v, str) else repr(v)}" for flag, v in zip(flags, values))])
 
 
-@given(st.sampled_from(sorted(CLOSED_FORMS)).flatmap(_closed_form_argv))
-@settings(max_examples=1000, deadline=None, derandomize=True)
-def test_closed_form_exits_ok_with_strict_json_or_domain_or_usage(argv):
-    """Every closed-form bound writes finite, strict JSON or exits 2 or 64: never a traceback, never Infinity."""
+def _assert_positive_finite_rows_or_refused(argv):
+    """Exit 0 with strict-JSON rows whose value and closed form are at least 5e-324 (at least 1 for a bound on
+    E[e**(rO)]), or exit 2 or 64: never a traceback, Infinity or 0.0."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--format", "json", "--deterministic"])
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), err.getvalue()
     if code == EXIT_OK:
-        assert json.loads(out.getvalue(), parse_constant=_strict)["rows"]
+        rows = json.loads(out.getvalue(), parse_constant=_strict)["rows"]
+        least = 1.0 if argv[2] in AT_LEAST_ONE else 5e-324
+        assert rows and all(row["value"] >= least and row.get("closed_form", least) >= least for row in rows), rows
+
+
+@given(st.sampled_from(sorted(CLOSED_FORMS)).flatmap(partial(_bound_argv, CLOSED_FORMS)))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_closed_form_exits_ok_with_strict_json_or_domain_or_usage(argv):
+    """Every closed-form bound writes finite rows of at least 5e-324 in strict JSON, or exits 2 or 64."""
+    _assert_positive_finite_rows_or_refused(argv)
+
+
+@given(st.sampled_from(sorted(SERIES_FORMS)).flatmap(partial(_bound_argv, SERIES_FORMS)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_series_bound_exits_ok_with_positive_finite_rows_or_domain_or_usage(argv):
+    """Every series-backed bound over a positive family writes finite rows of at least 5e-324, or exits 2 or 64."""
+    _assert_positive_finite_rows_or_refused(argv)
 
 
 # (c, p, k) with e k / (2c)**(1/p), the argument of Lambert W, in [1e307, 1.79e308]
@@ -396,16 +446,37 @@ def test_underflowed_vc_bound_is_the_least_positive_double(capsys):
     assert rows[0]["value"] > 5e-324
 
 
-# (C1, k) where -k ln k + k (ln C1 + 1) - C1 is -inf + inf; the exact tails are below 1e-300 and about 1
-FREEDMAN_TOP = [("3", "1" + "0" * 308, 5e-324), ("1e307", str(int(1e307) + 1), 1.0)]
+# (C1, k) where -k ln k + k (ln C1 + 1) - C1 is -inf + inf; the exact tails are below 1e-300, about 1, and
+# exp(-(k - C1)**2 / (2 C1)), about exp(-5e284), where k exceeds C1 by 1e-11 of it
+FREEDMAN_TOP = [("3", "1" + "0" * 308, 5e-324), ("1e307", str(int(1e307) + 1), 1.0),
+                ("1e307", str(int(1e307) + 10**296), 5e-324)]
 
 
-@pytest.mark.parametrize("c1, k, value", FREEDMAN_TOP, ids=["k=1e308", "k just above C1=1e307"])
+@pytest.mark.parametrize("c1, k, value", FREEDMAN_TOP,
+                         ids=["k=1e308", "k just above C1=1e307", "k 1e296 above C1=1e307"])
 def test_freedman_tail_near_the_top_of_double_range_is_strict_json(c1, k, value, capsys):
     argv = ["bound", "--formula", "freedman.tail", "--c1", c1, "--k", k, "--format", "json", "--deterministic"]
     assert main(argv) == EXIT_OK
     (row,) = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
     assert row["value"] == value
+
+
+def test_underflowed_sde_bound_is_the_least_positive_double(capsys):
+    """K_T (CT)**1.5 zeta(3/2) / eps below double range reports 5e-324, still an upper bound, never 0.0."""
+    argv = ["bound", "--formula", "sde.mdf", "--kt", "1e-310", "--ct", "1e-10", "--t", "1", "--eps", "1"]
+    assert main(argv + ["--format", "json", "--deterministic"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
+    assert row["value"] == 5e-324
+
+
+@pytest.mark.parametrize("tail, at_most", [("geometric:0.01,0.5", 1.03), ("geometric:1e-300,0.5", 1.0)])
+def test_rate_aware_bound_is_at_least_one(tail, at_most, capsys):
+    """Where e**-r / delta exceeds c, a geometric tail's L^-1 is negative and is read as index 0, so
+    delta / (delta - 1) e**(r L^-1) never falls below E[e**(rO)] >= 1; with c tiny it tends to 1 as delta grows."""
+    argv = ["bound", "--formula", "cor2.10", "--tail", tail, "--r", "1", "--format", "json", "--deterministic"]
+    assert main(argv) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
+    assert 1.0 <= row["value"] <= at_most
 
 
 BEYOND_DOUBLE = "1" + "0" * 400

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ class TestBridgeMax:
         assert np.allclose(out, expected)
 
 
+    @pytest.mark.parametrize("u, a, b, dt", [
+        (np.array([0.5, 0.9, 0.1]), np.array([0.3, -1.0, 2.0]), np.array([0.1, 0.4, -2.5]), np.array([1.0, 0.5, 3.0])),
+        (0.25, np.zeros(3), np.array([0.1, 0.4, -2.5]), 2.0),
+        (np.array([0.5, 0.9]), 0.3, -0.2, 1.5),
+        (0.5, 0.0, 0.0, np.array([1.0, 2.0])),
+        (0.5, 0.3, -0.2, 1.0),
+    ], ids=["same shape", "scalar u", "scalar endpoints", "vector dt", "all scalar"])
+    def test_is_its_formula_bit_for_bit_under_broadcasting(self, u, a, b, dt):
+        d = np.asarray(b) - np.asarray(a)
+        expected = np.asarray(a) + 0.5 * (d + np.sqrt(d * d - 2.0 * np.asarray(dt) * np.log(u)))
+        assert np.array_equal(bridge_max_sample(u, a, b, dt), expected)
+
+
 class TestLilSimulate:
     def test_start_index_excludes_small_times(self):
         assert lil_start_index(1.5) == 3  # 1.5^2 < e < 1.5^3
@@ -88,7 +102,7 @@ class TestLilSimulate:
 
 
 def test_wide_rows_run_in_small_chunks(monkeypatch):
-    """A row holds eight n_max arrays at the kernel's peak: at n_max = 1000 a chunk has 512 rows, about 32 MB."""
+    """A row declares eight n_max values: at n_max = 1000 a chunk has 512 rows, at most 32 MB."""
     seen = []
     run_chunked = lil.run_chunked
 
@@ -98,3 +112,18 @@ def test_wide_rows_run_in_small_chunks(monkeypatch):
     monkeypatch.setattr(lil, "run_chunked", spy)
     lil_simulate(2.0, 1000, 1024, seed=1)
     assert seen == [512, 512]
+
+
+def test_kernel_builds_its_path_in_place(monkeypatch):
+    """At n_max = 1000 and 512 rows the kernel peaks near four (512, 1000) float arrays, half its declared width."""
+    kernels = []
+    monkeypatch.setattr(lil, "run_chunked", lambda reps, seed, kernel, threads=1, row_width=1: kernels.append(kernel)
+                        or np.zeros(reps, np.int64))
+    lil_simulate(2.0, 1000, 4, seed=1)
+    tracemalloc.start()
+    try:
+        kernels[0](np.random.default_rng(1), 0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 512 * 1000 * 8
