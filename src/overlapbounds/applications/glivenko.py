@@ -22,7 +22,7 @@ import numpy as np
 
 from ..bounds import exp_moment_bound
 from ..engine import Functional, run_chunked
-from ..errors import DomainError
+from ..errors import DomainError, positive_finite
 from ..series import Geometric
 from .mdf import MDFReport, MDFRow, mdf_first_order, tail_counts
 
@@ -152,6 +152,8 @@ def gc_simulate(
     exp_bound = exp_moment_bound(rate, majorant)
     first_bound = mdf_first_order(majorant)
 
+    hoeffding = lambda n: positive_finite(lambda: cells * 2.0 * math.exp(-2.0 * n * eps * eps),
+                                          f"2 M e**(-2 n eps**2) at n={n}")
     rows = [
         MDFRow.from_values(eps, f"E[exp(2*{eta:g}^2 O_eps)]", exp_bound.value,
                            Functional(exp_rate=rate).values(counts)),
@@ -163,14 +165,8 @@ def gc_simulate(
         "cells": cells,
         "count_from": count_from,
         "n_max": n_max,
-        "checkpoints": [
-            {
-                "n": n,
-                "empirical": float(cp_freq[i]),
-                "cell_hoeffding": cells * 2.0 * math.exp(-2.0 * n * eps * eps),
-            }
-            for i, n in enumerate(checkpoints)
-        ],
+        "checkpoints": [{"n": n, "empirical": float(cp_freq[i]), "cell_hoeffding": hoeffding(n)}
+                        for i, n in enumerate(checkpoints)],
         "tail_counts": tail_counts(counts, 10),
         "counts_mean": float(counts.mean()),
     }

@@ -231,11 +231,14 @@ def choose_truncation(model: DecayModel, tail_tolerance: float, exp_rate: float 
         raise DomainError(f"tail_tolerance must be positive and finite for infinite families (got {tail_tolerance})")
 
     # In log space, so exp(rate * n) cannot overflow before the 2**26 guard.  A geometric
-    # tail below the least normal double enters through its closed form; any other tail
-    # that underflows to 0 is at most the least positive double, not 0.
+    # tail below the least normal double enters through its closed form; a tail beyond the
+    # largest double exceeds every tolerance.
     def ok(n: int) -> bool:
-        t = tail_sum(model, n + 1)
-        log_tail = math.log(max(t.value + t.truncation_error, math.ulp(0.0)))
+        try:
+            t = tail_sum(model, n + 1)
+        except FunctionalOverflowError:
+            return False
+        log_tail = math.log(t.value + t.truncation_error)
         if isinstance(model, Geometric) and t.value < np.finfo(float).tiny:
             log_tail = math.log(model.c) - math.log1p(-model.b) + (n + 1) * math.log(model.b)
         return exp_rate * n + log_tail <= math.log(tail_tolerance)

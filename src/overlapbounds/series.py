@@ -16,19 +16,19 @@ reports) rests on the quantities computed here, each stated once:
   helpers the closed-form bounds need; ``lambert_w0`` is one Halley
   iteration, valid for every finite x >= -1/e.
 
-Every infinite sum goes through one routine, ``_certified_sum``: a
-vectorised head over n < M plus a certified bracket [lo, hi] of the rest,
-with M doubled from 64 until hi - lo <= 1e-15 of the value.  It reports
-``head + hi``, so a value is never below the sum it stands for (up to
-floating-point rounding), and ``hi - lo`` as the truncation error.  The
-rests of sum_{n>=M} a_n * raw(n) form one table, ``_weighted_rest``: a cell
-per (model, weight kind) with its convergence condition.  Power-law cells
-reduce to Hurwitz sums sum_{n>=M} n**-s, each enclosed by two consecutive
-Euler-Maclaurin truncations (Johansson 2015); geometric cells use an
-exponential majorant or a closed form.  A geometric decay's tails C_n =
-c b**n / (1 - b) are geometric too, so its weighted tail series reads the
-same table; a power-law one sums in swapped order.  Custom weights have no
-cell: over an infinite family they raise ``DomainError``.
+Every infinite sum goes through one routine, ``_certified_sum``: a vectorised
+head over n < M plus a certified bracket [lo, hi] of the rest, with M doubled
+from 64 until hi - lo <= 1e-15 of the value.  It reports ``head + hi`` through
+``errors.positive_finite`` (never below the sum, up to rounding, nor 0.0) and
+``hi - lo`` as the truncation error; ``_explicit_sum`` sums an explicit family
+exactly, in index order.  The rests of sum_{n>=M} a_n * raw(n) form one table,
+``_weighted_rest``: a cell per (model, weight kind) with its convergence
+condition.  Power-law cells reduce to Hurwitz sums sum_{n>=M} n**-s, each
+enclosed by two consecutive Euler-Maclaurin truncations (Johansson 2015);
+geometric cells use an exponential majorant or a closed form.  A geometric
+decay's tails C_n = c b**n / (1 - b) are geometric too, so its weighted tail
+series reads the same table; a power-law one sums in swapped order.  Custom
+weights have no cell: over an infinite family they raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def _certified_sum(
     ``term`` maps an index array (floats) to its terms and ``remainder(M)``
     returns (lo, hi) with lo <= sum_{n >= M} <= hi.  The head runs over
     start..M-1 in chunks; M starts at max(start, 64) and doubles until
-    hi - lo <= 1e-15 * value.  The value is the upper end head + hi; a bracket
-    still wider than that at the 2**26 guard, or a NaN one at any cut, raises
-    ``NonConvergenceError``; a head or a lower end that is not finite (the sum
-    overflows double precision) raises ``FunctionalOverflowError``.
+    hi - lo <= 1e-15 * value.  The value is the upper end head + hi through
+    ``positive_finite``; a bracket still wider than that at the 2**26 guard, or a
+    NaN one at any cut, raises ``NonConvergenceError``; a head or a lower end that
+    is not finite (the sum overflows double precision) raises ``FunctionalOverflowError``.
     """
     cut, done, head = max(start, _FIRST_CUT), start, 0.0
     while True:
@@ -108,7 +108,8 @@ def _certified_sum(
         if not math.isfinite(head + lo):
             raise FunctionalOverflowError(f"series exceeds double precision: {head:.6g} + [{lo:.6g}, {hi:.6g}] at {cut} terms")
         if hi - lo <= _TIGHT * (head + lo):
-            return SeriesValue(head + hi, hi - lo, cut - start, True)
+            return SeriesValue(positive_finite(lambda: head + hi, f"the series' upper end {head:.6g} + {hi:.6g}"),
+                               hi - lo, cut - start, True)
         if cut >= _MAX_CUT:
             raise NonConvergenceError(f"series not certified within {_MAX_CUT} terms: {head:.6g} + [{lo:.6g}, {hi:.6g}]")
         cut *= 2
@@ -307,8 +308,7 @@ class Explicit(DecayModel):
 
     def tail(self, m: int) -> SeriesValue:
         start = max(m, 1)
-        value = float(sum(self.probabilities[start - 1 :]))
-        return SeriesValue(value, 0.0, max(0, len(self.probabilities) - start + 1), True)
+        return _explicit_sum(WeightSequence.monomial(0.0), start, self.probabilities[start - 1 :])
 
     def describe(self) -> str:
         return "explicit:" + ",".join(repr(p) for p in self.probabilities)
@@ -355,7 +355,8 @@ class Geometric(DecayModel):
 
     def tail(self, m: int) -> SeriesValue:
         m = max(m, 1)
-        return SeriesValue(self.c * self.b**m / (1.0 - self.b), 0.0, 0, True)
+        value = positive_finite(lambda: self.c * self.b**m / (1.0 - self.b), f"C_{m} = c b**m / (1-b) of {self.describe()}")
+        return SeriesValue(value, 0.0, 0, True)
 
     def describe(self) -> str:
         return f"geometric:{self.c!r},{self.b!r}"

@@ -261,6 +261,9 @@ CLOSED_FORM_LIMITS = [
      "c / ((1-b) (1 - e**p b)) at p=0.69 overflows double precision"),
     (["bound", "--formula", "cor3.5", "--decay", "geometric:1e307,0.5", "--p", "0.69"],
      "c / ((1-b) (1 - e**p b)) at p=0.69 overflows double precision"),
+    # a geometric tail's closed form beyond double range: no row of Infinity
+    (["bound", "--formula", "cor3.2", "--decay", "geometric:1.7e308,0.9"],
+     "C_1 = c b**m / (1-b) of geometric:1.7e+308,0.9 overflows double precision"),
 ]
 
 
@@ -325,12 +328,13 @@ CLOSED_FORMS = {
 }
 
 
-_MAGNITUDE = st.one_of(st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-100, 307)),
-                       st.sampled_from([1e-100, 1.0, 1e300, 1e307, 1e308, 1.7976931348623157e308]))
+# from the least positive double, whose series underflow, to the largest, whose series overflow
+_MAGNITUDE = st.one_of(st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, 307)),
+                       st.sampled_from([5e-324, 1e-100, 1.0, 1e300, 1e307, 1e308, 1.7976931348623157e308]))
 _DECAY = st.one_of(
     st.builds("powerlaw:{!r},{!r}".format, _MAGNITUDE, st.floats(1.0, 50.0, exclude_min=True)),
-    st.builds("geometric:{!r},{!r}".format, _MAGNITUDE, st.floats(1e-100, 0.999)),
-    st.builds(lambda probs: "explicit:" + ",".join(map(repr, probs)), st.lists(st.floats(1e-100, 1.0), min_size=1,
+    st.builds("geometric:{!r},{!r}".format, _MAGNITUDE, st.floats(5e-324, 0.999)),
+    st.builds(lambda probs: "explicit:" + ",".join(map(repr, probs)), st.lists(st.floats(5e-324, 1.0), min_size=1,
                                                                                max_size=5)),
 )
 _WEIGHTS = st.builds("{}:{!r}".format, st.sampled_from(["monomial", "exponential"]), st.floats(0.0, 10.0))
@@ -424,17 +428,39 @@ MARKOV_UNDERFLOW = [
     ["--formula", "ex2.13.tail", "--c", "0.5", "--b", "0.1", "--k", "60"],
     ["--formula", "freedman.tail", "--c1", "0.5", "--k", "200"],
     ["--formula", "ex2.12.tail", "--c", "1", "--p", "1.5", "--k", "100000"],
+    # a geometric tail, and a certified series whose terms all underflow
+    ["--formula", "cor3.2", "--decay", "geometric:5e-324,0.5"],
+    ["--formula", "prop2.1", "--decay", "geometric:1e-300,1e-300", "--weights", "monomial:1"],
 ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", MARKOV_UNDERFLOW, ids=lambda argv: argv[1])
 def test_underflowed_markov_tail_is_the_least_positive_double(argv, fmt, tmp_path):
-    """A Markov tail below double range reports 5e-324, still an upper bound, never 0.0."""
+    """A Markov tail, a geometric tail or a series below double range reports 5e-324, an upper bound, never 0.0."""
     out = tmp_path / f"tail.{fmt}"
     assert main(["bound", *argv, "--format", fmt, "--deterministic", "--out", str(out)]) == EXIT_OK
     rows = json.loads(out.read_text())["rows"] if fmt == "json" else read_csv(out)[1]
     assert [float(row["value"]) for row in rows] == [5e-324] and "5e-324" in out.read_text()
+
+
+def test_verify_over_an_underflowed_c1_passes_at_the_least_positive_double(capsys):
+    """C1 of geometric:5e-324,0.5 underflows; Lemma 2.6's bound reads 5e-324, not a refusal of C1 = 0."""
+    argv = ["verify", "--formula", "lem2.6", "--decay", "geometric:5e-324,0.5", "--reps", "1000"]
+    assert main(argv + ["--format", "json", "--deterministic"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=_strict)["rows"]
+    assert row["theoretical"] == 5e-324 and row["empirical"] == 0.0 and row["pass"] is True
+
+
+def test_underflowed_gc_checkpoint_bound_is_the_least_positive_double(capsys):
+    """2 M e**(-2 n eps**2) below double range reports 5e-324 at n = 500, 1000 and 2000; above it, the formula."""
+    argv = ["app", "gc", "--eps", "0.9", "--nmax", "2000", "--reps", "64", "--format", "json", "--deterministic"]
+    assert main(argv) == EXIT_OK
+    checkpoints = json.loads(capsys.readouterr().out, parse_constant=_strict)["extra"]["checkpoints"]
+    assert {cp["n"]: cp["cell_hoeffding"] for cp in checkpoints if cp["n"] >= 500} == {500: 5e-324, 1000: 5e-324,
+                                                                                        2000: 5e-324}
+    assert all(cp["cell_hoeffding"] == 2 * 2.0 * math.exp(-2.0 * cp["n"] * 0.9 * 0.9) > 5e-324
+               for cp in checkpoints if cp["n"] < 500)
 
 
 def test_underflowed_vc_bound_is_the_least_positive_double(capsys):

@@ -69,9 +69,11 @@ class TestChooseTruncation:
         (Geometric(1, 0.5), 1e-6, 0.0), (Geometric(1, 0.5), 1e-10, 0.3), (Geometric(0.1, 0.9), 1e-4, 0.05),
         (PowerLaw(1, 3), 1e-4, 0.0), (PowerLaw(2, 4), 1e-3, 0.01), (PowerLaw(1, 8), 1e-6, 0.05),
         (Geometric(1, 0.5), 1e-6, 0.68), (Geometric(1, 0.5), 1e-300, 0.3), (Geometric(0.3, 0.9), 1e-15, 0.1),
+        (Geometric(1.7e308, 0.9), 1e-6, 0.0),
     ])
     def test_least_n_meeting_the_criterion(self, model, tolerance, rate):
-        """N is the least n with exp(rate n) C_{n+1} <= tolerance, C taken at 40 digits."""
+        """N is the least n with exp(rate n) C_{n+1} <= tolerance, C taken at 40 digits; a C_{n+1} beyond the
+        largest double (Geometric(1.7e308, 0.9) up to n = 20) only fails the criterion."""
         def criterion(n):
             with mpmath.workdps(40):
                 if isinstance(model, Geometric):
@@ -96,9 +98,9 @@ class TestChooseTruncation:
         (Geometric(0.3, 0.9), 1e-12, 0.1, 5340), (Geometric(0.3, 0.9), 1e-15, 0.1, 6629),
     ])
     def test_underflowed_geometric_tail_enters_through_its_closed_form(self, model, tolerance, rate, n):
-        """C_{n+1} underflows to 0 from n = 1074 for Geometric(1, 0.5) and n = 7061 for Geometric(0.3, 0.9), and
-        the doubling search steps past there (to 2048, 8192) first; the closed form log(c/(1-b)) + (n+1) log b
-        still certifies N."""
+        """C_{n+1} underflows (it reads 5e-324) from n = 1074 for Geometric(1, 0.5) and n = 7061 for
+        Geometric(0.3, 0.9), and the doubling search steps past there (to 2048, 8192) first; the closed form
+        log(c/(1-b)) + (n+1) log b still certifies N."""
         assert choose_truncation(model, tolerance, exp_rate=rate) == n
 
 

@@ -204,6 +204,12 @@ class TestTailSum:
         model = Explicit([0.1, 0.2, 0.3])
         assert tail_sum(model, 1).value == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("probs", [[0.1, 0.2, 0.3], [0.02, 0.03, 0.01]])
+    def test_explicit_tail_sums_in_index_order(self, probs):
+        """C_1 is (p_1 + p_2) + p_3 on every Python version; a compensated sum reads 0.6, not 0.6000000000000001."""
+        assert Explicit(probs).tail(1).value == probs[0] + probs[1] + probs[2]
+        assert Explicit(probs).tail(1).terms_used == 3 and Explicit(probs).tail(4).value == 0.0
+
     @pytest.mark.parametrize(
         "model",
         [Geometric(1, 0.5), PowerLaw(1, 3), Explicit([0.5, 0.25, 0.1])],
