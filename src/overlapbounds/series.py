@@ -3,8 +3,9 @@
 Everything downstream (bound calculators, simulation truncation, rate
 reports) rests on the quantities computed here, each stated once:
 
-* ``DecayModel`` describes an event-probability sequence ``P(E_n)``; a
-  closed-form model states it as ``raw(n)``, unclamped.
+* ``DecayModel`` describes an event-probability sequence ``P(E_n)``; every
+  model states it as ``raw(n)``, unclamped, and ``tails_upto(n)`` is its one
+  vector of tails ``C_1, ..., C_n``.
 * ``WeightSequence`` holds weights ``a_n``; ``terms(n)`` is their one
   vectorised formula.
 * ``tail_sum`` evaluates the tail ``C_m = sum_{n>=m} P(E_n)`` with a
@@ -26,9 +27,9 @@ exactly, in index order.  The rests of sum_{n>=M} a_n * raw(n) form one table,
 condition.  Power-law cells reduce to Hurwitz sums sum_{n>=M} n**-s, each
 enclosed by two consecutive Euler-Maclaurin truncations (Johansson 2015);
 geometric cells use an exponential majorant or a closed form.  A geometric
-decay's tails C_n = c b**n / (1 - b) are geometric too, so its weighted tail
-series reads the same table; a power-law one sums in swapped order.  Custom
-weights have no cell: over an infinite family they raise ``DomainError``.
+decay's tails C_n = raw(n) / (1 - b) are geometric too, so its weighted tail
+series reads the same table, scaled; a power-law one sums in swapped order.
+Custom weights have no cell: over an infinite family they raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -267,10 +268,10 @@ class TailFunction:
 class DecayModel:
     """Base class for event-probability sequences P(E_n), indexed from n = 1.
 
-    A closed-form model states its formula once, as ``raw(n)`` for an index
-    or an array of indices (floats).  ``probs_upto`` clamps it into [0, 1]
-    (used in simulation); ``tail`` and the weighted series sum it unclamped
-    (used in bound arithmetic, where the majorant may exceed one).
+    A model states its formula once, as ``raw(n)`` for an index or an array
+    of indices (floats).  ``probs_upto`` clamps it into [0, 1] (used in
+    simulation); ``tails_upto``, ``tail`` and the weighted series sum it
+    unclamped (used in bound arithmetic, where the majorant may exceed one).
     """
 
     def probs_upto(self, n: int) -> np.ndarray:
@@ -278,11 +279,8 @@ class DecayModel:
         return np.minimum(1.0, self.raw(np.arange(1, n + 1, dtype=float)))
 
     def tails_upto(self, n: int) -> np.ndarray:
-        """C_1, ..., C_n as reverse cumulative sums of ``probs_upto(n)`` plus C_{n+1}.
-
-        Clamped, so only min(1, C_m) is exact: a clamped term makes its tails >= 1.
-        """
-        return np.cumsum(self.probs_upto(n)[::-1])[::-1] + tail_sum(self, n + 1).value
+        """C_1, ..., C_n: the reverse cumulative sum of the unclamped ``raw(1..n)`` plus C_{n+1}."""
+        return np.cumsum(self.raw(np.arange(1, n + 1, dtype=float))[::-1])[::-1] + tail_sum(self, n + 1).value
 
     def tail(self, m: int) -> SeriesValue:
         raise NotImplementedError
@@ -303,12 +301,16 @@ class Explicit(DecayModel):
             raise DomainError("explicit probabilities must lie in [0, 1]")
         object.__setattr__(self, "probabilities", probs)
 
-    def probs_upto(self, n: int) -> np.ndarray:
-        return np.array((self.probabilities + (0.0,) * n)[:n])
+    def raw(self, n: Any) -> Any:
+        """P(E_n) for indices n >= 1: the listed probabilities, and 0 past the last one."""
+        padded = np.append(self.probabilities, 0.0)
+        return padded[np.minimum(np.asarray(n, dtype=int), len(padded)) - 1]
 
     def tail(self, m: int) -> SeriesValue:
-        start = max(m, 1)
-        return _explicit_sum(WeightSequence.monomial(0.0), start, self.probabilities[start - 1 :])
+        """C_m, the m-th entry of ``tails_upto``: one summation order for every tail of the family."""
+        start, n = max(m, 1), len(self.probabilities)
+        value = float(self.tails_upto(n)[start - 1]) if start <= n else 0.0
+        return SeriesValue(value, 0.0, max(n - start + 1, 0), True)
 
     def describe(self) -> str:
         return "explicit:" + ",".join(repr(p) for p in self.probabilities)
@@ -485,18 +487,16 @@ def weighted_tail_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     explicit family that overflows raises ``FunctionalOverflowError``.
     """
     if isinstance(model, Explicit):
-        tails = np.append(np.cumsum(model.probabilities[::-1])[::-1], 0.0)  # C_1, ..., C_N and 0
+        tails = model.tails_upto(len(model.probabilities) + 1)  # C_1, ..., C_N and C_{N+1} = 0
         # a_0 takes C_1: an explicit family has no event E_0
         return _explicit_sum(weights, weights.start, tails[np.maximum(np.arange(weights.start, len(tails)), 1) - 1])
-    if isinstance(model, Geometric):
-        if not model.c / (1.0 - model.b) < math.inf:
-            raise FunctionalOverflowError(f"series exceeds double precision: C_0 = c / (1 - b) of {model.describe()}")
-        tails = Geometric(model.c / (1.0 - model.b), model.b)  # C_n = c b**n / (1 - b)
-        rest = _weighted_rest(weights, tails)
+    if isinstance(model, Geometric):  # C_n = raw(n) / (1 - b): the table's rest, scaled
+        rest, one_minus_b = _weighted_rest(weights, model), 1.0 - model.b
         closed = weighted_tail_closed_form(weights, model)  # exact for exponential weights
         if closed is not None:
             return SeriesValue(closed, 0.0, 0, True)
-        return _certified_sum(lambda n: weights.terms(n) * tails.raw(n), rest, weights.start)
+        return _certified_sum(lambda n: weights.terms(n) * model.raw(n) / one_minus_b,
+                              lambda cut: tuple(h / one_minus_b for h in rest(cut)), weights.start)
     if weights.kind != "monomial" or not isinstance(model, PowerLaw):
         _weighted_rest(weights, model)  # raises: no cell, or exponential weights over a power law
     c, q, p = model.c, model.q, weights.p

@@ -136,6 +136,11 @@ class TestBoundCommand:
         assert float(rows[0]["closed_form"]) == pytest.approx(2.0 * (math.pi**2 / 18.0 + 1.2020569031595943), rel=1e-9)
         assert float(rows[0]["closed_form"]) >= float(rows[0]["value"])
 
+    def test_explicit_first_order_value_is_the_correctly_rounded_sum(self, capsys):
+        """cor3.2's C_1 over an explicit family is its one tail sequence's first entry, (0.3 + 0.2) + 0.1 = 0.6."""
+        assert main(["bound", "--formula", "cor3.2", "--decay", "explicit:0.1,0.2,0.3", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rows"][0]["value"] == 0.6 == math.fsum([0.1, 0.2, 0.3])
+
     def test_unknown_formula_is_usage_error(self, capsys):
         assert main(["bound", "--formula", "nosuch"]) == EXIT_USAGE
 
@@ -277,6 +282,10 @@ CLOSED_FORM_LIMITS = [
     (["bound", "--formula", "cor2.3.exp", "--decay", _ones(1418), "--p", "0.5"], EXIT_DOMAIN),
     (["bound", "--formula", "thm2.2", "--decay", "explicit:1,1", "--weights", "monomial:2000"], EXIT_DOMAIN),
     (["bound", "--formula", "cor2.3.poly", "--decay", "powerlaw:1,1000", "--p", "900"], EXIT_DOMAIN),
+    # a geometric family's tails C_n = c b**n / (1 - b) beyond double range, through the series or its closed form
+    (["bound", "--formula", "thm2.2", "--decay", "geometric:1.7e308,0.5", "--weights", "monomial:1"], EXIT_DOMAIN),
+    (["bound", "--formula", "thm2.2", "--decay", "geometric:1.7e308,0.5", "--weights", "exponential:0.1"], EXIT_DOMAIN),
+    (["bound", "--formula", "cor2.3.poly", "--decay", "geometric:1.7e308,0.9", "--p", "1"], EXIT_DOMAIN),
     (["app", "sde", "--sde-sigma", "1000", "--reps", "10"], EXIT_DOMAIN),
     (["app", "sde", "--sde-mu", "800", "--reps", "10"], EXIT_DOMAIN),
     *((argv, EXIT_DOMAIN) for argv, _ in CLOSED_FORM_LIMITS),

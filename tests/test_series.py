@@ -4,7 +4,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from overlapbounds import (
@@ -80,7 +79,7 @@ class TestZeta:
         for s in (1.1, 1.5, 2.0, 5.0):
             sv = zeta(s)
             assert sv.truncation_error <= 1e-10
-            assert abs(sv.value - scipy.special.zeta(s)) <= sv.truncation_error + 1e-12
+            assert abs(sv.value - float(mpmath.zeta(s))) <= sv.truncation_error + 1e-12
 
     def test_eta_identity(self):
         # zeta(s) * (1 - 2**(1-s)) equals the alternating series
@@ -130,9 +129,9 @@ class TestLambertW:
             w = lambert_w0(float(x))
             assert abs(w * math.exp(w) - x) <= 1e-10 * max(1.0, abs(x))
 
-    def test_against_scipy(self):
+    def test_against_mpmath(self):
         for x in (0.1, 1.0, 7.3, 123.0, 1e5):
-            assert lambert_w0(x) == pytest.approx(float(scipy.special.lambertw(x).real), rel=1e-12)
+            assert lambert_w0(x) == pytest.approx(float(mpmath.lambertw(x).real), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -206,9 +205,16 @@ class TestTailSum:
 
     @pytest.mark.parametrize("probs", [[0.1, 0.2, 0.3], [0.02, 0.03, 0.01]])
     def test_explicit_tail_sums_in_index_order(self, probs):
-        """C_1 is (p_1 + p_2) + p_3 on every Python version; a compensated sum reads 0.6, not 0.6000000000000001."""
-        assert Explicit(probs).tail(1).value == probs[0] + probs[1] + probs[2]
+        """C_1 is (p_3 + p_2) + p_1, the one order of ``tails_upto``: 0.6, not the forward 0.6000000000000001."""
+        assert Explicit(probs).tail(1).value == (probs[2] + probs[1]) + probs[0] == math.fsum(probs)
         assert Explicit(probs).tail(1).terms_used == 3 and Explicit(probs).tail(4).value == 0.0
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_explicit_tail_reads_tails_upto(self, probs):
+        """Every C_m of an explicit family is the m-th entry of its one tail sequence, bit for bit."""
+        model = Explicit(probs)
+        assert [model.tail(m).value for m in range(1, len(probs) + 1)] == model.tails_upto(len(probs)).tolist()
 
     @pytest.mark.parametrize(
         "model",
