@@ -4,23 +4,21 @@ A sequence converging almost surely has a deviation count
 O_eps = #{n : |X_n - X| >= eps}.  Corollaries 3.4 and 3.5 are
 Theorem 2.2's polynomial and exponential moment bounds read for O_eps, so
 they are ``bounds.poly_moment_bound`` and ``bounds.exp_moment_bound`` with a
-Markov tail (the CLI's cor3.4 and cor3.5).  The calculators here are the
-other deviation-count bounds, and ``MDFReport`` pairs bounds with empirical
-moments from the simulation layer.
+Markov tail (the CLI's cor3.4 and cor3.5).  The first-order bound is here;
+the closed-form ones, ``ldp_mdf_bound`` (Theorem 3.16) and ``vc_bound``, live
+in ``closed`` and are read here too.  ``MDFReport`` pairs bounds with
+empirical moments from the simulation layer.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ..bounds import BoundResult
+from ..closed import BoundResult, ldp_mdf_bound, vc_bound  # read as mdf.X too
 from ..engine import mean_stderr
-from ..errors import DomainError, positive_finite
 from ..series import DecayModel, tail_sum
 
 
@@ -78,41 +76,4 @@ def mdf_first_order(model: DecayModel) -> BoundResult:
         value=phi.value,
         validity="E[O_eps] equals the error-probability sum; tail phi/k",
         series=phi,
-    )
-
-
-def vc_bound(ell: int, eps: float, growth: Callable[[int], float]) -> BoundResult:
-    """Uniform relative-frequency deviation bound 4 m(2 ell) exp(-eps**2 ell / 8).
-
-    Valid for sample sizes ell >= 1 with ell >= 2 / eps**2.
-    """
-    if eps <= 0:
-        raise DomainError("vc_bound requires eps > 0")
-    least = 2.0 / (eps * eps) if eps * eps > 0.0 else math.inf  # eps**2 may underflow
-    if not ell >= max(least, 1.0):
-        raise DomainError(f"vc_bound requires ell >= 1 and ell >= 2/eps**2 = {least:.6g} (got ell={ell})")
-    value = positive_finite(lambda: 4.0 * float(growth(2 * ell)) * math.exp(-eps * eps * ell / 8.0),
-                            f"4 m(2 ell) exp(-eps**2 ell / 8) at ell={ell}")
-    return BoundResult(value, "P(sup_A |frequency of A in ell draws - P(A)| > eps) for a class with growth function m")
-
-
-def ldp_mdf_bound(rate: float, p: float, big_c: float) -> BoundResult:
-    """Deviation-count bound under a large-deviations upper bound with rate J.
-
-    E[e**(p O)] <= C (1 - e**-J)**-1 (1 - e**-(J - p))**-1 for 0 < p < J;
-    tail P(O >= k) <= value * e**(-p k).
-    """
-    if rate <= 0:
-        raise DomainError("ldp_mdf_bound requires rate > 0")
-    if big_c <= 0:
-        raise DomainError("ldp_mdf_bound requires C > 0")
-    if not (0.0 < p < rate):
-        raise DomainError(f"ldp_mdf_bound requires 0 < p < rate = {rate:.6g} (got p={p})")
-    denominator = (1.0 - math.exp(-rate)) * (1.0 - math.exp(-(rate - p)))
-    if denominator == 0.0:
-        raise DomainError(f"ldp_mdf_bound requires e**-rate < 1 and e**-(rate - p) < 1 in floating point "
-                          f"(got rate={rate}, p={p})")
-    return BoundResult(
-        value=positive_finite(lambda: big_c / denominator, f"C / ((1 - e**-rate) (1 - e**-(rate - p))) at C={big_c}"),
-        validity=f"requires 0 < p < rate = {rate:.6g}; tail value * e**(-p k)",
     )

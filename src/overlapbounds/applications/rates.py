@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..bounds import golden_section_min
+from ..closed import golden_section_min
 from ..errors import DomainError
 
 

@@ -28,14 +28,13 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
-from . import bounds as bd
-from . import engine
-from .applications import glivenko, lil, mdf, rates, segments, slln
-from . import sde as sde_mod
+from . import _lazy_module, closed
 from .errors import DomainError, InputError, OverlapBoundsError
-from .series import Explicit, Geometric, PowerLaw, TailFunction, WeightSequence, tail_sum
+
+# The closed forms need none of these: each module, and numpy with it, loads on its first attribute access
+bd, engine, series, sde_mod = (_lazy_module(f"{__package__}.{name}") for name in ("bounds", "engine", "series", "sde"))
+glivenko, lil, mdf, rates, segments, slln = (_lazy_module(f"{__package__}.applications.{name}")
+                                             for name in ("glivenko", "lil", "mdf", "rates", "segments", "slln"))
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -53,21 +52,24 @@ class Dist:
     """A step distribution: slln draws from ``sampler``, cramer reads its cumulant log E[e**(lam X)]."""
 
     name: str
-    sampler: Callable[[np.random.Generator, tuple], np.ndarray]
+    sampler: Callable[[Any, tuple], Any]  # (a numpy Generator, a shape) -> an array of draws
     cumulant: Callable[[float], float]
 
 
 # Each spec kind parses ``name:v1,v2,...``: a name maps to its parameters
-# ("..." takes any number) and the constructor that receives them.
+# ("..." takes any number) and the constructor that receives them, which reads
+# a lazy module only when called.
 SPECS: dict[str, dict[str, tuple[str, Callable[..., Any]]]] = {
-    "decay": {"powerlaw": ("c,q", PowerLaw), "geometric": ("c,b", Geometric),
-              "explicit": ("p1,...", lambda *probs: Explicit(probs))},
-    "weights": {"monomial": ("p", WeightSequence.monomial), "exponential": ("p", WeightSequence.exponential)},
-    "tail": {"power": ("c,p", TailFunction.power), "geometric": ("c,b", TailFunction.geometric)},
+    "decay": {"powerlaw": ("c,q", lambda c, q: series.PowerLaw(c, q)),
+              "geometric": ("c,b", lambda c, b: series.Geometric(c, b)),
+              "explicit": ("p1,...", lambda *probs: series.Explicit(probs))},
+    "weights": {"monomial": ("p", lambda p: series.WeightSequence.monomial(p)),
+                "exponential": ("p", lambda p: series.WeightSequence.exponential(p))},
+    "tail": {"power": ("c,p", closed.TailFunction.power), "geometric": ("c,b", closed.TailFunction.geometric)},
     "dist": {
         "gaussian": ("", partial(Dist, "gaussian", lambda rng, shape: rng.normal(0.0, 1.0, shape),
                                  lambda lam: 0.5 * lam * lam)),
-        "rademacher": ("", partial(Dist, "rademacher", slln.rademacher, lambda lam: math.log(math.cosh(lam)))),
+        "rademacher": ("", lambda: Dist("rademacher", slln.rademacher, lambda lam: math.log(math.cosh(lam)))),
     },
 }
 
@@ -141,7 +143,7 @@ def _parse_sweep(text: Any) -> list[float]:
     raise InputError(f"unknown sweep spec {text!r} (expected dyadic:a..b with integers a, b)")
 
 
-CHOICES: dict[str, tuple] = {"format": ("csv", "json"), "family": engine.FAMILIES, "bool": (False, True)}
+CHOICES: dict[str, tuple] = {"format": ("csv", "json"), "family": closed.FAMILIES, "bool": (False, True)}
 PARSERS: dict[str, Callable[[Any], Any]] = {
     "float": finite_float, "int": integer, "count": count, "str": _string, "sweep": _parse_sweep,
     **{kind: partial(parse_spec, kind) for kind in SPECS}, **{kind: partial(_one_of, v) for kind, v in CHOICES.items()},
@@ -191,19 +193,19 @@ class ExactOracleCheck:
 
     def run(self, formula: str, bound: Callable[..., Any], values: dict, common: dict) -> list[dict]:
         model, n = values["decay"], values["r_points"]
-        if not isinstance(model, Explicit):
+        if not isinstance(model, series.Explicit):
             raise InputError(f"{formula} verification needs an explicit decay (exact oracle)")
         dist = bd.sn_exact_distribution(model.probabilities)
-        c1 = tail_sum(model, 1).value
+        c1 = series.tail_sum(model, 1).value
         if c1 <= 0:
             raise DomainError("the exact-oracle check needs C1 > 0")
         top = abs(math.log(c1)) if c1 < 1 else 1.0
         rows = []
-        for r in np.linspace(top / (n + 1), top * n / (n + 1), n):
-            exact = dist.exp_moment(float(r))
-            theoretical = bound(c1=c1, r=float(r)).value
+        for r in closed.linspace(top / (n + 1), top * n / (n + 1), n):
+            exact = dist.exp_moment(r)
+            theoretical = bound(c1=c1, r=r).value
             ok = exact <= theoretical * (1.0 + 1e-12)
-            rows.append({"formula": formula, "r": float(r), "theoretical": theoretical, "empirical": exact,
+            rows.append({"formula": formula, "r": r, "theoretical": theoretical, "empirical": exact,
                          "stderr": 0.0, "pass": ok})
         return rows
 
@@ -248,12 +250,12 @@ class Formula:
     check: ExactOracleCheck | MonteCarloCheck | None = None
 
 
-def _markov_tail(result: bd.BoundResult, tail: str) -> bd.BoundResult:
+def _markov_tail(result: closed.BoundResult, tail: str) -> closed.BoundResult:
     """A moment bound with its Markov tail P(O >= k) <= ``tail`` * value named in its validity."""
     return replace(result, validity=f"{result.validity}; tail {tail} * value")
 
 
-# The callables look functions up through their modules (bd.*, mdf.*,
+# The callables look functions up through their modules (closed.*, bd.*, mdf.*,
 # sde_mod.*) when called, so a function patched in its module reaches the CLI.
 DECAY, WEIGHTS = Flag("decay", "decay"), Flag("weights", "weights")
 C1S, RS, PS, KS = Flag("c1", grid=True), Flag("r", grid=True), Flag("p", grid=True), Flag("k", "int", grid=True)
@@ -276,25 +278,25 @@ FORMULAS: dict[str, Formula] = {
         (DECAY, PS), lambda decay, p: bd.exp_moment_bound(p, decay),
         MonteCarloCheck(MC_P, lambda decay, p: engine.Functional(exp_rate=p), "E[e**(pO)] <= bound ({family})")),
     "lem2.6": Formula(
-        (C1S,), lambda c1: bd.BoundResult(bd.second_moment_bound(c1), "independent events, C1 = sum P(E_n)"),
+        (C1S,), lambda c1: closed.BoundResult(closed.second_moment_bound(c1), "independent events, C1 = sum P(E_n)"),
         MonteCarloCheck((DECAY,), lambda decay: engine.Functional(power=2.0), "E[O**2] <= C1(1+C1)",
                         families=("independent",),
-                        theoretical=lambda decay: bd.second_moment_bound(tail_sum(decay, 1).value))),
-    "thm2.7": Formula((C1S, RS), lambda c1, r: bd.freedman_exp_bound(r, c1), ExactOracleCheck()),
-    "freedman.tail": Formula((C1S, KS), lambda c1, k: bd.freedman_tail_bound(k, c1)),
-    "thm2.9": Formula((C1S, RS), lambda c1, r: bd.improved_exp_bound(r, c1), ExactOracleCheck()),
-    "cor2.10": Formula((Flag("tail", "tail"), RS), lambda tail, r: bd.rate_aware_exp_bound(r, tail)),
-    "ex2.12.tail": Formula((Flag("c"), PS, KS), lambda c, p, k: bd.powerlaw_tail_asymptotic(k, c, p)),
-    "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: bd.geometric_tail_bound(k, c, b)),
+                        theoretical=lambda decay: closed.second_moment_bound(series.tail_sum(decay, 1).value))),
+    "thm2.7": Formula((C1S, RS), lambda c1, r: closed.freedman_exp_bound(r, c1), ExactOracleCheck()),
+    "freedman.tail": Formula((C1S, KS), lambda c1, k: closed.freedman_tail_bound(k, c1)),
+    "thm2.9": Formula((C1S, RS), lambda c1, r: closed.improved_exp_bound(r, c1), ExactOracleCheck()),
+    "cor2.10": Formula((Flag("tail", "tail"), RS), lambda tail, r: closed.rate_aware_exp_bound(r, tail)),
+    "ex2.12.tail": Formula((Flag("c"), PS, KS), lambda c, p, k: closed.powerlaw_tail_asymptotic(k, c, p)),
+    "ex2.13.tail": Formula((Flag("c"), Flag("b"), KS), lambda c, b, k: closed.geometric_tail_bound(k, c, b)),
     "cor3.2": Formula((DECAY,), lambda decay: mdf.mdf_first_order(decay)),
     # Corollaries 3.4 and 3.5: cor2.3's bounds read for a deviation count, with their Markov tails
     "cor3.4": Formula((DECAY, PS), lambda decay, p: _markov_tail(bd.poly_moment_bound(p, decay), "k**-(p+1)")),
     "cor3.5": Formula((DECAY, PS), lambda decay, p: _markov_tail(bd.exp_moment_bound(p, decay), "e**(-p k)")),
     "thm3.16": Formula(
-        (Flag("rate"), Flag("bigc", column="C"), PS), lambda rate, bigc, p: mdf.ldp_mdf_bound(rate, p, bigc)),
+        (Flag("rate"), Flag("bigc", column="C"), PS), lambda rate, bigc, p: closed.ldp_mdf_bound(rate, p, bigc)),
     "vc.bound": Formula(
         (Flag("eps"), Flag("growth_p", default=1.0), Flag("ell", "int", grid=True)),
-        lambda eps, growth_p, ell: mdf.vc_bound(ell, eps, lambda x: float(x) ** growth_p + 1.0)),
+        lambda eps, growth_p, ell: closed.vc_bound(ell, eps, lambda x: float(x) ** growth_p + 1.0)),
     "sde.mdf": Formula(
         (Flag("kt"), Flag("ct"), Flag("t"), Flag("eps")), lambda kt, ct, t, eps: sde_mod.sde_mdf_bound(kt, ct, t, eps)),
 }
@@ -310,7 +312,7 @@ def _sanov(mu: str, symbol: int, t: float, **_: int) -> list[dict]:
     probs = Flag("mu", grid=True).parse(mu)
     if len(probs) == 1:
         probs = [probs[0], 1.0 - probs[0]]
-    res = rates.sanov_rate(np.array(probs), symbol, t)
+    res = rates.sanov_rate(probs, symbol, t)
     return [{"application": "sanov", "mu": mu, "symbol": symbol, "t": t, "rate": res.rate,
              "minimizer": json.dumps(res.argmin, default=float), "method": res.method}]
 
@@ -472,7 +474,7 @@ def _emit(rows: list[dict], config: dict, common: dict, run: dict | None = None)
         sys.stdout.write(text)
 
 
-def _row(formula: str, params: dict, result: bd.BoundResult) -> dict:
+def _row(formula: str, params: dict, result: closed.BoundResult) -> dict:
     row = {**params, "formula": formula, "value": result.value, "validity": result.validity}
     if result.minimizer is not None:
         row["minimizer"] = result.minimizer

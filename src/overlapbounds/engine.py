@@ -36,13 +36,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .closed import FAMILIES
 from .errors import DomainError, FunctionalOverflowError, InputError, TruncationError
 from .series import DecayModel, Explicit, Geometric, WeightSequence, tail_sum
 
 CHUNK_SIZE = 4096
 CHUNK_VALUES = 1 << 22  # values one chunk may hold: 32 MB of float64
-
-FAMILIES = ("independent", "nested", "union")
 
 _EXHAUSTED = object()  # private sentinel: ``None`` is a valid item
 

@@ -35,7 +35,7 @@ import numpy as np
 from .engine import mean_stderr, prefetched, run_chunked
 from .errors import DomainError, FunctionalOverflowError, InputError, positive_finite
 from .series import zeta
-from .bounds import BoundResult
+from .closed import BoundResult
 
 SQRT3 = math.sqrt(3.0)
 NOISE_BLOCK = 16  # scheme steps of noise drawn at once by the strong-error sweep

@@ -13,9 +13,9 @@ reports) rests on the quantities computed here, each stated once:
 * ``weighted_tail_series`` evaluates the double series
   ``sum_n a_n * C_n`` and ``weighted_prob_series`` the nested identity's
   ``sum_n a_n * P(E_n)``.
-* ``faulhaber_sum``, ``zeta`` and ``lambert_w0`` are the special-function
-  helpers the closed-form bounds need; ``lambert_w0`` is one Halley
-  iteration, valid for every finite x >= -1/e.
+* ``faulhaber_sum`` and ``zeta`` are the special-function helpers of the
+  bounds; ``lambert_w0`` and ``TailFunction`` live in the numpy-free
+  ``closed`` and are read here too.
 
 Every infinite sum goes through one routine, ``_certified_sum``: a vectorised
 head over n < M plus a certified bracket [lo, hi] of the rest, with M doubled
@@ -42,6 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .closed import TailFunction, lambert_w0  # read as series.X too
 from .errors import DivergenceError, DomainError, FunctionalOverflowError, InputError, NonConvergenceError, positive_finite
 
 _SUM_CHUNK = 1 << 16
@@ -193,76 +194,6 @@ def faulhaber_sum(p: int, n: int) -> int:
     if acc.denominator != 1:
         raise ArithmeticError(f"power sum came out non-integer for p={p}, n={n}")
     return int(acc)
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function, w * exp(w) = x, for every finite x >= -1/e.
-
-    Halley iteration from a series/asymptotic initial guess, on the scaled
-    residual w - x * exp(-w) = (w * exp(w) - x) / exp(w), which cannot
-    overflow anywhere in double range.  It stops once a step is below 1e-15
-    of w, or after 100 steps where rounding near -1/e keeps the steps above that.
-    """
-    min_x = -math.exp(-1.0)
-    if not min_x - 1e-12 <= x < math.inf:
-        raise DomainError(f"lambert_w0 requires a finite x >= -1/e (got x={x})")
-    x = max(x, min_x)
-    if x == 0.0:
-        return 0.0
-    if x > 0:
-        w = math.log1p(x)
-        if x > math.e:
-            lx = math.log(x)
-            w = lx - math.log(lx)
-    else:
-        # near the branch point use the square-root expansion
-        q = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + q - q * q / 3.0
-    for _ in range(100):
-        f = w - x * math.exp(-w)
-        step = f / (w + 1.0 - (w + 2.0) * f / (2.0 * (w + 1.0))) if w != -1.0 else f
-        w -= step
-        if abs(step) <= 1e-15 * abs(w):
-            break
-    return w
-
-
-@dataclass(frozen=True)
-class TailFunction:
-    """A nonincreasing, invertible majorant L of the tail sums C_m.
-
-    ``power``: L(m) = c / m**x; ``geometric``: L(m) = c * x**m.
-    """
-
-    kind: str
-    c: float
-    x: float
-
-    @staticmethod
-    def power(c: float, p: float) -> "TailFunction":
-        """L(m) = c / m**p with p > 0."""
-        if not (0.0 < c < math.inf and 0.0 < p < math.inf):
-            raise DomainError(f"power tail requires finite c > 0 and p > 0 (got c={c}, p={p})")
-        return TailFunction("power", c, p)
-
-    @staticmethod
-    def geometric(c: float, b: float) -> "TailFunction":
-        """L(m) = c * b**m with 0 < b < 1."""
-        if not (0.0 < c < math.inf and 0.0 < b < 1.0):
-            raise DomainError(f"geometric tail requires finite c > 0 and 0 < b < 1 (got c={c}, b={b})")
-        return TailFunction("geometric", c, b)
-
-    def inverse(self, s: float) -> float:
-        """The m with L(m) = s; inf where that m exceeds double precision (s = 0 or s/c underflowing too)."""
-        try:
-            if self.kind == "power":
-                return (self.c / s) ** (1.0 / self.x)
-            return math.log(s / self.c) / math.log(self.x)
-        except (OverflowError, ZeroDivisionError, ValueError):  # each only when m is beyond double precision
-            return math.inf
-
-    def describe(self) -> str:
-        return f"{self.kind}:{self.c!r},{self.x!r}"
 
 
 class DecayModel:

@@ -1,14 +1,14 @@
 """Every public library name is reached from a caller outside the unit tests.
 
 A public name is one that ``overlapbounds`` or ``overlapbounds.applications``
-imports, or a module-level function or class in ``src/`` whose name has no
+exports (its ``__all__``), or a module-level function or class in ``src/`` whose name has no
 leading underscore.  The callers are ``perfbench/*.py``, where the dotted
 strings of ``spans.TARGETS`` count because the benchmark wraps those
 functions by name, ``tests/test_acceptance.py`` and the module-level code of
 ``src/`` (the CLI's tables, its ``__main__`` block).  A name is reached when an
 AST ``Name`` or ``Attribute`` node of a caller names it, or the definition of
-a reached name does.  A definition's use of its own name, and an
-``__init__`` import, reach nothing.  Code that only unit tests reach is dead
+a reached name does.  A definition's use of its own name, and an import,
+reach nothing.  Code that only unit tests reach is dead
 weight: it belongs in the test module that needs it, or nowhere.
 """
 
@@ -17,10 +17,13 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import overlapbounds
+import overlapbounds.applications
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "overlapbounds"
 CALLERS = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-EXPORTS = [PACKAGE / "__init__.py", PACKAGE / "applications" / "__init__.py"]
+EXPORTS = [overlapbounds, overlapbounds.applications]
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
@@ -75,12 +78,9 @@ def public_names() -> dict[str, str]:
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
                 names[stmt.name] = str(path.relative_to(ROOT))
-    for path in EXPORTS:
-        for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, ast.ImportFrom):
-                for alias in stmt.names:
-                    if not (alias.asname or alias.name).startswith("_"):
-                        names.setdefault(alias.asname or alias.name, str(path.relative_to(ROOT)))
+    for package in EXPORTS:
+        for name in package.__all__:
+            names.setdefault(name, str(Path(package.__file__).relative_to(ROOT)))
     return names
 
 

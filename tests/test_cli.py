@@ -426,8 +426,8 @@ def test_ex212_p_is_a_grid(capsys):
 def test_ex212_runs_lambert_w_once_per_row(monkeypatch, capsys):
     """The value and the minimiser of a row read one W(e k / (2c)**(1/p))."""
     calls = []
-    real = cli.bd.lambert_w0
-    monkeypatch.setattr("overlapbounds.bounds.lambert_w0", lambda x: calls.append(x) or real(x))
+    real = cli.closed.lambert_w0
+    monkeypatch.setattr("overlapbounds.closed.lambert_w0", lambda x: calls.append(x) or real(x))
     argv = ["bound", "--formula", "ex2.12.tail", "--c", "0.8", "--p", "1.7,2", "--k", "10,20,40", "--format", "json"]
     assert main(argv) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 6 and len(calls) == 6
@@ -649,7 +649,7 @@ class TestVerifyCommand:
         def tiny_bound(r, c1):
             return BoundResult(0.5, "thm2.7", "forced")
 
-        monkeypatch.setattr("overlapbounds.cli.bd.freedman_exp_bound", tiny_bound)
+        monkeypatch.setattr("overlapbounds.closed.freedman_exp_bound", tiny_bound)
         out = tmp_path / "v.csv"
         code = main(["verify", "--formula", "thm2.7", "--decay", "explicit:0.1,0.1", "--out", str(out), "--deterministic"])
         assert code == EXIT_VERIFY
