@@ -167,7 +167,10 @@ class Flag:
     def parse(self, raw: Any) -> Any:
         parse = PARSERS[self.kind]
         try:
-            return [parse(v) for v in str(raw).split(",") if v != ""] if self.grid else parse(raw)
+            values = [parse(v) for v in str(raw).split(",") if v != ""] if self.grid else parse(raw)
+            if self.grid and not values:
+                raise ValueError("no values")
+            return values
         except OverlapBoundsError:
             raise
         except ValueError as exc:
@@ -410,7 +413,8 @@ def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
     """A run's header, its common settings and the flags its entry reads, each setting parsed once.
 
     A setting takes its command-line value, else its config-file value, else
-    its default; a missing or malformed one is an InputError.  The header holds
+    its default; a missing or malformed one, or a config key that is neither a
+    flag of the command nor a header key, is an InputError.  The header holds
     the raw values, in this order: the common keys, the command and what it
     selects, and the flags the selected formula, check, application or export
     reads.  A derived flag that is not given stays out of it.
@@ -424,6 +428,10 @@ def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
                 raise InputError(f"bad config file {args.config}: {exc}") from exc
         if not isinstance(given, dict):
             raise InputError(f"bad config file {args.config}: not a JSON object")
+        settings = {flag.name for flag in itertools.chain(COMMON, *FLAGS[args.command].values())}
+        unknown = sorted(given.keys() - settings - {"command", "formula", "application", "timestamp"})
+        if unknown:
+            raise InputError(f"bad config file {args.config}: no {args.command} flag named {', '.join(map(repr, unknown))}")
     name = args.application if args.command == "app" else getattr(args, "formula", args.command)
     where = args.command if name == args.command else f"{args.command} {name}"
     config, common, values = {}, {}, {}

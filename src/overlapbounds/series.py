@@ -142,7 +142,9 @@ def _hurwitz(s: float, n: int) -> tuple[float, float]:
     """Certified bracket for sum_{k >= n} k**-s, s > 1."""
     *body, (c_last, e_last) = _em_expansion(s)
     x = float(n)
-    total = sum(c * x**-e for c, e in body)
+    total = 0.0
+    for c, e in body:  # left to right, as _explicit_sum adds: the built-in sum compensates from Python 3.12
+        total += c * x**-e
     return _widen((total, total), c_last * x**-e_last)
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from overlapbounds import DivergenceError, DomainError, Explicit, Geometric, PowerLaw, cli, exp_moment_bound
+from overlapbounds import DivergenceError, DomainError, Explicit, Geometric, PowerLaw
 from overlapbounds.applications import (
     MDFReport, MDFRow, ldp_mdf_bound, lil_simulate, mdf_first_order, rare_segments, slln_mdf_report, vc_bound,
 )
@@ -25,20 +25,6 @@ class TestFirstOrder:
         # the summability condition of tail_sum, like every other bound
         with pytest.raises(DivergenceError, match="not summable"):
             mdf_first_order(PowerLaw(1, 1))
-
-
-def test_polynomial_wrapper_and_tail():
-    # Corollary 3.4 is cor2.3.poly's bound with its Markov tail
-    res = cli.FORMULAS["cor3.4"].compute(decay=Explicit([0.5, 0.25]), p=1.0)
-    assert res.value == pytest.approx(2.5)
-    assert res.validity.endswith("tail k**-(p+1) * value")
-
-
-def test_exponential_wrapper_and_tail():
-    # Corollary 3.5 is cor2.3.exp's bound with its Markov tail
-    res = cli.FORMULAS["cor3.5"].compute(decay=Geometric(1, 0.5), p=math.log(1.5))
-    assert res.value == pytest.approx(9.0)
-    assert res.validity.endswith("tail e**(-p k) * value")
 
 
 class TestVC:
@@ -65,13 +51,6 @@ class TestLdpBound:
         res = ldp_mdf_bound(1.0, 0.5, 1.0)
         expected = 1.0 / ((1.0 - math.exp(-1.0)) * (1.0 - math.exp(-0.5)))
         assert res.value == pytest.approx(expected, abs=1e-12)
-
-    def test_consistency_with_exp_moment_bound(self):
-        # the geometric decay c = C, b = e^-rate reproduces the same constant
-        rate, p, c = 0.8, 0.3, 2.0
-        ldp = ldp_mdf_bound(rate, p, c).value
-        via_series = exp_moment_bound(p, Geometric(c, math.exp(-rate)))
-        assert ldp == pytest.approx(via_series.value - 1.0, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError, match="p < rate"):

@@ -190,10 +190,6 @@ def test_powerlaw_closed_form_bounds_the_series(c, q, p):
     res = general_moment_bound(WeightSequence.monomial(p), PowerLaw(c, q))
     assert res.closed_form >= res.value
     assert res.closed_form >= float(oracle_powerlaw_weighted_tail(c, q, p))
-    if p > 0:
-        poly = poly_moment_bound(p, PowerLaw(c, q))
-        assert poly.closed_form == (p + 1.0) * res.closed_form
-        assert poly.closed_form >= poly.value
 
 
 @pytest.mark.parametrize("c,b,p", WEIGHTED_GEOMETRIC)
@@ -227,7 +223,6 @@ def test_poly_bound_near_boundary_is_certified():
     res = poly_moment_bound(1.9, PowerLaw(1, 4))
     assert res.series.converged and res.series.terms_used <= 1 << 16
     check_enclosure(res.series, oracle_powerlaw_weighted_tail(1.0, 4.0, 1.9))
-    assert res.value == 2.9 * res.series.value
 
 
 def test_nested_identity_slow_decay_is_certified():
