@@ -43,6 +43,7 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the top-level parser's subcommand parsers, by name
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InputError(message)
 
@@ -391,6 +392,7 @@ def _add_flags(parser: _Parser, flags: Iterable[Flag]) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="overlapbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(command: str, help: str, title: str = "") -> _Parser:
         p = sub.add_parser(command, help=help, formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -407,6 +409,12 @@ def build_parser() -> _Parser:
     add("app", "run an application report", "applications").add_argument("application", choices=APPS)
     add("export", "simulate an event family, write JSONL sample")
     return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``; argv that names a subcommand goes straight to that subcommand's parser."""
+    sub = build_parser().commands.get(argv[0]) if argv else None  # None for help, no arguments or an unknown command
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else build_parser().parse_args(argv)
 
 
 def resolve(args: argparse.Namespace) -> tuple[dict, dict, dict]:
@@ -534,7 +542,7 @@ def cmd_export(config: dict, common: dict, values: dict) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         command = {"bound": cmd_bound, "verify": cmd_verify, "app": cmd_app, "export": cmd_export}[args.command]
         return command(*resolve(args))
     except InputError as exc:

@@ -462,6 +462,8 @@ def weighted_prob_series(weights: WeightSequence, model: DecayModel) -> SeriesVa
     if isinstance(model, Explicit):
         return _explicit_sum(weights, 1, model.probabilities)
     rest = _weighted_rest(weights, model)
+    if model.raw(float(_MAX_CUT)) > 1.0:  # every cut the guard allows is still in the clamped head
+        raise NonConvergenceError(f"the clamped head of {model.describe()}, where raw(n) > 1, runs past {_MAX_CUT} terms")
     # past the clamped indices (raw(n) > 1) the table's bracket is the rest
     return _certified_sum(
         lambda n: weights.terms(n) * np.minimum(1.0, model.raw(n)),

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import sys
+import time
 import warnings
 
 import mpmath
@@ -25,6 +26,7 @@ from overlapbounds.cli import (
 )
 from overlapbounds import cli
 from overlapbounds.series import Explicit, Geometric, PowerLaw, TailFunction
+from test_cli_golden import ARGVS
 
 
 def read_csv(path):
@@ -68,8 +70,7 @@ class TestParsing:
 
 
 def _subparsers():
-    action = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    return action.choices
+    return cli.build_parser().commands
 
 
 @pytest.mark.parametrize("command, flags_of", cli.FLAGS.items(), ids=list(cli.FLAGS))
@@ -101,6 +102,57 @@ def test_help_lists_every_entry_with_its_flags(command, entries):
         assert lines[name] == [flag.usage() for flag in entry.flags]
     if command == "app":
         assert {"--nmax=2000", "[--eta]"} <= set(lines["gc"]) and "--nmax=40" in lines["lil"]
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse(argv)`` returns, or the message of the usage error it raises."""
+    try:
+        return parse(argv)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestDispatch:
+    """``parse_args`` hands argv that names a subcommand straight to that subcommand's parser.
+
+    Its namespace, and any usage error or help it ends in, equal those of the top-level parser.
+    """
+
+    CALLS = [argv + ["--format", "json", "--deterministic"] for argv in ARGVS] + [
+        ["bound", "--formula", "thm2.7", "--c1", "0.5,0.8", "--r", "1", "--format", "csv"],
+        ["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5", "--reps", "100", "--threads", "2"],
+        ["app", "gc", "--config", "gc.json", "--eps", "0.3"],
+        ["export", "--family", "nested", "--decay", "geometric:1,0.5", "--out", "s.jsonl"],
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+    def test_namespace_equals_top_level_parse(self, argv):
+        assert _parsed(cli.parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nosuch"], ["bound", "-h"], ["bound", "--formula", "thm2.7", "--c1", "0.5", "--r", "1", "--nosuch", "1"],
+        ["bound", "--formula", "thm2.7", "--c1", "0.5", "--r", "1", "--format", "xml"],
+        ["verify", "--formula", "lem2.6", "--decay", "geometric:0.5,0.5", "--reps", "0"],
+    ], ids=" ".join)
+    def test_usage_and_help_equal_top_level_parse(self, argv, monkeypatch):
+        def run():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        dispatched = run()
+        monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert dispatched == run()
+        assert dispatched[0] in (0, EXIT_USAGE) and any(dispatched[1:])
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["overlapbounds", "bound", "--formula", "thm2.7", "--c1", "0.5", "--r", "1"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "c1,r,formula,value,validity"
 
 
 class TestBoundCommand:
@@ -489,6 +541,17 @@ def test_unconverged_series_is_domain_error(capsys):
     assert main(argv) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == "" and "not certified within" in captured.err
+
+
+def test_clamped_head_past_the_guard_fails_at_once(capsys):
+    """P(E_n) = min(1, 1e300 n**-2) is 1 up to n = 1e150, past the 2**26-term guard: no remainder bracket can close."""
+    argv = ["bound", "--formula", "prop2.1", "--decay", "powerlaw:1e300,2", "--weights", "monomial:0"]
+    main(argv)  # loads the series modules, so the timed call below sums or raises only
+    start = time.perf_counter()
+    assert main(argv) == EXIT_DOMAIN
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the clamped head of powerlaw:1e+300,2.0, where raw(n) > 1" in captured.err
 
 
 class TestVerifyCommand:
